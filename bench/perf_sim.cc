@@ -299,57 +299,6 @@ BM_SweepFused3Configs(benchmark::State &state)
 }
 BENCHMARK(BM_SweepFused3Configs)->Unit(benchmark::kMillisecond);
 
-void
-BM_GangMicroChunk(benchmark::State &state)
-{
-    // The fused sweep with the chunk walked in member-interleaved
-    // micro-chunks (arg = sub-window instructions; 0 = plain walk).
-    // Same work as BM_SweepFused3Configs, so the two are directly
-    // comparable and the arg sweep prices the interleave granularity.
-    const auto micro = static_cast<std::size_t>(state.range(0));
-    const auto cfgs = sweepConfigs();
-    const auto trace = benchTrace();
-    const trace::TraceIndex index(trace);
-    constexpr std::size_t kChunk = 65536;
-    for (auto _ : state) {
-        std::vector<std::unique_ptr<cpu::CoreModel>> models;
-        for (const auto &cfg : cfgs) {
-            models.push_back(std::make_unique<cpu::CoreModel>(cfg));
-            models.back()->setTraceIndex(&index);
-            models.back()->beginRun(trace);
-        }
-        std::size_t prev = 0;
-        for (std::size_t target = kChunk;; target += kChunk) {
-            bool all_done = true;
-            if (micro != 0) {
-                for (std::size_t sub = prev + micro;; sub += micro) {
-                    all_done = true;
-                    for (auto &m : models)
-                        all_done &= m->advance(std::min(sub, target));
-                    if (sub >= target || all_done)
-                        break;
-                }
-            } else {
-                for (auto &m : models)
-                    all_done &= m->advance(target);
-            }
-            if (all_done)
-                break;
-            prev = target;
-        }
-        for (auto &m : models)
-            benchmark::DoNotOptimize(m->finishRun());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-            state.iterations() * cfgs.size() * trace.size()));
-}
-BENCHMARK(BM_GangMicroChunk)
-        ->Arg(0)
-        ->Arg(1024)
-        ->Arg(4096)
-        ->Arg(16384)
-        ->Unit(benchmark::kMillisecond);
-
 // --- CMP lockstep stepping ------------------------------------------
 
 void

@@ -32,35 +32,6 @@
 #include "zbp/sim/configs.hh"
 #include "zbp/trace/trace_index.hh"
 
-namespace
-{
-
-bool
-sameCounters(const zbp::cpu::SimResult &a, const zbp::cpu::SimResult &b)
-{
-    return a.cycles == b.cycles && a.instructions == b.instructions &&
-           a.branches == b.branches &&
-           a.takenBranches == b.takenBranches &&
-           a.correct == b.correct &&
-           a.mispredictDir == b.mispredictDir &&
-           a.mispredictTarget == b.mispredictTarget &&
-           a.surpriseCompulsory == b.surpriseCompulsory &&
-           a.surpriseLatency == b.surpriseLatency &&
-           a.surpriseCapacity == b.surpriseCapacity &&
-           a.surpriseBenign == b.surpriseBenign &&
-           a.phantoms == b.phantoms &&
-           a.icacheMisses == b.icacheMisses &&
-           a.dcacheMisses == b.dcacheMisses &&
-           a.dataAccesses == b.dataAccesses &&
-           a.btb1MissReports == b.btb1MissReports &&
-           a.btb2RowReads == b.btb2RowReads &&
-           a.btb2Transfers == b.btb2Transfers &&
-           a.predictionsMade == b.predictionsMade &&
-           a.resolves == b.resolves;
-}
-
-} // namespace
-
 int
 main()
 {
@@ -154,10 +125,13 @@ main()
         ep.mode = sample::SampleMode::kExact;
         sample::SampleRunner esr(ep);
         const sample::SampleReport er = esr.run("sampled-exact", cfg, t);
-        check_ok = sameCounters(er.stitched, exact);
+        const std::string mismatch =
+                cpu::counterMismatch(er.stitched, exact);
+        check_ok = mismatch.empty();
         std::printf("exact-tiling cross-check: %s (stitched %llu "
                     "cycles vs monolithic %llu)\n",
-                    check_ok ? "bit-identical" : "MISMATCH",
+                    check_ok ? "bit-identical"
+                             : ("MISMATCH " + mismatch).c_str(),
                     static_cast<unsigned long long>(er.stitched.cycles),
                     static_cast<unsigned long long>(exact.cycles));
     }

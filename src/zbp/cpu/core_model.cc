@@ -1,6 +1,7 @@
 #include "zbp/cpu/core_model.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -12,6 +13,23 @@ namespace zbp::cpu
 
 /** Forward-progress watchdog: far beyond any legitimate stall. */
 constexpr Cycle kWatchdogCycles = 5000;
+
+std::string
+counterMismatch(const SimResult &a, const SimResult &b)
+{
+    for (const SimCounter &c : kSimCounters)
+        if (a.*c.member != b.*c.member)
+            return std::string(c.name) + ": " + std::to_string(a.*c.member) +
+                   " != " + std::to_string(b.*c.member);
+    if (std::bit_cast<std::uint64_t>(a.cpi) !=
+        std::bit_cast<std::uint64_t>(b.cpi)) {
+        std::ostringstream os;
+        os.precision(17);
+        os << "cpi: " << a.cpi << " != " << b.cpi;
+        return os.str();
+    }
+    return {};
+}
 
 double
 cpiImprovement(const SimResult &base, const SimResult &test)
@@ -1124,9 +1142,8 @@ CoreModel::advanceFunctional(std::size_t decode_target)
 }
 
 SimResult
-CoreModel::interimResult() const
+CoreModel::countersSoFar() const
 {
-    ZBP_ASSERT(runActive, "interimResult() without an armed run");
     SimResult r;
     r.traceName = tr->name();
     r.cycles = cycle;
@@ -1162,13 +1179,19 @@ CoreModel::interimResult() const
 }
 
 SimResult
+CoreModel::interimResult() const
+{
+    ZBP_ASSERT(runActive, "interimResult() without an armed run");
+    return countersSoFar();
+}
+
+SimResult
 CoreModel::finishRun()
 {
     ZBP_ASSERT(runActive, "finishRun() without beginRun()");
     ZBP_ASSERT(decodeIdx >= tr->size(),
                "finishRun() before the trace was fully decoded");
     runActive = false;
-    const trace::Trace &t = *tr;
     pipe->halt();
 
     if (smp)
@@ -1182,35 +1205,7 @@ CoreModel::finishRun()
         if (events[i].kind != ResolveEvent::Kind::kRestart)
             ++nResolves;
 
-    SimResult r;
-    r.traceName = t.name();
-    r.cycles = cycle;
-    r.instructions = t.size();
-    r.cpi = static_cast<double>(cycle) / static_cast<double>(t.size());
-    r.branches = nBranches;
-    r.takenBranches = nTaken;
-    r.correct = outcomes.count(Outcome::kCorrect);
-    r.mispredictDir = outcomes.count(Outcome::kMispredictDir);
-    r.mispredictTarget = outcomes.count(Outcome::kMispredictTarget);
-    r.surpriseCompulsory = outcomes.count(Outcome::kSurpriseCompulsory);
-    r.surpriseLatency = outcomes.count(Outcome::kSurpriseLatency);
-    r.surpriseCapacity = outcomes.count(Outcome::kSurpriseCapacity);
-    r.surpriseBenign = outcomes.count(Outcome::kSurpriseBenign);
-    r.phantoms = outcomes.count(Outcome::kPhantom);
-    r.watchdogResets = nWatchdogResets;
-    r.resolves = nResolves;
-    r.faultsInjected = inj ? inj->injected() : 0;
-    r.icacheMisses = l1i->misses();
-    r.dcacheMisses = l1d ? l1d->misses() : 0;
-    r.dataAccesses = nDataAccesses;
-    r.btb1MissReports = pipe->missReportCount();
-    r.predictionsMade = pipe->predictionCount();
-    if (eng) {
-        r.btb2RowReads = eng->rowReads();
-        r.btb2Transfers = eng->hitsTransferred();
-        r.btb2FullSearches = eng->fullSearchCount();
-        r.btb2PartialSearches = eng->partialSearchCount();
-    }
+    SimResult r = countersSoFar();
 
     if (const std::string err = simInvariantError(r); !err.empty())
         throw std::logic_error("simulation invariant violated (" +

@@ -23,6 +23,7 @@
 #define ZBP_CPU_CORE_MODEL_HH
 
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -119,6 +120,58 @@ struct SimResult
         return b == 0.0 ? 0.0 : badOutcomes() / b;
     }
 };
+
+/** One SimResult counter: its record field name and its member. */
+struct SimCounter
+{
+    const char *name;
+    std::uint64_t SimResult::*member;
+};
+
+/**
+ * Every SimResult counter, in record order: the one schema that JSONL
+ * export and resume, the interval stitch and result comparison iterate.
+ * A new counter is one new row here.  cpi (derived) and the text
+ * fields are not counters.
+ */
+inline constexpr SimCounter kSimCounters[] = {
+    {"cycles", &SimResult::cycles},
+    {"instructions", &SimResult::instructions},
+    {"branches", &SimResult::branches},
+    {"takenBranches", &SimResult::takenBranches},
+    {"correct", &SimResult::correct},
+    {"mispredictDir", &SimResult::mispredictDir},
+    {"mispredictTarget", &SimResult::mispredictTarget},
+    {"surpriseCompulsory", &SimResult::surpriseCompulsory},
+    {"surpriseLatency", &SimResult::surpriseLatency},
+    {"surpriseCapacity", &SimResult::surpriseCapacity},
+    {"surpriseBenign", &SimResult::surpriseBenign},
+    {"phantoms", &SimResult::phantoms},
+    {"icacheMisses", &SimResult::icacheMisses},
+    {"dcacheMisses", &SimResult::dcacheMisses},
+    {"dataAccesses", &SimResult::dataAccesses},
+    {"btb1MissReports", &SimResult::btb1MissReports},
+    {"btb2RowReads", &SimResult::btb2RowReads},
+    {"btb2Transfers", &SimResult::btb2Transfers},
+    {"btb2FullSearches", &SimResult::btb2FullSearches},
+    {"btb2PartialSearches", &SimResult::btb2PartialSearches},
+    {"predictionsMade", &SimResult::predictionsMade},
+    {"watchdogResets", &SimResult::watchdogResets},
+    {"resolves", &SimResult::resolves},
+    {"faultsInjected", &SimResult::faultsInjected},
+};
+
+// A counter without a row would silently drop out of records, resume,
+// the stitch and every comparison, so pin the table to the struct:
+// SimResult is its two strings, cpi, and one u64 per row.
+static_assert(sizeof(SimResult) ==
+                      2 * sizeof(std::string) + sizeof(double) +
+                              std::size(kSimCounters) * sizeof(std::uint64_t),
+              "every SimResult counter needs a kSimCounters row");
+
+/** The first difference between @p a and @p b over every counter and
+ * the CPI bits, as "<name>: <a> != <b>"; empty when they agree. */
+std::string counterMismatch(const SimResult &a, const SimResult &b);
 
 /** Percent CPI improvement of @p test over @p base (positive = faster). */
 double cpiImprovement(const SimResult &base, const SimResult &test);
@@ -370,6 +423,9 @@ class CoreModel
      * through the quiescent cycles in between.
      */
     Cycle nextWakeAt(Cycle now, Cycle last_progress_at) const;
+
+    /** Every counter of the armed run at the decode cursor. */
+    SimResult countersSoFar() const;
 
     /** The next prediction fetch has not yet consumed (the prediction
      * stream is consumed strictly in emission order). */

@@ -4,37 +4,13 @@
 #include <cmath>
 
 #include "zbp/common/log.hh"
+#include "zbp/util/json.hh"
 
 namespace zbp::obs
 {
 
 namespace
 {
-
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Timestamps render as plain decimals (no exponent — some trace-event
  * consumers reject 1e+06 in ts/dur). */
@@ -71,10 +47,7 @@ jsonNum(double v)
 std::string
 jsonStr(const std::string &s)
 {
-    std::string out = "\"";
-    out += escape(s);
-    out += '"';
-    return out;
+    return '"' + json::escape(s) + '"';
 }
 
 TraceWriter::TraceWriter(const std::string &path, std::uint64_t max_events)

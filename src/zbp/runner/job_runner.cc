@@ -33,38 +33,6 @@ mixString(std::uint64_t h, const std::string &s)
     return h;
 }
 
-/** The exported counter fields, mirroring sim::resultCsvHeader().
- * Member pointers (not getters) so resume can write them back when
- * reconstructing a SimResult from a JSONL record. */
-struct Field
-{
-    const char *name;
-    std::uint64_t cpu::SimResult::*member;
-};
-
-constexpr Field kFields[] = {
-    {"cycles", &cpu::SimResult::cycles},
-    {"instructions", &cpu::SimResult::instructions},
-    {"branches", &cpu::SimResult::branches},
-    {"takenBranches", &cpu::SimResult::takenBranches},
-    {"correct", &cpu::SimResult::correct},
-    {"mispredictDir", &cpu::SimResult::mispredictDir},
-    {"mispredictTarget", &cpu::SimResult::mispredictTarget},
-    {"surpriseCompulsory", &cpu::SimResult::surpriseCompulsory},
-    {"surpriseLatency", &cpu::SimResult::surpriseLatency},
-    {"surpriseCapacity", &cpu::SimResult::surpriseCapacity},
-    {"surpriseBenign", &cpu::SimResult::surpriseBenign},
-    {"phantoms", &cpu::SimResult::phantoms},
-    {"icacheMisses", &cpu::SimResult::icacheMisses},
-    {"dcacheMisses", &cpu::SimResult::dcacheMisses},
-    {"btb1MissReports", &cpu::SimResult::btb1MissReports},
-    {"btb2RowReads", &cpu::SimResult::btb2RowReads},
-    {"btb2Transfers", &cpu::SimResult::btb2Transfers},
-    {"predictionsMade", &cpu::SimResult::predictionsMade},
-    {"resolves", &cpu::SimResult::resolves},
-    {"faultsInjected", &cpu::SimResult::faultsInjected},
-};
-
 double
 timeoutFromEnv()
 {
@@ -206,107 +174,6 @@ class TimeoutWatchdog
     std::thread th;
 };
 
-// ---- minimal JSONL field extraction (for resume) --------------------
-//
-// Records are produced by jobRecord() below, so the shapes are known:
-// flat objects, keys unique.  The extractors tolerate unknown fields
-// and malformed lines (they just fail to match, and the line is
-// ignored) — a truncated checkpoint from a crashed sweep must never
-// break the resumed run.
-
-bool
-findValue(const std::string &line, const std::string &key,
-          std::size_t &value_begin)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    value_begin = at + needle.size();
-    return value_begin < line.size();
-}
-
-bool
-extractString(const std::string &line, const std::string &key,
-              std::string &out)
-{
-    std::size_t i;
-    if (!findValue(line, key, i) || line[i] != '"')
-        return false;
-    ++i;
-    std::string s;
-    while (i < line.size() && line[i] != '"') {
-        if (line[i] == '\\' && i + 1 < line.size()) {
-            ++i;
-            switch (line[i]) {
-              case 'n': s += '\n'; break;
-              case 't': s += '\t'; break;
-              case 'u':
-                // \u00XX escapes only ever encode control bytes here;
-                // resume identity never contains them, skip the code.
-                i += 4;
-                s += '?';
-                break;
-              default: s += line[i]; break;
-            }
-        } else {
-            s += line[i];
-        }
-        ++i;
-    }
-    if (i >= line.size())
-        return false; // unterminated string: corrupt line
-    out = std::move(s);
-    return true;
-}
-
-bool
-extractU64(const std::string &line, const std::string &key,
-           std::uint64_t &out)
-{
-    std::size_t i;
-    if (!findValue(line, key, i))
-        return false;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(line.c_str() + i, &end, 10);
-    if (end == line.c_str() + i)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-extractDouble(const std::string &line, const std::string &key,
-              double &out)
-{
-    std::size_t i;
-    if (!findValue(line, key, i))
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(line.c_str() + i, &end);
-    if (end == line.c_str() + i)
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-extractBool(const std::string &line, const std::string &key, bool &out)
-{
-    std::size_t i;
-    if (!findValue(line, key, i))
-        return false;
-    if (line.compare(i, 4, "true") == 0) {
-        out = true;
-        return true;
-    }
-    if (line.compare(i, 5, "false") == 0) {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
 /**
  * Run @p model over @p t with optional crash resume and periodic
  * checkpointing.  An empty @p ckpt_path is exactly model->run(t) —
@@ -392,66 +259,80 @@ resumeKey(const std::string &config, const std::string &trace,
     return config + '\x1f' + trace + '\x1f' + std::to_string(seed);
 }
 
-std::unordered_map<std::string, SimJobResult>
-loadResumeResults(const std::string &path)
+std::vector<json::Value>
+readRecords(const std::string &path)
 {
-    std::unordered_map<std::string, SimJobResult> prior;
+    std::vector<json::Value> records;
     std::ifstream is(path);
     if (!is) {
-        warn("resume file '", path, "' cannot be opened; ignoring");
-        return prior;
+        warn("results file '", path, "' cannot be opened; ignoring");
+        return records;
     }
     std::string line;
     std::size_t malformed = 0;
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
-        // Torn trailing line from a killed writer: a JSONL record is one
-        // complete object per line, so anything not brace-delimited is
-        // garbage from an interrupted write — skip it (the job re-runs).
-        if (line.front() != '{' || line.back() != '}') {
+        // A JSONL record is one complete object per line; anything else
+        // is a torn write from a killed sweep or corruption.
+        auto rec = json::parse(line);
+        if (rec && rec->kind == json::Value::Kind::kObject)
+            records.push_back(std::move(*rec));
+        else
             ++malformed;
-            continue;
-        }
-        std::string config, tname;
-        std::uint64_t seed = 0;
-        bool ok = false;
-        if (!extractString(line, "config", config) ||
-            !extractString(line, "trace", tname) ||
-            !extractU64(line, "seed", seed) ||
-            !extractBool(line, "ok", ok)) {
-            ++malformed;
-            continue;
-        }
-        if (!ok)
-            continue;
-        SimJobResult r;
-        r.ok = true;
-        r.resumed = true;
-        r.result.traceName = tname;
-        (void)extractDouble(line, "seconds", r.seconds);
-        (void)extractDouble(line, "cpi", r.result.cpi);
-        std::uint64_t attempts = 1;
-        (void)extractU64(line, "attempts", attempts);
-        r.attempts = static_cast<unsigned>(attempts);
-        bool complete = true;
-        for (const auto &f : kFields) {
-            std::uint64_t v = 0;
-            if (!extractU64(line, f.name, v)) {
-                complete = false;
-                break;
-            }
-            r.result.*f.member = v;
-        }
-        if (!complete) {
-            ++malformed;
-            continue; // e.g. a half-written final line: re-run the job
-        }
-        prior[resumeKey(config, tname, seed)] = std::move(r);
     }
     if (malformed != 0)
-        warn("resume file '", path, "': skipped ", malformed,
-             " malformed record(s)");
+        warn("results file '", path, "': skipped ", malformed,
+             " malformed line(s)");
+    return records;
+}
+
+std::optional<std::string>
+recordResumeKey(const json::Value &rec)
+{
+    const std::string *config = rec["config"].str();
+    const std::string *trace = rec["trace"].str();
+    const auto seed = rec["seed"].u64();
+    if (config == nullptr || trace == nullptr || !seed)
+        return std::nullopt;
+    return resumeKey(*config, *trace, *seed);
+}
+
+std::unordered_map<std::string, SimJobResult>
+loadResumeResults(const std::vector<json::Value> &records)
+{
+    std::unordered_map<std::string, SimJobResult> prior;
+    std::size_t incomplete = 0;
+    for (const json::Value &rec : records) {
+        if (rec["ok"].boolean() != true)
+            continue; // failed jobs (and CMP sharing lines) re-run
+        const auto key = recordResumeKey(rec);
+        const auto cpi = rec["cpi"].num();
+        SimJobResult r;
+        bool complete = key && cpi;
+        for (const cpu::SimCounter &c : cpu::kSimCounters) {
+            const auto v = rec[c.name].u64();
+            complete &= v.has_value();
+            r.result.*c.member = v.value_or(0);
+        }
+        if (!complete) {
+            // Lacks a field of the schema (an older record format, or
+            // a damaged line): re-run the job rather than apply zeros.
+            ++incomplete;
+            continue;
+        }
+        r.ok = true;
+        r.resumed = true;
+        r.result.traceName = *rec["trace"].str();
+        r.result.cpi = *cpi;
+        r.seconds = rec["seconds"].num().value_or(0.0);
+        r.attempts =
+                static_cast<unsigned>(rec["attempts"].u64().value_or(1));
+        prior.emplace(*key, std::move(r)); // the first record wins
+    }
+    if (incomplete != 0)
+        warn("resume: re-running ", incomplete,
+             " job(s) whose ok record lacks the full counter schema");
     return prior;
 }
 
@@ -494,8 +375,8 @@ jobRecord(const SimJob &job, const SimJobResult &r)
         return o.str();
     }
     o.field("cpi", r.result.cpi);
-    for (const auto &f : kFields)
-        o.field(f.name, r.result.*f.member);
+    for (const cpu::SimCounter &c : cpu::kSimCounters)
+        o.field(c.name, r.result.*c.member);
     if (r.telemetry.collected) {
         o.field("queueSeconds", r.telemetry.queueSeconds);
         o.field("loadSeconds", r.telemetry.loadSeconds);
@@ -556,7 +437,7 @@ JobRunner::run(const std::vector<SimJob> &jobs)
             resumePathSet ? resumePath : resumePathFromEnv();
     std::unordered_map<std::string, SimJobResult> prior;
     if (!rpath.empty())
-        prior = loadResumeResults(rpath);
+        prior = loadResumeResults(readRecords(rpath));
 
     const double timeout = jobTimeoutSet ? jobTimeout : timeoutFromEnv();
     const unsigned max_attempts =

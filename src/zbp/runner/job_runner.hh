@@ -17,6 +17,7 @@
 #define ZBP_RUNNER_JOB_RUNNER_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "zbp/cpu/core_model.hh"
 #include "zbp/runner/progress.hh"
 #include "zbp/trace/trace.hh"
+#include "zbp/util/json.hh"
 
 namespace zbp::runner
 {
@@ -62,10 +64,9 @@ struct SimJob
 /**
  * Runner telemetry for one executed job: where its wall-clock went and
  * how contended the runner was.  Appended to the JSONL record as extra
- * fields only when `collected` is set (records from before this
- * subsystem, and synthetic results in tests, keep the exact old shape);
- * the resume extractors tolerate unknown fields, so record identity is
- * unchanged either way.
+ * fields only when `collected` is set (synthetic results in tests
+ * keep the shorter shape); resume ignores fields it does not read, so
+ * record identity is unchanged either way.
  */
 struct JobTelemetry
 {
@@ -172,11 +173,23 @@ std::string jobRecord(const SimJob &job, const SimJobResult &r);
 std::string resumeKey(const std::string &config, const std::string &trace,
                       std::uint64_t seed);
 
-/** Parse a prior results file into identity -> reconstructed result.
- * Only ok=true records are kept (failed jobs must re-run).  Malformed
- * lines are skipped with a warning. */
+/** Every line of the JSONL file @p path that parses as one JSON
+ * object, in file order.  Torn or corrupt lines (a killed writer's
+ * last line) are skipped with a warning; an unreadable file warns and
+ * yields none. */
+std::vector<json::Value> readRecords(const std::string &path);
+
+/** The resume identity of a record's (config, trace, seed) fields, or
+ * nullopt when one is missing or mistyped. */
+std::optional<std::string> recordResumeKey(const json::Value &rec);
+
+/** Index prior records by identity -> reconstructed result.  Only
+ * ok=true records carrying the cpi and every cpu::kSimCounters field
+ * are kept, so a restored result equals the original bit for bit; a
+ * failed job or a record of an older, shorter schema re-runs.  The
+ * first record of an identity wins. */
 std::unordered_map<std::string, SimJobResult>
-loadResumeResults(const std::string &path);
+loadResumeResults(const std::vector<json::Value> &records);
 
 /** The ZBP_RESUME_JSONL path, or empty when unset. */
 std::string resumePathFromEnv();

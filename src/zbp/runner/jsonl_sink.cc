@@ -9,27 +9,6 @@
 namespace zbp::runner
 {
 
-std::string
-JsonObject::escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (u < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 JsonObject &
 JsonObject::raw(const std::string &key, const std::string &value)
 {
@@ -72,6 +51,20 @@ JsonObject::field(const std::string &key, bool v)
     return raw(key, v ? "true" : "false");
 }
 
+JsonObject &
+JsonObject::field(const std::string &key,
+                  const std::vector<std::uint64_t> &v)
+{
+    std::string arr = "[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i != 0)
+            arr += ',';
+        arr += std::to_string(v[i]);
+    }
+    arr += ']';
+    return raw(key, arr);
+}
+
 JsonlSink::JsonlSink(const std::string &path) : filePath(path)
 {
     if (filePath.empty())
@@ -87,7 +80,7 @@ JsonlSink::~JsonlSink()
         return;
     // fsync before close so completed records survive a machine crash
     // right after a sweep; a process kill mid-write at worst leaves a
-    // torn trailing line, which loadResumeResults detects and skips.
+    // torn trailing line, which readRecords detects and skips.
     std::fflush(f);
     ::fsync(::fileno(f));
     std::fclose(f);

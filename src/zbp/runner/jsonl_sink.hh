@@ -6,7 +6,8 @@
  * an explicit path); an empty path disables the sink at zero cost.
  *
  * JsonObject is a minimal order-preserving builder — the repo has no
- * JSON dependency and does not want one for flat records.
+ * JSON dependency and does not want one for flat records; util/json.hh
+ * reads them back.
  */
 
 #ifndef ZBP_RUNNER_JSONL_SINK_HH
@@ -16,6 +17,9 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <vector>
+
+#include "zbp/util/json.hh"
 
 namespace zbp::runner
 {
@@ -29,12 +33,14 @@ class JsonObject
     JsonObject &field(const std::string &key, double v);
     JsonObject &field(const std::string &key, std::uint64_t v);
     JsonObject &field(const std::string &key, bool v);
+    JsonObject &field(const std::string &key,
+                      const std::vector<std::uint64_t> &v);
 
     /** The finished object, e.g. {"a":1,"b":"x"}. */
     std::string str() const { return body + "}"; }
 
     /** Escape @p s for inclusion in a JSON string literal. */
-    static std::string escape(const std::string &s);
+    static std::string escape(const std::string &s) { return json::escape(s); }
 
   private:
     JsonObject &raw(const std::string &key, const std::string &value);

@@ -30,74 +30,25 @@ secondsSince(std::chrono::steady_clock::time_point t0)
             .count();
 }
 
-/** acc += d, fieldwise over every counter (never the derived fields —
- * cpi is recomputed by the caller, statsText stays empty). */
-void
-accumulate(cpu::SimResult &acc, const cpu::SimResult &d)
+/** cycles / instructions, 0 for an empty window. */
+double
+cpiOf(const cpu::SimResult &r)
 {
-    acc.cycles += d.cycles;
-    acc.instructions += d.instructions;
-    acc.branches += d.branches;
-    acc.takenBranches += d.takenBranches;
-    acc.correct += d.correct;
-    acc.mispredictDir += d.mispredictDir;
-    acc.mispredictTarget += d.mispredictTarget;
-    acc.surpriseCompulsory += d.surpriseCompulsory;
-    acc.surpriseLatency += d.surpriseLatency;
-    acc.surpriseCapacity += d.surpriseCapacity;
-    acc.surpriseBenign += d.surpriseBenign;
-    acc.phantoms += d.phantoms;
-    acc.icacheMisses += d.icacheMisses;
-    acc.dcacheMisses += d.dcacheMisses;
-    acc.dataAccesses += d.dataAccesses;
-    acc.btb1MissReports += d.btb1MissReports;
-    acc.btb2RowReads += d.btb2RowReads;
-    acc.btb2Transfers += d.btb2Transfers;
-    acc.btb2FullSearches += d.btb2FullSearches;
-    acc.btb2PartialSearches += d.btb2PartialSearches;
-    acc.predictionsMade += d.predictionsMade;
-    acc.watchdogResets += d.watchdogResets;
-    acc.resolves += d.resolves;
-    acc.faultsInjected += d.faultsInjected;
+    return r.instructions > 0 ? static_cast<double>(r.cycles) /
+                                        static_cast<double>(r.instructions)
+                              : 0.0;
 }
 
-/** end - start, fieldwise (the "what happened in between" delta; every
- * counter is monotone so the subtraction never wraps). */
+/** end - start over every counter (the "what happened in between"
+ * delta; every counter is monotone so the subtraction never wraps). */
 cpu::SimResult
 subtractResult(const cpu::SimResult &end, const cpu::SimResult &start)
 {
     cpu::SimResult d;
     d.traceName = end.traceName;
-    d.cycles = end.cycles - start.cycles;
-    d.instructions = end.instructions - start.instructions;
-    d.branches = end.branches - start.branches;
-    d.takenBranches = end.takenBranches - start.takenBranches;
-    d.correct = end.correct - start.correct;
-    d.mispredictDir = end.mispredictDir - start.mispredictDir;
-    d.mispredictTarget = end.mispredictTarget - start.mispredictTarget;
-    d.surpriseCompulsory =
-            end.surpriseCompulsory - start.surpriseCompulsory;
-    d.surpriseLatency = end.surpriseLatency - start.surpriseLatency;
-    d.surpriseCapacity = end.surpriseCapacity - start.surpriseCapacity;
-    d.surpriseBenign = end.surpriseBenign - start.surpriseBenign;
-    d.phantoms = end.phantoms - start.phantoms;
-    d.icacheMisses = end.icacheMisses - start.icacheMisses;
-    d.dcacheMisses = end.dcacheMisses - start.dcacheMisses;
-    d.dataAccesses = end.dataAccesses - start.dataAccesses;
-    d.btb1MissReports = end.btb1MissReports - start.btb1MissReports;
-    d.btb2RowReads = end.btb2RowReads - start.btb2RowReads;
-    d.btb2Transfers = end.btb2Transfers - start.btb2Transfers;
-    d.btb2FullSearches = end.btb2FullSearches - start.btb2FullSearches;
-    d.btb2PartialSearches =
-            end.btb2PartialSearches - start.btb2PartialSearches;
-    d.predictionsMade = end.predictionsMade - start.predictionsMade;
-    d.watchdogResets = end.watchdogResets - start.watchdogResets;
-    d.resolves = end.resolves - start.resolves;
-    d.faultsInjected = end.faultsInjected - start.faultsInjected;
-    d.cpi = d.instructions > 0
-                    ? static_cast<double>(d.cycles) /
-                              static_cast<double>(d.instructions)
-                    : 0.0;
+    for (const cpu::SimCounter &c : cpu::kSimCounters)
+        d.*c.member = end.*c.member - start.*c.member;
+    d.cpi = cpiOf(d);
     return d;
 }
 
@@ -169,7 +120,8 @@ SampleRunner::run(const std::string &config_name,
             resume_path.empty()
                     ? std::unordered_map<std::string,
                                          runner::SimJobResult>{}
-                    : runner::loadResumeResults(resume_path);
+                    : runner::loadResumeResults(
+                              runner::readRecords(resume_path));
 
     std::vector<cpu::SimResult> deltas(plan.size());
     std::vector<bool> resumed(plan.size(), false);
@@ -238,12 +190,9 @@ SampleRunner::run(const std::string &config_name,
     SampleReport rep;
     rep.stitched.traceName = t.name();
     for (const auto &d : deltas)
-        accumulate(rep.stitched, d);
-    rep.stitched.cpi =
-            rep.stitched.instructions > 0
-                    ? static_cast<double>(rep.stitched.cycles) /
-                              static_cast<double>(rep.stitched.instructions)
-                    : 0.0;
+        for (const cpu::SimCounter &c : cpu::kSimCounters)
+            rep.stitched.*c.member += d.*c.member;
+    rep.stitched.cpi = cpiOf(rep.stitched);
     rep.exact = prm.mode == SampleMode::kExact;
     if (rep.exact) {
         const std::string err = cpu::simInvariantError(rep.stitched);

@@ -15,11 +15,9 @@
  *
  * Each interval writes one JSONL record (config "<name>#iv<k>") under
  * the same ZBP_RESULTS_JSONL / ZBP_RESUME_JSONL contract as JobRunner,
- * so a killed sampled sweep resumes interval-granular.  Resumed
- * intervals are reconstructed from the record's canonical counter set;
- * fields outside it (dataAccesses, watchdogResets, btb2Full/Partial-
- * Searches) read 0 in a stitch that used resume, exactly as JobRunner
- * resume behaves.
+ * so a killed sampled sweep resumes interval-granular.  A record
+ * carries every counter, so a stitch over resumed intervals equals a
+ * fresh one bit for bit.
  */
 
 #ifndef ZBP_SAMPLE_SAMPLE_RUNNER_HH

@@ -26,6 +26,26 @@ mixSeed(std::uint64_t seed, unsigned core)
 
 } // namespace
 
+std::string
+cmpMismatch(const CmpResult &a, const CmpResult &b)
+{
+    if (a.core.size() != b.core.size())
+        return "cores: " + std::to_string(a.core.size()) +
+               " != " + std::to_string(b.core.size());
+    for (std::size_t i = 0; i < a.core.size(); ++i)
+        if (std::string d = cpu::counterMismatch(a.core[i], b.core[i]);
+            !d.empty())
+            return "core " + std::to_string(i) + " " + d;
+    for (const CmpCounter &c : kCmpCounters)
+        if (a.*c.member != b.*c.member)
+            return std::string(c.name) + ": " + std::to_string(a.*c.member) +
+                   " != " + std::to_string(b.*c.member);
+    for (const CmpCounterVector &c : kCmpCounterVectors)
+        if (a.*c.member != b.*c.member)
+            return std::string(c.name) + " differ";
+    return {};
+}
+
 CmpModel::CmpModel(const core::MachineParams &p) : prm(p)
 {
     prm.validate();

@@ -41,6 +41,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "zbp/cpu/core_model.hh"
@@ -89,6 +90,54 @@ struct CmpResult
                                         static_cast<double>(arbGrants);
     }
 };
+
+/** One scalar CMP sharing counter: its record field name and member. */
+struct CmpCounter
+{
+    const char *name;
+    std::uint64_t CmpResult::*member;
+};
+
+/** One per-core or per-bank CMP sharing counter vector. */
+struct CmpCounterVector
+{
+    const char *name;
+    std::vector<std::uint64_t> CmpResult::*member;
+};
+
+/** Every CMP-level counter (the per-core ones live in
+ * cpu::kSimCounters), in sharing-record order. */
+inline constexpr CmpCounter kCmpCounters[] = {
+    {"arbRequests", &CmpResult::arbRequests},
+    {"arbGrants", &CmpResult::arbGrants},
+    {"arbConflicts", &CmpResult::arbConflicts},
+    {"arbWaitCycles", &CmpResult::arbWaitCycles},
+    {"arbQueueFullRejects", &CmpResult::arbQueueFullRejects},
+    {"l2iHits", &CmpResult::l2iHits},
+    {"l2iMisses", &CmpResult::l2iMisses},
+    {"faultsInjectedShared", &CmpResult::faultsInjectedShared},
+};
+
+inline constexpr CmpCounterVector kCmpCounterVectors[] = {
+    {"coreGrants", &CmpResult::coreGrants},
+    {"coreWaitCycles", &CmpResult::coreWaitCycles},
+    {"bankGrants", &CmpResult::bankGrants},
+    {"l2iCoreHits", &CmpResult::l2iCoreHits},
+    {"l2iCoreMisses", &CmpResult::l2iCoreMisses},
+};
+
+// As for cpu::kSimCounters: CmpResult is its core vector plus one
+// member per row, so a sharing counter cannot miss the record.
+static_assert(sizeof(CmpResult) ==
+                      (1 + std::size(kCmpCounterVectors)) *
+                                      sizeof(std::vector<std::uint64_t>) +
+                              std::size(kCmpCounters) * sizeof(std::uint64_t),
+              "every CmpResult counter needs a kCmpCounters row");
+
+/** The first difference between @p a and @p b over every core's
+ * counters (cpu::counterMismatch) and every sharing counter; empty
+ * when they agree. */
+std::string cmpMismatch(const CmpResult &a, const CmpResult &b);
 
 /** One N-core machine, runnable over N traces (one per core). */
 class CmpModel

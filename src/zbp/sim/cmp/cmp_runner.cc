@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <unordered_map>
 
@@ -31,44 +30,6 @@ cmpLaneFor(obs::TraceWriter *tw)
     return lane;
 }
 
-/** Extract an unsigned JSON field from a flat record line; false when
- * the key is absent or unparsable (same tolerance as the generic
- * resume parser: a bad line just fails to match). */
-bool
-extractU64Field(const std::string &line, const std::string &key,
-                std::uint64_t &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    const char *p = line.c_str() + at + needle.size();
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p)
-        return false;
-    out = v;
-    return true;
-}
-
-/** The sharing counters exported per CMP job (order = record order). */
-struct SharedField
-{
-    const char *name;
-    std::uint64_t CmpResult::*member;
-};
-
-constexpr SharedField kSharedFields[] = {
-    {"arbRequests", &CmpResult::arbRequests},
-    {"arbGrants", &CmpResult::arbGrants},
-    {"arbConflicts", &CmpResult::arbConflicts},
-    {"arbWaitCycles", &CmpResult::arbWaitCycles},
-    {"arbQueueFullRejects", &CmpResult::arbQueueFullRejects},
-    {"l2iHits", &CmpResult::l2iHits},
-    {"l2iMisses", &CmpResult::l2iMisses},
-    {"faultsInjectedShared", &CmpResult::faultsInjectedShared},
-};
-
 std::string
 sharingRecord(const CmpJob &job, std::uint64_t seed, double seconds,
               const CmpResult &r)
@@ -83,51 +44,44 @@ sharingRecord(const CmpJob &job, std::uint64_t seed, double seconds,
     o.field("cmp", true);
     o.field("seconds", seconds);
     o.field("cores", static_cast<std::uint64_t>(r.core.size()));
-    for (const auto &f : kSharedFields)
-        o.field(f.name, r.*f.member);
+    for (const CmpCounter &c : kCmpCounters)
+        o.field(c.name, r.*c.member);
+    for (const CmpCounterVector &c : kCmpCounterVectors)
+        o.field(c.name, r.*c.member);
     o.field("conflictFraction", r.conflictFraction());
     return o.str();
 }
 
-/** Scan a prior results file for the sharing record of (config id,
- * trace mix, seed) and restore its counters into @p r.  Best-effort:
- * a missing record just leaves the sharing stats zeroed. */
-bool
-loadSharingRecord(const std::string &path, const std::string &config,
-                  const std::string &mix, std::uint64_t seed,
-                  CmpResult &r)
+/** Index the complete sharing records among @p records by resume
+ * identity; a record missing any sharing field is left out, so its job
+ * re-runs. */
+std::unordered_map<std::string, CmpResult>
+loadSharingRecords(const std::vector<json::Value> &records)
 {
-    std::ifstream is(path);
-    if (!is)
-        return false;
-    const std::string config_tag =
-            "\"config\":\"" + runner::JsonObject::escape(config) + "\"";
-    const std::string trace_tag =
-            "\"trace\":\"" + runner::JsonObject::escape(mix) + "\"";
-    const std::string seed_tag = "\"seed\":" + std::to_string(seed);
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.find(config_tag) == std::string::npos ||
-            line.find(trace_tag) == std::string::npos ||
-            line.find(seed_tag) == std::string::npos)
+    std::unordered_map<std::string, CmpResult> out;
+    for (const json::Value &rec : records) {
+        const auto key = runner::recordResumeKey(rec);
+        if (rec["cmp"].boolean() != true || !key)
             continue;
+        CmpResult r;
         bool complete = true;
-        CmpResult parsed;
-        for (const auto &f : kSharedFields) {
-            std::uint64_t v = 0;
-            if (!extractU64Field(line, f.name, v)) {
-                complete = false;
-                break;
-            }
-            parsed.*f.member = v;
+        for (const CmpCounter &c : kCmpCounters) {
+            const auto v = rec[c.name].u64();
+            complete &= v.has_value();
+            r.*c.member = v.value_or(0);
         }
-        if (!complete)
-            continue; // half-written line; keep scanning
-        for (const auto &f : kSharedFields)
-            r.*f.member = parsed.*f.member;
-        return true;
+        for (const CmpCounterVector &c : kCmpCounterVectors) {
+            const json::Value &arr = rec[c.name];
+            complete &= arr.kind == json::Value::Kind::kArray;
+            for (const json::Value &x : arr.items) {
+                complete &= x.u64().has_value();
+                (r.*c.member).push_back(x.u64().value_or(0));
+            }
+        }
+        if (complete)
+            out.emplace(*key, std::move(r));
     }
-    return false;
+    return out;
 }
 
 /**
@@ -290,8 +244,12 @@ CmpRunner::run(const std::vector<CmpJob> &jobs)
     const std::string rpath =
             resumePathSet ? resumePath : runner::resumePathFromEnv();
     std::unordered_map<std::string, runner::SimJobResult> prior;
-    if (!rpath.empty())
-        prior = runner::loadResumeResults(rpath);
+    std::unordered_map<std::string, CmpResult> prior_sharing;
+    if (!rpath.empty()) {
+        const auto records = runner::readRecords(rpath);
+        prior = runner::loadResumeResults(records);
+        prior_sharing = loadSharingRecords(records);
+    }
 
     runner::JsonlSink sink(sinkPathSet ? sinkPath
                                        : runner::JsonlSink::envPath());
@@ -334,32 +292,28 @@ CmpRunner::run(const std::vector<CmpJob> &jobs)
         const std::uint64_t shared_seed = runner::JobRunner::deriveSeed(
                 cmpSharedConfigName(job.name), mix);
 
-        // All-or-nothing resume: the job is satisfied only when every
-        // per-core record is in the checkpoint.
-        if (!prior.empty() && n != 0) {
-            bool all = true;
-            std::vector<const runner::SimJobResult *> hits(n, nullptr);
+        // All-or-nothing resume: the job is satisfied only when its
+        // sharing record and every per-core record are in the
+        // checkpoint.
+        const auto shared_hit = prior_sharing.find(runner::resumeKey(
+                cmpSharedConfigName(job.name), mix, shared_seed));
+        if (shared_hit != prior_sharing.end() && n != 0) {
+            CmpResult resumed = shared_hit->second;
+            double seconds = 0.0;
             for (unsigned i = 0; i < n; ++i) {
                 const auto it = prior.find(runner::resumeKey(
                         cmpCoreConfigName(job.name, i),
                         job.traces[i]->name(), seeds[i]));
-                if (it == prior.end()) {
-                    all = false;
+                if (it == prior.end())
                     break;
-                }
-                hits[i] = &it->second;
+                resumed.core.push_back(it->second.result);
+                seconds += it->second.seconds;
             }
-            if (all) {
+            if (resumed.core.size() == n) {
                 out.ok = true;
                 out.resumed = true;
-                out.result.core.reserve(n);
-                for (unsigned i = 0; i < n; ++i) {
-                    out.result.core.push_back(hits[i]->result);
-                    out.seconds += hits[i]->seconds;
-                }
-                loadSharingRecord(rpath,
-                                  cmpSharedConfigName(job.name), mix,
-                                  shared_seed, out.result);
+                out.seconds = seconds;
+                out.result = std::move(resumed);
                 meter.jobDone(job.name + " (resumed)", 0.0);
                 return;
             }

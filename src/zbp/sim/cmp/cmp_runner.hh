@@ -10,15 +10,16 @@
  *  - one per-core record per (job, core), config name "<job>#c<i>",
  *    byte-compatible with runner::jobRecord so the generic tooling
  *    (resume, CSV extraction) consumes CMP runs unchanged;
- *  - one sharing record, config name "<job>#shared", carrying the
- *    arbiter/L2I counters that exist only at the CMP level.  It is
- *    written with ok=false so runner::loadResumeResults skips it
- *    silently (it is not a re-runnable job), and parsed back here.
+ *  - one sharing record, config name "<job>#shared", carrying every
+ *    arbiter/L2I counter that exists only at the CMP level (the
+ *    per-core and per-bank ones as JSON arrays).  It is written with
+ *    ok=false so runner::loadResumeResults skips it (it is not a
+ *    re-runnable job), and read back here with the same JSON reader.
  *
  * Resume is all-or-nothing per job: a job is satisfied from the
- * checkpoint only when every per-core record is present; the sharing
- * record, when also present, restores the sharing stats (otherwise a
- * resumed job reports per-core results with zeroed sharing counters).
+ * checkpoint only when its sharing record and every per-core record
+ * are present, so a resumed CmpResult equals a fresh one on every
+ * counter; otherwise the whole job re-runs.
  */
 
 #ifndef ZBP_SIM_CMP_CMP_RUNNER_HH

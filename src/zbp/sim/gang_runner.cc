@@ -60,26 +60,9 @@ gangChunkFromEnv()
     return static_cast<std::size_t>(v);
 }
 
-std::size_t
-gangMicroChunkFromEnv()
-{
-    const char *s = std::getenv("ZBP_GANG_MICROCHUNK");
-    if (s == nullptr || *s == '\0')
-        return 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ZBP_GANG_MICROCHUNK '", s, "'");
-        return 0;
-    }
-    return static_cast<std::size_t>(v);
-}
-
 GangRunner::GangRunner(std::vector<GangConfig> configs_, unsigned jobs)
     : configs(std::move(configs_)), nJobs(runner::resolveJobs(jobs)),
-      chunk(gangChunkFromEnv()), microChunk(gangMicroChunkFromEnv())
+      chunk(gangChunkFromEnv())
 {
     ZBP_ASSERT(!configs.empty(), "a gang needs at least one config");
 }
@@ -89,12 +72,6 @@ GangRunner::setChunk(std::size_t c)
 {
     ZBP_ASSERT(c >= 1, "gang chunk must be >= 1");
     chunk = c;
-}
-
-void
-GangRunner::setMicroChunk(std::size_t m)
-{
-    microChunk = m;
 }
 
 void
@@ -128,7 +105,7 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
             resumePathSet ? resumePath : runner::resumePathFromEnv();
     std::unordered_map<std::string, runner::SimJobResult> prior;
     if (!rpath.empty())
-        prior = runner::loadResumeResults(rpath);
+        prior = runner::loadResumeResults(runner::readRecords(rpath));
 
     runner::JsonlSink sink(sinkPathSet ? sinkPath
                                        : runner::JsonlSink::envPath());
@@ -314,49 +291,26 @@ GangRunner::run(const std::vector<trace::TraceHandle> &traces)
 
         // Chunk-interleaved walk: every live member decodes the same
         // [prev, target) instruction window before the window moves.
-        // With micro-chunking on, the window itself is walked in
-        // member-interleaved sub-windows so the members revisit a
-        // still-cache-hot trace slice instead of streaming the whole
-        // chunk alone; advance() cuts only at decode boundaries, so
-        // results are bit-identical either way.
-        const auto stepTo = [&](std::size_t upto) {
+        for (;;) {
+            const std::size_t tgt = std::min(prev + chunk, n);
+            std::uint64_t live = 0;
+            bool any_live = false;
+            const double chunk_ts = tw != nullptr ? tw->nowUs() : 0.0;
             for (std::size_t ci = 0; ci < nc; ++ci) {
                 GangMember &m = members[ci];
                 if (m.model == nullptr || m.done)
                     continue;
+                ++live;
                 const auto t0 = SteadyClock::now();
                 try {
-                    m.done = m.model->advance(upto);
+                    m.done = m.model->advance(tgt);
                 } catch (const std::exception &e) {
                     fail(ci, e.what());
                 }
                 m.seconds += std::chrono::duration<double>(
                         SteadyClock::now() - t0).count();
+                any_live |= m.model != nullptr && !m.done;
             }
-        };
-        for (;;) {
-            const std::size_t tgt = std::min(prev + chunk, n);
-            std::uint64_t live = 0;
-            for (std::size_t ci = 0; ci < nc; ++ci)
-                if (members[ci].model != nullptr && !members[ci].done)
-                    ++live;
-            const double chunk_ts = tw != nullptr ? tw->nowUs() : 0.0;
-            if (microChunk != 0 && live > 1 &&
-                prev + microChunk < tgt) {
-                for (std::size_t sub = prev + microChunk;;
-                     sub += microChunk) {
-                    const std::size_t s = std::min(sub, tgt);
-                    stepTo(s);
-                    if (s == tgt)
-                        break;
-                }
-            } else {
-                stepTo(tgt);
-            }
-            bool any_live = false;
-            for (std::size_t ci = 0; ci < nc; ++ci)
-                if (members[ci].model != nullptr && !members[ci].done)
-                    any_live = true;
             if (tw != nullptr && live > 0)
                 tw->span(obs::TraceWriter::kPidRunner, lane, "gang",
                          "chunk", chunk_ts, tw->nowUs() - chunk_ts,

@@ -55,13 +55,6 @@ struct GangConfig
  * trace plus its sidecar slices stays LLC-resident for the gang. */
 std::size_t gangChunkFromEnv();
 
-/** ZBP_GANG_MICROCHUNK if set and valid (>= 1), else 0 (off).  When on,
- * each gang chunk is walked in member-interleaved sub-windows of this
- * many instructions, so the members' predictor planes take turns over a
- * trace slice that is still L1/L2-resident instead of each member
- * streaming the full chunk alone. */
-std::size_t gangMicroChunkFromEnv();
-
 class GangRunner
 {
   public:
@@ -74,11 +67,6 @@ class GangRunner
 
     /** Decode-chunk size override (>= 1); default gangChunkFromEnv(). */
     void setChunk(std::size_t chunk);
-
-    /** Member-interleaved sub-window size (0 = off); default
-     * gangMicroChunkFromEnv().  Results are bit-identical for any
-     * value — advance() cuts only at decode boundaries. */
-    void setMicroChunk(std::size_t micro_chunk);
 
     /** Per-completion callback (one completion per (config, trace)). */
     void setProgress(runner::ProgressMeter::Callback cb);
@@ -105,7 +93,6 @@ class GangRunner
     std::vector<GangConfig> configs;
     unsigned nJobs;
     std::size_t chunk;
-    std::size_t microChunk;
     runner::ProgressMeter::Callback progress;
     std::string sinkPath;
     bool sinkPathSet = false;

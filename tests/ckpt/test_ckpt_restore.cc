@@ -56,37 +56,6 @@ makeTrace(const std::string &name)
     return workload::makeSuiteTrace(workload::findSuite("tpf"), 0.02);
 }
 
-/** Every observable SimResult counter must match exactly. */
-void
-expectSameResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cpi, b.cpi);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.correct, b.correct);
-    EXPECT_EQ(a.mispredictDir, b.mispredictDir);
-    EXPECT_EQ(a.mispredictTarget, b.mispredictTarget);
-    EXPECT_EQ(a.surpriseCompulsory, b.surpriseCompulsory);
-    EXPECT_EQ(a.surpriseLatency, b.surpriseLatency);
-    EXPECT_EQ(a.surpriseCapacity, b.surpriseCapacity);
-    EXPECT_EQ(a.surpriseBenign, b.surpriseBenign);
-    EXPECT_EQ(a.phantoms, b.phantoms);
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
-    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
-    EXPECT_EQ(a.dataAccesses, b.dataAccesses);
-    EXPECT_EQ(a.btb1MissReports, b.btb1MissReports);
-    EXPECT_EQ(a.btb2RowReads, b.btb2RowReads);
-    EXPECT_EQ(a.btb2Transfers, b.btb2Transfers);
-    EXPECT_EQ(a.btb2FullSearches, b.btb2FullSearches);
-    EXPECT_EQ(a.btb2PartialSearches, b.btb2PartialSearches);
-    EXPECT_EQ(a.predictionsMade, b.predictionsMade);
-    EXPECT_EQ(a.watchdogResets, b.watchdogResets);
-    EXPECT_EQ(a.resolves, b.resolves);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-}
-
 /** Snapshot a run at @p at instructions and return the bytes. */
 std::vector<std::uint8_t>
 snapshotAt(const core::MachineParams &cfg, const trace::Trace &t,
@@ -138,8 +107,9 @@ TEST(CkptRestore, CoreBitIdenticalAcrossTracesAndConfigs)
                   t.size() - 1}) {
                 SCOPED_TRACE(at);
                 const auto bytes = snapshotAt(c.cfg, t, at);
-                expectSameResult(full,
-                                 finishFromSnapshot(c.cfg, t, bytes));
+                EXPECT_EQ(counterMismatch(
+                                  full, finishFromSnapshot(c.cfg, t, bytes)),
+                          "");
             }
         }
     }
@@ -177,7 +147,9 @@ TEST(CkptRestore, CorruptSnapshotNeverYieldsWrongCounters)
 
     const auto tryDamaged = [&](const std::vector<std::uint8_t> &bad) {
         try {
-            expectSameResult(full, finishFromSnapshot(cfg, t, bad));
+            EXPECT_EQ(counterMismatch(full,
+                                      finishFromSnapshot(cfg, t, bad)),
+                      "");
         } catch (const ckpt::CkptError &) {
             // Rejection is the expected outcome for real damage.
         }
@@ -238,18 +210,7 @@ TEST(CkptRestore, CmpFourCoreBitIdentical)
     restored.advance(restored.maxInsts());
     const sim::CmpResult got = restored.finishRun();
 
-    ASSERT_EQ(full.core.size(), got.core.size());
-    for (std::size_t i = 0; i < full.core.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameResult(full.core[i], got.core[i]);
-    }
-    EXPECT_EQ(full.arbRequests, got.arbRequests);
-    EXPECT_EQ(full.arbGrants, got.arbGrants);
-    EXPECT_EQ(full.arbConflicts, got.arbConflicts);
-    EXPECT_EQ(full.arbWaitCycles, got.arbWaitCycles);
-    EXPECT_EQ(full.arbQueueFullRejects, got.arbQueueFullRejects);
-    EXPECT_EQ(full.l2iHits, got.l2iHits);
-    EXPECT_EQ(full.l2iMisses, got.l2iMisses);
+    EXPECT_EQ(sim::cmpMismatch(full, got), "");
 }
 
 TEST(CkptRestore, CmpCoreCountMismatchRejected)

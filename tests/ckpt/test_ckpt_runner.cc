@@ -109,22 +109,6 @@ midTrace(const char *name, std::uint64_t length)
     return workload::generateTrace(prog, gp, name);
 }
 
-void
-expectSameCounters(const cpu::SimResult &a, const cpu::SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cpi, b.cpi);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.correct, b.correct);
-    EXPECT_EQ(a.mispredictDir, b.mispredictDir);
-    EXPECT_EQ(a.mispredictTarget, b.mispredictTarget);
-    EXPECT_EQ(a.btb2RowReads, b.btb2RowReads);
-    EXPECT_EQ(a.btb2Transfers, b.btb2Transfers);
-    EXPECT_EQ(a.predictionsMade, b.predictionsMade);
-    EXPECT_EQ(a.resolves, b.resolves);
-}
-
 /** Plant a mid-run snapshot exactly where the JobRunner would look. */
 std::string
 plantJobCheckpoint(const std::string &dir, const std::string &config,
@@ -168,7 +152,7 @@ TEST(CkptRunner, JobRunnerResumesMidTraceFromPlantedCheckpoint)
     resumed.setResumePath("");
     const auto got = resumed.run(jobs);
     ASSERT_TRUE(got[0].ok) << got[0].error;
-    expectSameCounters(golden[0].result, got[0].result);
+    EXPECT_EQ(cpu::counterMismatch(golden[0].result, got[0].result), "");
     // The consumed snapshot must not satisfy a future resume.
     EXPECT_FALSE(ckpt::ckptFileExists(path));
 }
@@ -204,7 +188,7 @@ TEST(CkptRunner, JobRunnerDiscardsCorruptCheckpointAndRecomputes)
     resumed.setResumePath("");
     const auto got = resumed.run(jobs);
     ASSERT_TRUE(got[0].ok) << got[0].error;
-    expectSameCounters(golden[0].result, got[0].result);
+    EXPECT_EQ(cpu::counterMismatch(golden[0].result, got[0].result), "");
     EXPECT_FALSE(ckpt::ckptFileExists(path));
 }
 
@@ -230,7 +214,7 @@ TEST(CkptRunner, JobRunnerPeriodicCheckpointingIsInvisibleInResults)
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         SCOPED_TRACE(j);
         ASSERT_TRUE(got[j].ok) << got[j].error;
-        expectSameCounters(golden[j].result, got[j].result);
+        EXPECT_EQ(cpu::counterMismatch(golden[j].result, got[j].result), "");
     }
     // Completed jobs consume their snapshots.
     EXPECT_EQ(ckptFilesIn(dir), 0u);
@@ -299,7 +283,9 @@ TEST(CkptRunner, GangRunnerResumesFromPlantedGangCheckpoint)
     for (std::size_t ci = 0; ci < gang.size(); ++ci) {
         SCOPED_TRACE(ci);
         ASSERT_TRUE(got[ci][0].ok) << got[ci][0].error;
-        expectSameCounters(golden[ci][0].result, got[ci][0].result);
+        EXPECT_EQ(cpu::counterMismatch(golden[ci][0].result,
+                                       got[ci][0].result),
+                  "");
     }
     EXPECT_FALSE(ckpt::ckptFileExists(path));
 }
@@ -355,16 +341,7 @@ TEST(CkptRunner, CmpRunnerResumesFromPlantedCheckpoint)
     resumed.setResumePath("");
     const auto got = resumed.run({job});
     ASSERT_TRUE(got[0].ok) << got[0].error;
-    ASSERT_EQ(golden[0].result.core.size(), got[0].result.core.size());
-    for (std::size_t i = 0; i < golden[0].result.core.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameCounters(golden[0].result.core[i],
-                           got[0].result.core[i]);
-    }
-    EXPECT_EQ(golden[0].result.arbRequests, got[0].result.arbRequests);
-    EXPECT_EQ(golden[0].result.arbGrants, got[0].result.arbGrants);
-    EXPECT_EQ(golden[0].result.arbConflicts,
-              got[0].result.arbConflicts);
+    EXPECT_EQ(sim::cmpMismatch(golden[0].result, got[0].result), "");
     EXPECT_FALSE(ckpt::ckptFileExists(path));
 }
 
@@ -390,7 +367,7 @@ TEST(CkptRunner, TornTrailingJsonlLineIsSkippedOnResume)
         os << R"({"config":"torn-c","trace":")" << t.name()
            << R"(","seed":1,"ok":true,"cycles":12)";
     }
-    const auto prior = loadResumeResults(sink);
+    const auto prior = loadResumeResults(readRecords(sink));
     EXPECT_EQ(prior.size(), 2u);
 
     JobRunner again(2);
@@ -467,12 +444,12 @@ TEST(CkptRunner, KillResumeChaosProducesIdenticalRecordSet)
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         SCOPED_TRACE(j);
         ASSERT_TRUE(got[j].ok) << got[j].error;
-        expectSameCounters(golden[j].result, got[j].result);
+        EXPECT_EQ(cpu::counterMismatch(golden[j].result, got[j].result), "");
     }
 
     // The final record set holds exactly one valid record per job,
     // with the golden counters — never a duplicate, never a torn one.
-    const auto prior = loadResumeResults(sink);
+    const auto prior = loadResumeResults(readRecords(sink));
     ASSERT_EQ(prior.size(), jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         SCOPED_TRACE(j);
@@ -480,7 +457,8 @@ TEST(CkptRunner, KillResumeChaosProducesIdenticalRecordSet)
                 jobs[j].configName, t.name(),
                 JobRunner::deriveSeed(jobs[j].configName, t.name())));
         ASSERT_NE(it, prior.end());
-        EXPECT_EQ(it->second.result.cycles, golden[j].result.cycles);
+        EXPECT_EQ(cpu::counterMismatch(it->second.result, golden[j].result),
+                  "");
     }
     EXPECT_EQ(ckptFilesIn(dir), 0u);
     fs::remove_all(dir);

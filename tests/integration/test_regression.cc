@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "zbp/sim/report.hh"
 #include "zbp/sim/simulator.hh"
 #include "zbp/trace/trace_io.hh"
 #include "zbp/trace/trace_stats.hh"
@@ -41,8 +40,9 @@ TEST(Regression, SimulationIsReproducibleToTheCycle)
     const auto t = fixedTrace();
     const auto r1 = sim::runOne(sim::configBtb2(), t);
     const auto r2 = sim::runOne(sim::configBtb2(), t);
-    EXPECT_EQ(r1.cycles, r2.cycles);
-    EXPECT_EQ(sim::resultToJson(r1), sim::resultToJson(r2));
+    EXPECT_EQ(cpu::counterMismatch(r1, r2), "");
+    EXPECT_EQ(r1.traceName, r2.traceName);
+    EXPECT_EQ(r1.statsText, r2.statsText);
 }
 
 TEST(Regression, TraceRoundTripPreservesSimulation)

@@ -5,24 +5,21 @@
  * (orchestration pid and microarchitecture pid), escape hostile
  * strings, honour the event cap, and close idempotently.
  *
- * The schema check uses a small recursive-descent JSON parser written
- * here (no third-party dependency): it builds just enough of a DOM to
- * assert on event fields.
+ * The schema check parses the file with the repo's own strict JSON
+ * reader (util/json.hh) and asserts on event fields.
  */
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "zbp/obs/trace_writer.hh"
+#include "zbp/util/json.hh"
 
 namespace zbp::obs
 {
@@ -45,223 +42,20 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-// ---- minimal JSON DOM + parser --------------------------------------
-
-struct JsonValue
-{
-    enum Kind { kNull, kBool, kNum, kStr, kArr, kObj } kind = kNull;
-    bool b = false;
-    double num = 0.0;
-    std::string str;
-    std::vector<JsonValue> arr;
-    std::map<std::string, JsonValue> obj;
-
-    const JsonValue *
-    get(const std::string &key) const
-    {
-        const auto it = obj.find(key);
-        return it == obj.end() ? nullptr : &it->second;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string text) : s(std::move(text)) {}
-
-    /** Parse the whole input; false on any syntax error or trailing
-     * garbage. */
-    bool
-    parse(JsonValue &out)
-    {
-        if (!value(out))
-            return false;
-        skipWs();
-        return at >= s.size();
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (at < s.size() && std::isspace(
-                       static_cast<unsigned char>(s[at])))
-            ++at;
-    }
-
-    bool
-    lit(const char *word, JsonValue &v, JsonValue::Kind k, bool bval)
-    {
-        const std::size_t n = std::string(word).size();
-        if (s.compare(at, n, word) != 0)
-            return false;
-        at += n;
-        v.kind = k;
-        v.b = bval;
-        return true;
-    }
-
-    bool
-    value(JsonValue &v)
-    {
-        skipWs();
-        if (at >= s.size())
-            return false;
-        switch (s[at]) {
-          case '{': return object(v);
-          case '[': return array(v);
-          case '"': v.kind = JsonValue::kStr; return string(v.str);
-          case 't': return lit("true", v, JsonValue::kBool, true);
-          case 'f': return lit("false", v, JsonValue::kBool, false);
-          case 'n': return lit("null", v, JsonValue::kNull, false);
-          default:  return number(v);
-        }
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (s[at] != '"')
-            return false;
-        ++at;
-        while (at < s.size() && s[at] != '"') {
-            if (s[at] == '\\') {
-                if (at + 1 >= s.size())
-                    return false;
-                const char e = s[at + 1];
-                if (e == 'u') {
-                    if (at + 5 >= s.size())
-                        return false;
-                    out += '?'; // code point identity not under test
-                    at += 6;
-                    continue;
-                }
-                if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                    e != 'f' && e != 'n' && e != 'r' && e != 't')
-                    return false;
-                out += e;
-                at += 2;
-                continue;
-            }
-            // Raw control characters are invalid inside JSON strings —
-            // exactly the corruption un-escaped output would produce.
-            if (static_cast<unsigned char>(s[at]) < 0x20)
-                return false;
-            out += s[at++];
-        }
-        if (at >= s.size())
-            return false;
-        ++at; // closing quote
-        return true;
-    }
-
-    bool
-    number(JsonValue &v)
-    {
-        const std::size_t start = at;
-        if (at < s.size() && s[at] == '-')
-            ++at;
-        while (at < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[at])) ||
-                s[at] == '.' || s[at] == 'e' || s[at] == 'E' ||
-                s[at] == '+' || s[at] == '-'))
-            ++at;
-        if (at == start)
-            return false;
-        try {
-            v.num = std::stod(s.substr(start, at - start));
-        } catch (...) {
-            return false;
-        }
-        v.kind = JsonValue::kNum;
-        return true;
-    }
-
-    bool
-    array(JsonValue &v)
-    {
-        v.kind = JsonValue::kArr;
-        ++at; // '['
-        skipWs();
-        if (at < s.size() && s[at] == ']') {
-            ++at;
-            return true;
-        }
-        while (true) {
-            JsonValue elem;
-            if (!value(elem))
-                return false;
-            v.arr.push_back(std::move(elem));
-            skipWs();
-            if (at >= s.size())
-                return false;
-            if (s[at] == ',') {
-                ++at;
-                continue;
-            }
-            if (s[at] == ']') {
-                ++at;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    object(JsonValue &v)
-    {
-        v.kind = JsonValue::kObj;
-        ++at; // '{'
-        skipWs();
-        if (at < s.size() && s[at] == '}') {
-            ++at;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            std::string key;
-            if (at >= s.size() || s[at] != '"' || !string(key))
-                return false;
-            skipWs();
-            if (at >= s.size() || s[at] != ':')
-                return false;
-            ++at;
-            JsonValue val;
-            if (!value(val))
-                return false;
-            v.obj[key] = std::move(val);
-            skipWs();
-            if (at >= s.size())
-                return false;
-            if (s[at] == ',') {
-                ++at;
-                continue;
-            }
-            if (s[at] == '}') {
-                ++at;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    std::string s;
-    std::size_t at = 0;
-};
-
 /** Parse @p path and return its traceEvents array (asserting shape). */
-std::vector<JsonValue>
+std::vector<json::Value>
 loadTraceEvents(const std::string &path)
 {
-    JsonValue root;
-    JsonParser p(slurp(path));
-    EXPECT_TRUE(p.parse(root)) << "trace file is not valid JSON";
-    EXPECT_EQ(root.kind, JsonValue::kObj);
-    const JsonValue *events = root.get("traceEvents");
-    EXPECT_NE(events, nullptr);
-    if (events == nullptr || events->kind != JsonValue::kArr)
+    const auto root = json::parse(slurp(path));
+    EXPECT_TRUE(root) << "trace file is not valid JSON";
+    if (!root)
         return {};
-    return events->arr;
+    EXPECT_EQ(root->kind, json::Value::Kind::kObject);
+    const json::Value *events = root->find("traceEvents");
+    EXPECT_NE(events, nullptr);
+    if (events == nullptr || events->kind != json::Value::Kind::kArray)
+        return {};
+    return events->items;
 }
 
 // ---- tests ----------------------------------------------------------
@@ -294,24 +88,24 @@ TEST(TraceWriter, EmitsValidJsonWithBothTracks)
     std::set<double> span_pids;
     std::size_t n_spans = 0, n_instants = 0, n_meta = 0;
     for (const auto &ev : events) {
-        ASSERT_EQ(ev.kind, JsonValue::kObj);
-        const JsonValue *ph = ev.get("ph");
+        ASSERT_EQ(ev.kind, json::Value::Kind::kObject);
+        const json::Value *ph = ev.find("ph");
         ASSERT_NE(ph, nullptr);
-        ASSERT_NE(ev.get("pid"), nullptr);
-        ASSERT_NE(ev.get("name"), nullptr);
-        if (ph->str == "X") {
+        ASSERT_NE(ev.find("pid"), nullptr);
+        ASSERT_NE(ev.find("name"), nullptr);
+        if (ph->text == "X") {
             ++n_spans;
-            span_pids.insert(ev.get("pid")->num);
-            EXPECT_NE(ev.get("ts"), nullptr);
-            EXPECT_NE(ev.get("dur"), nullptr);
-            EXPECT_NE(ev.get("tid"), nullptr);
-        } else if (ph->str == "i") {
+            span_pids.insert(*ev.find("pid")->num());
+            EXPECT_NE(ev.find("ts"), nullptr);
+            EXPECT_NE(ev.find("dur"), nullptr);
+            EXPECT_NE(ev.find("tid"), nullptr);
+        } else if (ph->text == "i") {
             ++n_instants;
-            EXPECT_NE(ev.get("ts"), nullptr);
-            ASSERT_NE(ev.get("s"), nullptr);
-            EXPECT_EQ(ev.get("s")->str, "t");
+            EXPECT_NE(ev.find("ts"), nullptr);
+            ASSERT_NE(ev.find("s"), nullptr);
+            EXPECT_EQ(ev.find("s")->text, "t");
         } else {
-            EXPECT_EQ(ph->str, "M");
+            EXPECT_EQ(ph->text, "M");
             ++n_meta;
         }
     }
@@ -341,11 +135,16 @@ TEST(TraceWriter, EscapesHostileStrings)
     const auto events = loadTraceEvents(path);
     ASSERT_FALSE(events.empty()); // parse succeeded => escaping worked
 
+    // Every hostile byte decodes back exactly, control bytes included.
     bool found = false;
-    for (const auto &ev : events)
-        if (const JsonValue *n = ev.get("name");
-            n != nullptr && n->str.find("backslash") != std::string::npos)
-            found = true;
+    for (const auto &ev : events) {
+        if (ev["name"].text.find("backslash") == std::string::npos)
+            continue;
+        found = true;
+        EXPECT_EQ(ev["name"].text,
+                  "name with \\ backslash and \t tab \x01 ctrl");
+        EXPECT_EQ(ev["args"]["path"].text, "C:\\traces\\a\"b\".zbpt");
+    }
     EXPECT_TRUE(found);
     std::remove(path.c_str());
 }
@@ -364,21 +163,16 @@ TEST(TraceWriter, EventCapCountsDrops)
         tw.close();
     }
     // The capped file is still valid JSON and records the drop count.
-    JsonValue root;
-    JsonParser p(slurp(path));
-    ASSERT_TRUE(p.parse(root));
-    const auto events = root.get("traceEvents");
-    ASSERT_NE(events, nullptr);
     bool summary_found = false;
-    for (const auto &ev : events->arr) {
-        const JsonValue *name = ev.get("name");
-        if (name == nullptr || name->str != "zbp_obs_summary")
+    for (const auto &ev : loadTraceEvents(path)) {
+        const json::Value *name = ev.find("name");
+        if (name == nullptr || name->text != "zbp_obs_summary")
             continue;
         summary_found = true;
-        const JsonValue *args = ev.get("args");
+        const json::Value *args = ev.find("args");
         ASSERT_NE(args, nullptr);
-        ASSERT_NE(args->get("dropped"), nullptr);
-        EXPECT_GT(args->get("dropped")->num, 0.0);
+        ASSERT_NE(args->find("dropped"), nullptr);
+        EXPECT_GT(args->find("dropped")->num().value_or(0.0), 0.0);
     }
     EXPECT_TRUE(summary_found);
     std::remove(path.c_str());
@@ -393,9 +187,7 @@ TEST(TraceWriter, CloseIsIdempotentAndFileStaysValid)
                1.0);
     tw.close();
     tw.close(); // second close must not append anything
-    JsonValue root;
-    JsonParser p(slurp(path));
-    EXPECT_TRUE(p.parse(root));
+    EXPECT_TRUE(json::parse(slurp(path)));
     std::remove(path.c_str());
 }
 

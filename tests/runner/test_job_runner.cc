@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 
 #include <gtest/gtest.h>
 
@@ -43,37 +44,6 @@ crossJobs(const std::vector<trace::Trace> &traces)
     return jobs;
 }
 
-/** Field-by-field equality; SimResult has no operator==. */
-void
-expectIdentical(const cpu::SimResult &a, const cpu::SimResult &b)
-{
-    EXPECT_EQ(a.traceName, b.traceName);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cpi, b.cpi); // bit-identical, not just close
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.correct, b.correct);
-    EXPECT_EQ(a.mispredictDir, b.mispredictDir);
-    EXPECT_EQ(a.mispredictTarget, b.mispredictTarget);
-    EXPECT_EQ(a.surpriseCompulsory, b.surpriseCompulsory);
-    EXPECT_EQ(a.surpriseLatency, b.surpriseLatency);
-    EXPECT_EQ(a.surpriseCapacity, b.surpriseCapacity);
-    EXPECT_EQ(a.surpriseBenign, b.surpriseBenign);
-    EXPECT_EQ(a.phantoms, b.phantoms);
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
-    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
-    EXPECT_EQ(a.btb1MissReports, b.btb1MissReports);
-    EXPECT_EQ(a.btb2RowReads, b.btb2RowReads);
-    EXPECT_EQ(a.btb2Transfers, b.btb2Transfers);
-    EXPECT_EQ(a.btb2FullSearches, b.btb2FullSearches);
-    EXPECT_EQ(a.btb2PartialSearches, b.btb2PartialSearches);
-    EXPECT_EQ(a.predictionsMade, b.predictionsMade);
-    EXPECT_EQ(a.resolves, b.resolves);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-    EXPECT_EQ(a.statsText, b.statsText);
-}
-
 TEST(JobRunner, ParallelIsBitIdenticalToSerial)
 {
     const auto traces = smallTraces();
@@ -93,7 +63,9 @@ TEST(JobRunner, ParallelIsBitIdenticalToSerial)
         ASSERT_TRUE(a[i].ok) << "serial job " << i << ": " << a[i].error;
         ASSERT_TRUE(b[i].ok) << "parallel job " << i << ": "
                              << b[i].error;
-        expectIdentical(a[i].result, b[i].result);
+        EXPECT_EQ(cpu::counterMismatch(a[i].result, b[i].result), "");
+        EXPECT_EQ(a[i].result.traceName, b[i].result.traceName);
+        EXPECT_EQ(a[i].result.statsText, b[i].result.statsText);
     }
 }
 
@@ -185,7 +157,9 @@ TEST(JobRunner, TracePathJobMatchesInMemoryRun)
     ASSERT_EQ(res.size(), 2u);
     ASSERT_TRUE(res[0].ok) << res[0].error;
     ASSERT_TRUE(res[1].ok) << res[1].error;
-    expectIdentical(res[0].result, res[1].result);
+    EXPECT_EQ(cpu::counterMismatch(res[0].result, res[1].result), "");
+    EXPECT_EQ(res[0].result.traceName, res[1].result.traceName);
+    EXPECT_EQ(res[0].result.statsText, res[1].result.statsText);
 }
 
 TEST(JobRunner, MissingTracePathRetriesThenFails)
@@ -254,9 +228,10 @@ TEST(JobRunner, ResumeSkipsCompletedJobsAndWritesNoNewRecords)
     for (std::size_t i = 0; i < r2.size(); ++i) {
         EXPECT_TRUE(r2[i].resumed) << i;
         ASSERT_TRUE(r2[i].ok) << i;
-        EXPECT_EQ(r2[i].result.cycles, r1[i].result.cycles) << i;
-        EXPECT_EQ(r2[i].result.cpi, r1[i].result.cpi) << i;
-        EXPECT_EQ(r2[i].result.branches, r1[i].result.branches) << i;
+        // Lossless: every counter and the CPI bits come back.
+        EXPECT_EQ(cpu::counterMismatch(r2[i].result, r1[i].result), "")
+                << i;
+        EXPECT_EQ(r2[i].result.traceName, r1[i].result.traceName) << i;
     }
 
     // Everything was satisfied from the checkpoint: the second sink
@@ -303,6 +278,49 @@ TEST(JobRunner, ResumeReRunsFailedJobs)
     EXPECT_GT(r2[1].result.cycles, 0u);
 }
 
+TEST(JobRunner, ResumeReRunsRecordsOfAnOlderSchema)
+{
+    const auto traces = smallTraces();
+    const auto jobs = crossJobs(traces);
+    const std::string fresh =
+            ::testing::TempDir() + "/zbp_jr_resume_schema_fresh.jsonl";
+    const std::string old =
+            ::testing::TempDir() + "/zbp_jr_resume_schema_old.jsonl";
+    std::remove(fresh.c_str());
+
+    JobRunner a(2);
+    a.setSinkPath(fresh);
+    const auto r1 = a.run(jobs);
+
+    // Rewrite every record in the earlier 20-counter format: the same
+    // line without the four counters that format did not export.
+    {
+        std::ifstream in(fresh);
+        std::ofstream out(old, std::ios::trunc);
+        const std::regex dropped(
+                ",\"(dataAccesses|btb2FullSearches|btb2PartialSearches|"
+                "watchdogResets)\":[0-9]+");
+        for (std::string line; std::getline(in, line);)
+            out << std::regex_replace(line, dropped, "") << '\n';
+    }
+    EXPECT_TRUE(loadResumeResults(readRecords(old)).empty());
+
+    // No record is applied with zeroed counters: every job re-runs and
+    // matches its fresh result.
+    JobRunner b(2);
+    b.setSinkPath("");
+    b.setResumePath(old);
+    const auto r2 = b.run(jobs);
+    for (std::size_t i = 0; i < r2.size(); ++i) {
+        EXPECT_FALSE(r2[i].resumed) << i;
+        ASSERT_TRUE(r2[i].ok) << r2[i].error;
+        EXPECT_EQ(cpu::counterMismatch(r2[i].result, r1[i].result), "")
+                << i;
+    }
+    std::remove(fresh.c_str());
+    std::remove(old.c_str());
+}
+
 TEST(JobRunner, SeedDerivationIsStableAndIdentityBased)
 {
     const auto s1 = JobRunner::deriveSeed("btb2", "cb84");
@@ -312,6 +330,109 @@ TEST(JobRunner, SeedDerivationIsStableAndIdentityBased)
     // The separator keeps ("ab","c") distinct from ("a","bc").
     EXPECT_NE(JobRunner::deriveSeed("ab", "c"),
               JobRunner::deriveSeed("a", "bc"));
+}
+
+// ---- the resume file: the one JSON input read from outside ---------
+
+/** A record whose identity and counters stress the reader: quotes,
+ * backslashes and every control byte in the names, an all-ones seed,
+ * and counters above a double's 2^53. */
+struct HostileRecord
+{
+    trace::Trace t{std::string("tr\"a\\ce") + "\x01\x1f\n\t"};
+    SimJob job;
+    SimJobResult r;
+
+    HostileRecord()
+    {
+        std::string config = "cfg \"q\" \\ ";
+        for (char c = 0x01; c < 0x20; ++c)
+            config += c;
+        job = SimJob(config, sim::configNoBtb2(), &t,
+                     0xFFFFFFFFFFFFFFFFull);
+        r.ok = true;
+        r.seconds = 0.125;
+        r.attempts = 2;
+        r.result.traceName = t.name();
+        std::uint64_t v = (1ull << 53) + 1;
+        for (const cpu::SimCounter &c : cpu::kSimCounters)
+            r.result.*c.member = v += 0x10000000001ull;
+        r.result.faultsInjected = 0xFFFFFFFFFFFFFFFFull;
+        r.result.cpi = 1.0 / 3.0;
+    }
+
+    std::string key() const
+    {
+        return resumeKey(job.configName, t.name(), job.seed);
+    }
+};
+
+std::unordered_map<std::string, SimJobResult>
+resumeFromLine(const std::string &line)
+{
+    const auto rec = json::parse(line);
+    if (!rec)
+        return {};
+    return loadResumeResults(std::vector<json::Value>{*rec});
+}
+
+TEST(ResumeRecord, HostileNamesSeedAndLargeCountersRoundTrip)
+{
+    const HostileRecord h;
+    const std::string path =
+            ::testing::TempDir() + "/zbp_resume_hostile.jsonl";
+    {
+        std::ofstream os(path, std::ios::trunc);
+        os << jobRecord(h.job, h.r) << '\n';
+    }
+    const auto prior = loadResumeResults(readRecords(path));
+    std::remove(path.c_str());
+    ASSERT_EQ(prior.size(), 1u);
+    const auto it = prior.find(h.key());
+    ASSERT_NE(it, prior.end()) << "identity did not survive the record";
+    EXPECT_TRUE(it->second.resumed);
+    EXPECT_EQ(cpu::counterMismatch(it->second.result, h.r.result), "");
+    EXPECT_EQ(it->second.result.traceName, h.t.name());
+    EXPECT_EQ(it->second.seconds, h.r.seconds);
+    EXPECT_EQ(it->second.attempts, h.r.attempts);
+}
+
+TEST(ResumeRecord, EveryTruncationIsNeverApplied)
+{
+    const HostileRecord h;
+    const std::string line = jobRecord(h.job, h.r);
+    ASSERT_EQ(resumeFromLine(line).size(), 1u);
+    for (std::size_t n = 0; n < line.size(); ++n)
+        EXPECT_TRUE(resumeFromLine(line.substr(0, n)).empty()) << n;
+}
+
+TEST(ResumeRecord, EverySingleByteCorruptionParsesOrIsRejected)
+{
+    const HostileRecord h;
+    const std::string line = jobRecord(h.job, h.r);
+    std::vector<json::Value> parsed;
+    std::size_t rejected = 0;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+        for (const char b : {'\0', '\x1f', '"', '\\', '{', '}', ',', ':',
+                             '9', 'u', '\x7f', '\xff'}) {
+            std::string bad = line;
+            bad[i] = b;
+            // Out-of-range reads are the sanitizer's to catch.
+            if (auto rec = json::parse(bad))
+                parsed.push_back(std::move(*rec));
+            else
+                ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+    // A corruption that still parses and still carries the full schema
+    // can change at most the one value it hit — never zero the rest.
+    for (const auto &[key, r] : loadResumeResults(parsed)) {
+        std::size_t differing = 0;
+        for (const cpu::SimCounter &c : cpu::kSimCounters)
+            differing += r.result.*c.member != h.r.result.*c.member;
+        EXPECT_LE(differing, 1u) << key;
+    }
 }
 
 } // namespace

@@ -11,7 +11,6 @@
 
 #include <unistd.h>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "zbp/runner/job_runner.hh"
 #include "zbp/runner/jsonl_sink.hh"
 #include "zbp/sim/configs.hh"
+#include "zbp/util/json.hh"
 #include "zbp/workload/suites.hh"
 
 namespace zbp::runner
@@ -45,50 +45,13 @@ readLines(const std::string &path)
     return lines;
 }
 
-/**
- * Minimal flat-JSON field extractor, sufficient for the sink's own
- * records (no nesting, no arrays).  Returns the raw value text:
- * strings keep their quotes.
- */
-std::map<std::string, std::string>
-parseFlat(const std::string &line)
+/** Parse one record line; an unparsable line fails the test. */
+json::Value
+parseRecord(const std::string &line)
 {
-    std::map<std::string, std::string> out;
-    EXPECT_GE(line.size(), 2u);
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    std::size_t i = 1;
-    while (i < line.size() - 1) {
-        EXPECT_EQ(line[i], '"') << "at offset " << i << " in " << line;
-        const std::size_t kend = line.find('"', i + 1);
-        const std::string key = line.substr(i + 1, kend - i - 1);
-        EXPECT_EQ(line[kend + 1], ':');
-        std::size_t j = kend + 2;
-        std::string value;
-        if (line[j] == '"') {
-            // String value; honour backslash escapes.
-            value += '"';
-            ++j;
-            while (line[j] != '"') {
-                if (line[j] == '\\') {
-                    value += line[j];
-                    ++j;
-                }
-                value += line[j];
-                ++j;
-            }
-            value += '"';
-            ++j;
-        } else {
-            while (j < line.size() - 1 && line[j] != ',')
-                value += line[j++];
-        }
-        out[key] = value;
-        if (line[j] == ',')
-            ++j;
-        i = j;
-    }
-    return out;
+    auto rec = json::parse(line);
+    EXPECT_TRUE(rec) << "not valid JSON: " << line;
+    return rec ? *rec : json::Value{};
 }
 
 TEST(JsonObject, BuildsOrderedFields)
@@ -157,34 +120,31 @@ TEST(JsonlSink, SweepRoundTripMatchesInMemoryResults)
     ASSERT_EQ(lines.size(), jobs.size()); // one record per job
 
     // Records are written in completion order; index them by config.
-    std::map<std::string, std::map<std::string, std::string>> byConfig;
+    std::map<std::string, json::Value> byConfig;
     for (const auto &line : lines) {
-        auto rec = parseFlat(line);
-        byConfig[rec.at("config")] = rec;
+        auto rec = parseRecord(line);
+        byConfig[rec["config"].text] = rec;
     }
     ASSERT_EQ(byConfig.size(), 3u);
 
     for (std::size_t i = 0; i < 2; ++i) {
         ASSERT_TRUE(res[i].ok);
-        const auto &rec = byConfig.at('"' + jobs[i].configName + '"');
-        EXPECT_EQ(rec.at("trace"), "\"cb84\"");
-        EXPECT_EQ(rec.at("ok"), "true");
-        EXPECT_EQ(rec.at("cycles"),
-                  std::to_string(res[i].result.cycles));
-        EXPECT_EQ(rec.at("instructions"),
-                  std::to_string(res[i].result.instructions));
-        EXPECT_EQ(rec.at("branches"),
-                  std::to_string(res[i].result.branches));
+        const auto &rec = byConfig.at(jobs[i].configName);
+        EXPECT_EQ(rec["trace"].text, "cb84");
+        EXPECT_EQ(rec["ok"].boolean(), true);
+        for (const cpu::SimCounter &c : cpu::kSimCounters)
+            EXPECT_EQ(rec[c.name].u64(), res[i].result.*c.member)
+                    << c.name;
         // cpi survives the %.17g round trip exactly.
-        EXPECT_EQ(std::stod(rec.at("cpi")), res[i].result.cpi);
-        EXPECT_GE(std::stod(rec.at("seconds")), 0.0);
+        EXPECT_EQ(rec["cpi"].num(), res[i].result.cpi);
+        EXPECT_GE(rec["seconds"].num().value_or(-1.0), 0.0);
     }
 
-    const auto &bad = byConfig.at("\"broken\"");
-    EXPECT_EQ(bad.at("ok"), "false");
-    EXPECT_EQ(bad.at("trace"), "\"<null>\"");
-    EXPECT_NE(bad.at("error").find("no trace"), std::string::npos);
-    EXPECT_EQ(bad.count("cpi"), 0u); // no result fields on failures
+    const auto &bad = byConfig.at("broken");
+    EXPECT_EQ(bad["ok"].boolean(), false);
+    EXPECT_EQ(bad["trace"].text, "<null>");
+    EXPECT_NE(bad["error"].text.find("no trace"), std::string::npos);
+    EXPECT_EQ(bad.find("cpi"), nullptr); // no result fields on failures
     std::remove(path.c_str());
 }
 
@@ -201,14 +161,14 @@ TEST(JsonlSink, JobRecordContainsTheCounterSchema)
     r.result.cpi = 1.5;
     r.result.cycles = 300;
     r.result.instructions = 200;
-    const auto rec = parseFlat(jobRecord(job, r));
+    const auto rec = parseRecord(jobRecord(job, r));
     for (const char *key :
-         {"trace", "config", "seed", "ok", "seconds", "cpi", "cycles",
-          "instructions", "branches", "icacheMisses", "btb2RowReads",
-          "btb2Transfers", "predictionsMade"})
-        EXPECT_EQ(rec.count(key), 1u) << "missing field " << key;
-    EXPECT_EQ(rec.at("seed"), "7");
-    EXPECT_EQ(rec.at("cycles"), "300");
+         {"trace", "config", "seed", "ok", "seconds", "attempts", "cpi"})
+        EXPECT_NE(rec.find(key), nullptr) << "missing field " << key;
+    for (const cpu::SimCounter &c : cpu::kSimCounters)
+        EXPECT_NE(rec.find(c.name), nullptr) << "missing field " << c.name;
+    EXPECT_EQ(rec["seed"].u64(), 7u);
+    EXPECT_EQ(rec["cycles"].u64(), 300u);
 }
 
 } // namespace

@@ -147,43 +147,31 @@ TEST(CmpRunner, ResumeSatisfiesJobAndRestoresSharingStats)
     // Nothing re-ran, nothing re-written.
     EXPECT_TRUE(fileLines(second).empty());
 
-    // The per-core counters and the sharing stats survive the JSONL
-    // round trip (doubles like cpi are re-derived from the integers).
-    ASSERT_EQ(got[0].result.core.size(), ref[0].result.core.size());
-    for (std::size_t i = 0; i < ref[0].result.core.size(); ++i) {
-        EXPECT_EQ(got[0].result.core[i].cycles,
-                  ref[0].result.core[i].cycles);
-        EXPECT_EQ(got[0].result.core[i].instructions,
-                  ref[0].result.core[i].instructions);
-        EXPECT_EQ(got[0].result.core[i].correct,
-                  ref[0].result.core[i].correct);
-        EXPECT_EQ(got[0].result.core[i].btb2RowReads,
-                  ref[0].result.core[i].btb2RowReads);
-    }
-    EXPECT_EQ(got[0].result.arbRequests, ref[0].result.arbRequests);
-    EXPECT_EQ(got[0].result.arbGrants, ref[0].result.arbGrants);
-    EXPECT_EQ(got[0].result.arbConflicts, ref[0].result.arbConflicts);
-    EXPECT_EQ(got[0].result.arbWaitCycles, ref[0].result.arbWaitCycles);
-    EXPECT_EQ(got[0].result.l2iHits, ref[0].result.l2iHits);
+    // Every per-core counter, the CPI bits and every sharing counter
+    // (per-core and per-bank vectors included) survive the JSONL round
+    // trip.
+    EXPECT_EQ(cmpMismatch(got[0].result, ref[0].result), "");
 
-    // A partial checkpoint (one per-core record missing) must NOT
-    // satisfy the job: resume is all-or-nothing.
-    std::string partial = testing::TempDir() + "cmp_partial.jsonl";
-    std::remove(partial.c_str());
-    {
-        std::ofstream out(partial);
-        for (const auto &l : fileLines(first))
-            if (l.find("\"config\":\"mixR#c1\"") == std::string::npos)
-                out << l << '\n';
+    // A partial checkpoint (one per-core record, or the sharing record,
+    // missing) must NOT satisfy the job: resume is all-or-nothing.
+    const std::string partial = testing::TempDir() + "cmp_partial.jsonl";
+    for (const char *dropped : {"\"config\":\"mixR#c1\"",
+                                "\"config\":\"mixR#shared\""}) {
+        SCOPED_TRACE(dropped);
+        {
+            std::ofstream out(partial, std::ios::trunc);
+            for (const auto &l : fileLines(first))
+                if (l.find(dropped) == std::string::npos)
+                    out << l << '\n';
+        }
+        CmpRunner partialRunner(1);
+        partialRunner.setSinkPath("");
+        partialRunner.setResumePath(partial);
+        const auto rerun = partialRunner.run({job});
+        ASSERT_TRUE(rerun[0].ok) << rerun[0].error;
+        EXPECT_FALSE(rerun[0].resumed);
+        EXPECT_EQ(cmpMismatch(rerun[0].result, ref[0].result), "");
     }
-    CmpRunner partialRunner(1);
-    partialRunner.setSinkPath("");
-    partialRunner.setResumePath(partial);
-    const auto rerun = partialRunner.run({job});
-    ASSERT_TRUE(rerun[0].ok) << rerun[0].error;
-    EXPECT_FALSE(rerun[0].resumed);
-    EXPECT_EQ(rerun[0].result.core[0].cycles,
-              ref[0].result.core[0].cycles);
 
     std::remove(first.c_str());
     std::remove(second.c_str());

@@ -21,35 +21,6 @@ namespace zbp::sim
 namespace
 {
 
-void
-expectSameResult(const cpu::SimResult &a, const cpu::SimResult &b)
-{
-    EXPECT_EQ(a.traceName, b.traceName);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_DOUBLE_EQ(a.cpi, b.cpi);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.takenBranches, b.takenBranches);
-    EXPECT_EQ(a.correct, b.correct);
-    EXPECT_EQ(a.mispredictDir, b.mispredictDir);
-    EXPECT_EQ(a.mispredictTarget, b.mispredictTarget);
-    EXPECT_EQ(a.surpriseCompulsory, b.surpriseCompulsory);
-    EXPECT_EQ(a.surpriseLatency, b.surpriseLatency);
-    EXPECT_EQ(a.surpriseCapacity, b.surpriseCapacity);
-    EXPECT_EQ(a.surpriseBenign, b.surpriseBenign);
-    EXPECT_EQ(a.phantoms, b.phantoms);
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
-    EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
-    EXPECT_EQ(a.dataAccesses, b.dataAccesses);
-    EXPECT_EQ(a.btb1MissReports, b.btb1MissReports);
-    EXPECT_EQ(a.btb2RowReads, b.btb2RowReads);
-    EXPECT_EQ(a.btb2Transfers, b.btb2Transfers);
-    EXPECT_EQ(a.btb2FullSearches, b.btb2FullSearches);
-    EXPECT_EQ(a.btb2PartialSearches, b.btb2PartialSearches);
-    EXPECT_EQ(a.predictionsMade, b.predictionsMade);
-    EXPECT_EQ(a.resolves, b.resolves);
-}
-
 std::vector<GangConfig>
 fig2Gang()
 {
@@ -92,41 +63,11 @@ TEST(GangRunner, BitIdenticalToSerialAcrossChunkSizes)
                 ASSERT_TRUE(got[ci][ti].ok)
                         << got[ci][ti].error << " (chunk " << chunk
                         << ")";
-                expectSameResult(got[ci][ti].result, ref[ci][ti]);
-            }
-        }
-    }
-}
-
-TEST(GangRunner, MicroChunkBitIdentical)
-{
-    const auto traces = smallTraces();
-    const auto gang = fig2Gang();
-
-    // Reference: default walk (micro-chunking off).
-    GangRunner ref_runner(gang, 1);
-    ref_runner.setSinkPath("");
-    ref_runner.setMicroChunk(0);
-    const auto ref = ref_runner.run(traces);
-
-    // Member-interleaved sub-windows of any size — degenerate (1),
-    // prime and misaligned (7), and equal to the default chunk
-    // (262144, i.e. one sub-window = the whole chunk) — must be
-    // bit-identical to the plain walk.
-    for (const std::size_t micro : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{262144}}) {
-        GangRunner runner(gang, 1);
-        runner.setSinkPath("");
-        runner.setMicroChunk(micro);
-        const auto got = runner.run(traces);
-        ASSERT_EQ(got.size(), gang.size());
-        for (std::size_t ci = 0; ci < gang.size(); ++ci) {
-            for (std::size_t ti = 0; ti < traces.size(); ++ti) {
-                ASSERT_TRUE(got[ci][ti].ok)
-                        << got[ci][ti].error << " (micro " << micro
-                        << ")";
-                expectSameResult(got[ci][ti].result,
-                                 ref[ci][ti].result);
+                EXPECT_EQ(cpu::counterMismatch(got[ci][ti].result,
+                                               ref[ci][ti]),
+                          "");
+                EXPECT_EQ(got[ci][ti].result.traceName,
+                          ref[ci][ti].traceName);
             }
         }
     }
@@ -161,8 +102,9 @@ TEST(GangRunner, WritesOneRecordPerConfigTracePair)
 
     GangRunner runner(fig2Gang(), 1);
     runner.setSinkPath(path);
+    runner.setResumePath("");
     const auto traces = smallTraces();
-    runner.run(traces);
+    const auto fresh = runner.run(traces);
 
     std::ifstream in(path);
     std::size_t lines = 0;
@@ -170,6 +112,24 @@ TEST(GangRunner, WritesOneRecordPerConfigTracePair)
         if (!line.empty())
             ++lines;
     EXPECT_EQ(lines, 3 * traces.size());
+
+    // The records resume losslessly: every cell is satisfied from them
+    // and equals the fresh run on every counter and the CPI bits.
+    GangRunner resumer(fig2Gang(), 1);
+    resumer.setSinkPath("");
+    resumer.setResumePath(path);
+    const auto got = resumer.run(traces);
+    for (std::size_t ci = 0; ci < got.size(); ++ci) {
+        for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+            ASSERT_TRUE(got[ci][ti].ok) << got[ci][ti].error;
+            EXPECT_TRUE(got[ci][ti].resumed);
+            EXPECT_EQ(cpu::counterMismatch(got[ci][ti].result,
+                                           fresh[ci][ti].result),
+                      "");
+            EXPECT_EQ(got[ci][ti].result.traceName,
+                      fresh[ci][ti].result.traceName);
+        }
+    }
     std::remove(path.c_str());
 }
 
@@ -188,9 +148,18 @@ TEST(GangRunner, FuseEnvSelectsIdenticalFig2Rows)
     ASSERT_EQ(fused.size(), legacy.size());
     for (std::size_t i = 0; i < fused.size(); ++i) {
         EXPECT_EQ(fused[i].trace, legacy[i].trace);
-        expectSameResult(fused[i].base, legacy[i].base);
-        expectSameResult(fused[i].withBtb2, legacy[i].withBtb2);
-        expectSameResult(fused[i].largeBtb1, legacy[i].largeBtb1);
+        EXPECT_EQ(cpu::counterMismatch(fused[i].base, legacy[i].base), "");
+        EXPECT_EQ(cpu::counterMismatch(fused[i].withBtb2,
+                                       legacy[i].withBtb2),
+                  "");
+        EXPECT_EQ(cpu::counterMismatch(fused[i].largeBtb1,
+                                       legacy[i].largeBtb1),
+                  "");
+        EXPECT_EQ(fused[i].base.traceName, legacy[i].base.traceName);
+        EXPECT_EQ(fused[i].withBtb2.traceName,
+                  legacy[i].withBtb2.traceName);
+        EXPECT_EQ(fused[i].largeBtb1.traceName,
+                  legacy[i].largeBtb1.traceName);
     }
 }
 
