@@ -65,6 +65,24 @@ progressDone()
         std::printf("%60s\r", "");
 }
 
+/** A named machine configuration of a variant sweep. */
+struct Variant
+{
+    std::string name;
+    core::MachineParams cfg;
+};
+
+/**
+ * Every variant over every trace as one sharded batch, tabulated as
+ * CPI per (variant, trace) plus the average CPI improvement over
+ * variants[0], the baseline.  A failed job is fatal, named by @p what.
+ */
+stats::TextTable
+variantCpiTable(const std::string &title, const std::string &what,
+                const std::vector<std::string> &suites,
+                const std::vector<trace::TraceHandle> &traces,
+                const std::vector<Variant> &variants);
+
 } // namespace zbp::bench
 
 #endif // ZBP_BENCH_BENCH_UTIL_HH

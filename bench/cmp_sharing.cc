@@ -99,9 +99,9 @@ main()
         }
     }
 
-    sim::CmpRunner cr;
-    cr.setProgress(runner::consoleProgress());
-    const auto res = cr.run(jobs);
+    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
+    policy.progress = runner::consoleProgress();
+    const auto res = sim::CmpRunner(policy).run(jobs);
     for (std::size_t i = 0; i < jobs.size(); ++i)
         if (!res[i].ok)
             fatal("CMP job ", jobs[i].name, " failed: ", res[i].error);

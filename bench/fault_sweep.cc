@@ -29,7 +29,7 @@ main()
 
     const double rates[] = {0.0, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2};
 
-    // All 6 fault rates as one gang over the single trace (fused path
+    // All 6 fault rates as one gang over the single trace (the gang
     // shares the trace bytes and one TraceIndex across the rates).
     std::vector<sim::GangConfig> gang;
     for (const double rate : rates) {
@@ -41,9 +41,9 @@ main()
         gang.push_back({label, prm});
     }
 
-    sim::GangRunner gr(gang);
-    gr.setProgress(runner::consoleProgress());
-    const auto res = gr.run({trace});
+    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
+    policy.progress = runner::consoleProgress();
+    const auto res = sim::runGangs(policy, gang, {trace});
     for (const auto &row : res)
         if (!row[0].ok)
             fatal("fault sweep job failed: ", row[0].error);

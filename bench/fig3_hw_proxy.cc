@@ -63,9 +63,9 @@ main()
         jobs.push_back({"no-btb2", sim::configNoBtb2(), tr});
         jobs.push_back({"btb2", sim::configBtb2(), tr});
     }
-    runner::JobRunner jr;
-    jr.setProgress(runner::consoleProgress());
-    const auto res = jr.run(jobs);
+    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
+    policy.progress = runner::consoleProgress();
+    const auto res = runner::JobRunner(policy).run(jobs);
     for (const auto &r : res)
         if (!r.ok)
             fatal("figure 3 job failed: ", r.error);

@@ -21,10 +21,11 @@ main()
     const auto &spec = workload::findSuite("daytrader_db");
     const auto trace = workload::makeSuiteTrace(spec, scale);
 
-    runner::JobRunner jr;
-    jr.setProgress(runner::consoleProgress());
-    const auto res = jr.run({{"no-btb2", sim::configNoBtb2(), &trace},
-                             {"btb2", sim::configBtb2(), &trace}});
+    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
+    policy.progress = runner::consoleProgress();
+    const auto res = runner::JobRunner(policy).run(
+            {{"no-btb2", sim::configNoBtb2(), &trace},
+             {"btb2", sim::configBtb2(), &trace}});
     for (const auto &r : res)
         if (!r.ok)
             fatal("figure 4 job failed: ", r.error);

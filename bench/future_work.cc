@@ -15,24 +15,17 @@
 
 #include "bench_util.hh"
 
-#include "zbp/runner/progress.hh"
-
 int
 main()
 {
     using namespace zbp;
     const double scale = bench::scaleFromEnv();
 
-    const char *suites[] = {"daytrader_db", "wasdb_cbw2", "cicsdb2"};
-    const auto traces = bench::suiteTraces(
-            scale, {suites[0], suites[1], suites[2]});
+    const std::vector<std::string> suites = {"daytrader_db", "wasdb_cbw2",
+                                             "cicsdb2"};
+    const auto traces = bench::suiteTraces(scale, suites);
 
-    struct Variant
-    {
-        std::string name;
-        core::MachineParams cfg;
-    };
-    std::vector<Variant> variants;
+    std::vector<bench::Variant> variants;
     variants.push_back({"no BTB2 (baseline)", sim::configNoBtb2()});
     variants.push_back({"zEC12: SRAM, 32 B class, single block",
                         sim::configBtb2()});
@@ -69,46 +62,9 @@ main()
         variants.push_back({"multi-block transfers (depth 3)", c});
     }
 
-    stats::TextTable t("Future work (§6): measured CPI per variant");
-    std::vector<std::string> header = {"variant"};
-    for (const char *s : suites)
-        header.push_back(s);
-    header.push_back("avg imp% vs no-BTB2");
-    t.setHeader(header);
-
-    // All variant x trace simulations as one sharded batch
-    // (variant-major).
-    std::vector<runner::SimJob> jobs;
-    for (const auto &v : variants)
-        for (const auto &tr : traces)
-            jobs.push_back({v.name, v.cfg, tr.get()});
-    runner::JobRunner jr;
-    jr.setProgress(runner::consoleProgress());
-    const auto res = jr.run(jobs);
-
-    auto cpi = [&](std::size_t v, std::size_t i) -> double {
-        const auto &r = res[v * traces.size() + i];
-        if (!r.ok)
-            fatal("future-work job '",
-                  jobs[v * traces.size() + i].configName, "' failed: ",
-                  r.error);
-        return r.result.cpi;
-    };
-
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-        std::vector<std::string> row = {variants[v].name};
-        double sum_imp = 0.0;
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            row.push_back(stats::TextTable::num(cpi(v, i), 3));
-            sum_imp += (cpi(0, i) - cpi(v, i)) / cpi(0, i) * 100.0;
-        }
-        row.push_back(v == 0 ? std::string("--")
-                             : stats::TextTable::num(
-                                       sum_imp / traces.size(), 2));
-        t.addRow(row);
-    }
-    bench::progressDone();
-
+    auto t = bench::variantCpiTable(
+            "Future work (§6): measured CPI per variant", "future-work",
+            suites, traces, variants);
     t.addNote("paper §6: 'a multi-level BTB allows for designing ... "
               "the BTB2 in a higher density memory technology'; the "
               "eDRAM rows trade transfer rate for capacity");

@@ -127,6 +127,23 @@ run_obs_leg() {
         "$obs_bench" >/dev/null
 
     python3 "$repo_root/scripts/obs_report.py" validate "$obs_trace"
+    # The engine draws every job's phases on the orchestration track.
+    if ! python3 - "$repo_root/scripts" "$obs_trace" <<'PY'
+import sys
+sys.path.insert(0, sys.argv[1])
+from obs_report import PID_RUNNER, load_events
+names = {ev.get("name", "") for ev in load_events(sys.argv[2])
+         if ev.get("ph") == "X" and ev.get("pid") == PID_RUNNER}
+missing = [n for n in ("load", "run", "chunk")
+           if n not in names]
+if not any(n.startswith("job:") for n in names):
+    missing.append("job:<name>")
+if missing:
+    sys.exit(f"smoke: no {', '.join(missing)} span on the runner track")
+PY
+    then
+        exit 1
+    fi
     if ! python3 "$repo_root/scripts/obs_report.py" intervals \
             "$obs_out" >/dev/null; then
         echo "smoke: interval sidecar $obs_out failed to summarize" >&2
@@ -143,7 +160,7 @@ run_obs_leg() {
 
 # Compare two JSONL result files by (config, trace) -> (cycles,
 # instructions).  Torn trailing lines (a crash mid-write) are skipped,
-# matching loadResumeResults; duplicate keys keep the first record,
+# matching resume; duplicate keys keep the first record,
 # matching resume semantics.
 ckpt_compare() {
     python3 - "$1" "$2" <<'PY'

@@ -227,9 +227,9 @@ class CoreModel
     // advance() targets + finishRun composes to exactly run(): the
     // loop-state lives in members, so splitting the run loop at decode
     // boundaries changes nothing observable (golden counters pin it).
-    // The GangRunner interleaves advance() chunks of several models
-    // over one trace so each chunk of instructions is consumed
-    // LLC-hot by all of them.
+    // The runner's walk advances every job in chunks, and a gang
+    // interleaves the chunks of several models over one trace so each
+    // chunk of instructions is consumed LLC-hot by all of them.
 
     /** Arm a run over @p t (which must outlive it).  Throws
      * std::invalid_argument on an empty trace or a mismatched index. */

@@ -15,9 +15,9 @@
  *  - ZBP_OBS_TRACE=path    Chrome trace-event / Perfetto JSON timeline
  *  - ZBP_OBS_TRACE_MAX=N   event cap for the timeline (default 1M)
  *
- * The writers are lazily constructed singletons: many runners
- * (JobRunner, GangRunner, CmpRunner) coexist in one process and must
- * share one sidecar / one timeline file.  They are torn down by a
+ * The writers are lazily constructed singletons: every job of every
+ * runner::JobRunner run in one process must share one sidecar / one
+ * timeline file.  They are torn down by a
  * static destructor at normal process exit, which writes the trace
  * footer; call obsShutdown() earlier to validate files mid-process.
  */

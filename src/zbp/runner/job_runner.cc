@@ -1,19 +1,20 @@
 #include "zbp/runner/job_runner.hh"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
-#include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/log.hh"
 #include "zbp/obs/obs_config.hh"
 #include "zbp/runner/executor.hh"
+#include "zbp/runner/gang_job.hh"
 #include "zbp/runner/jsonl_sink.hh"
 #include "zbp/trace/trace_io.hh"
 
@@ -22,6 +23,14 @@ namespace zbp::runner
 
 namespace
 {
+
+using SteadyClock = std::chrono::steady_clock;
+
+double
+secondsSince(SteadyClock::time_point t0)
+{
+    return std::chrono::duration<double>(SteadyClock::now() - t0).count();
+}
 
 std::uint64_t
 mixString(std::uint64_t h, const std::string &s)
@@ -33,207 +42,215 @@ mixString(std::uint64_t h, const std::string &s)
     return h;
 }
 
+/** The value of env var @p var parsed by @p parse, or @p dflt when
+ * unset or rejected (warning once: each caller's lambda instantiates
+ * its own flag). */
+template <typename T, typename ParseFn>
+T
+envSetting(const char *var, T dflt, ParseFn &&parse)
+{
+    const char *s = std::getenv(var);
+    if (s == nullptr || *s == '\0')
+        return dflt;
+    T v = dflt;
+    if (!parse(s, v)) {
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true))
+            warn("ignoring bad ", var, " '", s, "'");
+        return dflt;
+    }
+    return v;
+}
+
 double
 timeoutFromEnv()
 {
-    const char *s = std::getenv("ZBP_JOB_TIMEOUT");
-    if (s == nullptr || *s == '\0')
-        return 0.0;
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || !(v >= 0.0)) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ZBP_JOB_TIMEOUT '", s, "'");
-        return 0.0;
-    }
-    return v;
+    return envSetting("ZBP_JOB_TIMEOUT", 0.0, [](const char *s, double &v) {
+        char *end = nullptr;
+        v = std::strtod(s, &end);
+        return end != s && *end == '\0' && v >= 0.0;
+    });
 }
 
 unsigned
 retriesFromEnv()
 {
-    const char *s = std::getenv("ZBP_JOB_RETRIES");
-    if (s == nullptr || *s == '\0')
-        return 0;
-    char *end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || v < 0 || v > 100) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ZBP_JOB_RETRIES '", s, "'");
-        return 0;
-    }
-    return static_cast<unsigned>(v);
+    return envSetting("ZBP_JOB_RETRIES", 0u, [](const char *s, unsigned &v) {
+        char *end = nullptr;
+        const long n = std::strtol(s, &end, 10);
+        v = static_cast<unsigned>(n);
+        return end != s && *end == '\0' && n >= 0 && n <= 100;
+    });
 }
 
 /**
- * One shared deadline watcher for all workers: each attempt arms an
- * entry (deadline + cancellation flag), the watcher thread scans every
- * few milliseconds and sets the flags of overdue entries, and the
- * model's run loop turns a set flag into SimCancelled.  The thread
- * only exists when a timeout is configured.
+ * A per-attempt wall-clock deadline: a watcher thread sets the flag
+ * once @p seconds pass (the models' run loops turn it into
+ * SimCancelled) unless the attempt ends first.  No thread and no flag
+ * without a timeout.
  */
-class TimeoutWatchdog
+class Deadline
 {
   public:
-    explicit TimeoutWatchdog(double seconds) : limit(seconds)
+    explicit Deadline(double seconds)
     {
-        if (limit > 0.0)
-            th = std::thread([this] { loop(); });
+        if (seconds <= 0.0)
+            return;
+        th = std::thread([this, seconds] {
+            std::unique_lock<std::mutex> lk(mu);
+            if (!cv.wait_for(lk, std::chrono::duration<double>(seconds),
+                             [this] { return ended; }))
+                flag.store(true, std::memory_order_relaxed);
+        });
     }
 
-    ~TimeoutWatchdog()
+    ~Deadline()
     {
-        if (th.joinable()) {
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                stop = true;
-            }
-            cv.notify_all();
-            th.join();
+        if (!th.joinable())
+            return;
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            ended = true;
         }
+        cv.notify_all();
+        th.join();
     }
 
-    bool enabled() const { return limit > 0.0; }
-    double seconds() const { return limit; }
-
-    /** RAII per-attempt registration; no-op when disabled. */
-    class Scope
+    /** The flag to attach to the models, or null without a timeout. */
+    const std::atomic<bool> *cancel() const
     {
-      public:
-        Scope(TimeoutWatchdog &w_, std::atomic<bool> &flag) : w(w_)
-        {
-            if (w.enabled()) {
-                id = w.arm(flag);
-                armed = true;
-            }
-        }
-        ~Scope()
-        {
-            if (armed)
-                w.disarm(id);
-        }
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        TimeoutWatchdog &w;
-        std::size_t id = 0;
-        bool armed = false;
-    };
+        return th.joinable() ? &flag : nullptr;
+    }
 
   private:
-    struct Entry
-    {
-        std::chrono::steady_clock::time_point deadline;
-        std::atomic<bool> *flag;
-        bool active;
-    };
-
-    std::size_t
-    arm(std::atomic<bool> &flag)
-    {
-        const auto deadline = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(limit));
-        std::lock_guard<std::mutex> lk(mu);
-        entries.push_back({deadline, &flag, true});
-        return entries.size() - 1;
-    }
-
-    void
-    disarm(std::size_t id)
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        entries[id].active = false;
-    }
-
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lk(mu);
-        while (!stop) {
-            cv.wait_for(lk, std::chrono::milliseconds(5));
-            const auto now = std::chrono::steady_clock::now();
-            for (auto &e : entries) {
-                if (e.active && now >= e.deadline) {
-                    e.flag->store(true, std::memory_order_relaxed);
-                    e.active = false;
-                }
-            }
-        }
-    }
-
-    double limit;
+    std::atomic<bool> flag{false};
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<Entry> entries; ///< grows by one per attempt; bounded
-    bool stop = false;
+    bool ended = false;
     std::thread th;
 };
 
-/**
- * Run @p model over @p t with optional crash resume and periodic
- * checkpointing.  An empty @p ckpt_path is exactly model->run(t) —
- * zero overhead when checkpointing is off.  Otherwise: an existing
- * valid snapshot is restored and the run continues mid-trace
- * (bit-identical to an uninterrupted run); a corrupt, truncated or
- * mismatched snapshot is discarded — the half-restored model is
- * rebuilt via @p rebuild and the run starts from scratch; with
- * @p interval > 0 a snapshot is atomically published every
- * @p interval decoded instructions.  The snapshot is removed once the
- * run completes, so a finished job can never satisfy a later resume.
- */
-template <typename RebuildFn>
-cpu::SimResult
-runCoreCheckpointed(std::unique_ptr<cpu::CoreModel> &model,
-                    const trace::Trace &t, const std::string &ckpt_path,
-                    std::uint64_t interval, RebuildFn &&rebuild)
+/** An ok record of the full counter schema, restored; or nullopt
+ * (an older or damaged record). */
+std::optional<SimJobResult>
+resumeResult(const json::Value &rec)
 {
-    if (ckpt_path.empty())
-        return model->run(t);
-    model->beginRun(t);
-    if (ckpt::ckptFileExists(ckpt_path)) {
-        try {
-            const auto bytes = ckpt::loadCkptFile(ckpt_path);
-            ckpt::Reader r(bytes.data(), bytes.size());
-            model->restoreState(r);
-            r.finish();
-            inform("resumed '", t.name(), "' from checkpoint at ",
-                   model->decodedInstructions(), " instructions");
-        } catch (const ckpt::CkptError &e) {
-            warn("discarding unusable checkpoint '", ckpt_path, "' (",
-                 e.what(), "); running '", t.name(), "' from scratch");
-            ckpt::removeCkptFile(ckpt_path);
-            model = rebuild(); // a half-restored model is poison
-            model->beginRun(t);
-        }
+    const std::string *trace = rec["trace"].str();
+    const auto cpi = rec["cpi"].num();
+    SimJobResult r;
+    bool complete = trace != nullptr && cpi.has_value();
+    for (const cpu::SimCounter &c : cpu::kSimCounters) {
+        const auto v = rec[c.name].u64();
+        complete &= v.has_value();
+        r.result.*c.member = v.value_or(0);
     }
-    if (interval == 0) {
-        model->advance(t.size());
-    } else {
-        for (;;) {
-            const std::size_t done = model->decodedInstructions();
-            const std::size_t step = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(interval, t.size() - done));
-            if (model->advance(done + step))
-                break;
-            ckpt::Writer w;
-            model->saveState(w);
-            w.finish();
-            ckpt::saveCkptFile(ckpt_path, w);
-        }
-    }
-    cpu::SimResult r = model->finishRun();
-    ckpt::removeCkptFile(ckpt_path);
+    if (!complete)
+        return std::nullopt;
+    r.ok = true;
+    r.resumed = true;
+    r.result.traceName = *trace;
+    r.result.cpi = *cpi;
+    r.seconds = rec["seconds"].num().value_or(0.0);
+    r.attempts = static_cast<unsigned>(rec["attempts"].u64().value_or(1));
     return r;
 }
 
-/** Per-worker-thread lane on the orchestration track, allocated on
- * first use.  The writer is the process-wide singleton, so a lane
- * outlives any one JobRunner and can be cached per thread. */
+/** The resume key of a record's (config, trace, seed) fields, or
+ * nullopt when one is missing or mistyped. */
+std::optional<std::string>
+recordKey(const json::Value &rec)
+{
+    const std::string *config = rec["config"].str();
+    const std::string *trace = rec["trace"].str();
+    const auto seed = rec["seed"].u64();
+    if (config == nullptr || trace == nullptr || !seed)
+        return std::nullopt;
+    return RecordId{*config, *trace, *seed}.key();
+}
+
+/** A span named @p name from @p ts (nowUs) until now on @p lane of the
+ * runner track; nothing without a trace writer. */
+void
+runnerSpan(obs::TraceWriter *tw, std::uint32_t lane,
+           const std::string &name, double ts, const obs::TraceArgs &args)
+{
+    if (tw != nullptr)
+        tw->span(obs::TraceWriter::kPidRunner, lane, "job", name, ts,
+                 tw->nowUs() - ts, args);
+}
+
+/**
+ * Walk a begun job to completion: restore its snapshot when one
+ * exists (rebuilding the job when it is unusable), then advance in
+ * chunk windows, stopping at every checkpoint point to publish a
+ * snapshot.  With no checkpoint directory this is just the chunked
+ * advance.  Each window is a "chunk" span on @p lane.
+ */
+void
+walk(Job &job, const RunPolicy &pol, const std::string &ckpt_path,
+     const std::atomic<bool> *cancel, obs::TraceWriter *tw,
+     std::uint32_t lane)
+{
+    if (!ckpt_path.empty() && ckpt::ckptFileExists(ckpt_path)) {
+        try {
+            const auto bytes = ckpt::loadCkptFile(ckpt_path);
+            ckpt::Reader r(bytes.data(), bytes.size());
+            job.restore(r);
+            r.finish();
+            inform("resumed '", job.identity().name, "' from checkpoint at ",
+                   job.position(), " instructions");
+        } catch (const ckpt::CkptError &e) {
+            warn("discarding unusable checkpoint '", ckpt_path, "' (",
+                 e.what(), "); running '", job.identity().name,
+                 "' from scratch");
+            ckpt::removeCkptFile(ckpt_path);
+            job.begin(cancel); // a half-restored job is poison
+        }
+    }
+    const bool snapshots = !ckpt_path.empty() && pol.ckptInterval > 0;
+    const std::size_t end = job.length();
+    std::size_t pos = job.position();
+    std::uint64_t next_ckpt = snapshots
+            ? pos + pol.ckptInterval
+            : std::numeric_limits<std::uint64_t>::max();
+    for (;;) {
+        std::size_t tgt =
+                pos >= end || end - pos <= pol.chunk ? end : pos + pol.chunk;
+        if (next_ckpt < tgt)
+            tgt = static_cast<std::size_t>(next_ckpt);
+        const double ts = tw != nullptr ? tw->nowUs() : 0.0;
+        const bool done = job.advance(tgt);
+        if (tw != nullptr) // no per-window argument building untraced
+            runnerSpan(tw, lane, "chunk", ts,
+                       {{"target", obs::jsonNum(std::uint64_t{tgt})}});
+        if (done || tgt >= end)
+            break;
+        if (tgt >= next_ckpt) {
+            ckpt::Writer w;
+            if (job.save(w)) {
+                w.finish();
+                ckpt::saveCkptFile(ckpt_path, w);
+            }
+            next_ckpt = tgt + pol.ckptInterval;
+        }
+        pos = tgt;
+    }
+}
+
+} // namespace
+
+std::size_t
+gangChunkFromEnv()
+{
+    return envSetting("ZBP_GANG_CHUNK", std::size_t{262144},
+                      [](const char *s, std::size_t &v) {
+        char *end = nullptr;
+        const long long n = std::strtoll(s, &end, 10);
+        v = static_cast<std::size_t>(n);
+        return end != s && *end == '\0' && n >= 1;
+    });
+}
+
 std::uint32_t
 workerLane(obs::TraceWriter *tw)
 {
@@ -243,20 +260,100 @@ workerLane(obs::TraceWriter *tw)
     return lane;
 }
 
-} // namespace
+// ---- identity --------------------------------------------------------
 
 std::string
-resumePathFromEnv()
+RecordId::key() const
 {
-    const char *s = std::getenv("ZBP_RESUME_JSONL");
-    return s != nullptr ? std::string(s) : std::string();
+    return config + '\x1f' + trace + '\x1f' + std::to_string(seed);
 }
 
 std::string
-resumeKey(const std::string &config, const std::string &trace,
-          std::uint64_t seed)
+JobIdentity::ckptPath(const std::string &dir) const
 {
-    return config + '\x1f' + trace + '\x1f' + std::to_string(seed);
+    return dir.empty() ? std::string() : ckpt::ckptPathFor(dir, ckptKey);
+}
+
+JobIdentity
+jobIdentity(const std::string &kind, std::string name,
+            std::vector<RecordId> records)
+{
+    JobIdentity id;
+    id.name = std::move(name);
+    id.ckptKey = kind;
+    for (RecordId &r : records) {
+        if (r.seed == 0)
+            r.seed = JobRunner::deriveSeed(r.config, r.trace);
+        id.ckptKey += '\x1f';
+        id.ckptKey += r.key();
+    }
+    id.records = std::move(records);
+    return id;
+}
+
+std::string
+traceId(const trace::Trace *t, const std::string &path)
+{
+    if (t != nullptr)
+        return t->name();
+    return path.empty() ? "<null>" : path;
+}
+
+RecordId
+simJobId(const SimJob &job)
+{
+    return {job.configName, traceId(job.trace, job.tracePath), job.seed};
+}
+
+std::uint64_t
+JobRunner::deriveSeed(const std::string &config_name,
+                      const std::string &trace_name)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull; // FNV offset basis
+    h = mixString(h, config_name);
+    h = mixString(h, "/");
+    h = mixString(h, trace_name);
+    // SplitMix64 finalizer: spread the FNV state over all 64 bits.
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    return h ^ (h >> 31);
+}
+
+// ---- records and resume ------------------------------------------------
+
+std::string
+jobRecord(const RecordId &id, const SimJobResult &r)
+{
+    JsonObject o;
+    o.field("trace", id.trace);
+    o.field("config", id.config);
+    o.field("seed", id.seed);
+    o.field("ok", r.ok);
+    o.field("seconds", r.seconds);
+    o.field("attempts", static_cast<std::uint64_t>(r.attempts));
+    if (!r.ok) {
+        o.field("error", r.error);
+        return o.str();
+    }
+    o.field("cpi", r.result.cpi);
+    for (const cpu::SimCounter &c : cpu::kSimCounters)
+        o.field(c.name, r.result.*c.member);
+    if (r.telemetry.collected) {
+        o.field("queueSeconds", r.telemetry.queueSeconds);
+        o.field("loadSeconds", r.telemetry.loadSeconds);
+        o.field("runSeconds", r.telemetry.runSeconds);
+        o.field("timeoutMargin", r.telemetry.timeoutMargin);
+        o.field("retries", static_cast<std::uint64_t>(r.telemetry.retries));
+        o.field("queueDepth", r.telemetry.queueDepth);
+        o.field("traceCacheHits", r.telemetry.traceCacheHits);
+    }
+    return o.str();
+}
+
+std::string
+jobRecord(const SimJob &job, const SimJobResult &r)
+{
+    return jobRecord(simJobId(job), r);
 }
 
 std::vector<json::Value>
@@ -287,329 +384,209 @@ readRecords(const std::string &path)
     return records;
 }
 
-std::optional<std::string>
-recordResumeKey(const json::Value &rec)
-{
-    const std::string *config = rec["config"].str();
-    const std::string *trace = rec["trace"].str();
-    const auto seed = rec["seed"].u64();
-    if (config == nullptr || trace == nullptr || !seed)
-        return std::nullopt;
-    return resumeKey(*config, *trace, *seed);
-}
+ResumeIndex::ResumeIndex(const std::string &path)
+    : ResumeIndex(path.empty() ? std::vector<json::Value>()
+                               : readRecords(path))
+{}
 
-std::unordered_map<std::string, SimJobResult>
-loadResumeResults(const std::vector<json::Value> &records)
+ResumeIndex::ResumeIndex(std::vector<json::Value> records)
+    : all(std::move(records))
 {
-    std::unordered_map<std::string, SimJobResult> prior;
     std::size_t incomplete = 0;
-    for (const json::Value &rec : records) {
-        if (rec["ok"].boolean() != true)
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const auto key = recordKey(all[i]);
+        if (key)
+            byKey[*key].push_back(i);
+        if (all[i]["ok"].boolean() != true)
             continue; // failed jobs (and CMP sharing lines) re-run
-        const auto key = recordResumeKey(rec);
-        const auto cpi = rec["cpi"].num();
-        SimJobResult r;
-        bool complete = key && cpi;
-        for (const cpu::SimCounter &c : cpu::kSimCounters) {
-            const auto v = rec[c.name].u64();
-            complete &= v.has_value();
-            r.result.*c.member = v.value_or(0);
-        }
-        if (!complete) {
+        auto r = resumeResult(all[i]);
+        if (!key || !r) {
             // Lacks a field of the schema (an older record format, or
             // a damaged line): re-run the job rather than apply zeros.
             ++incomplete;
             continue;
         }
-        r.ok = true;
-        r.resumed = true;
-        r.result.traceName = *rec["trace"].str();
-        r.result.cpi = *cpi;
-        r.seconds = rec["seconds"].num().value_or(0.0);
-        r.attempts =
-                static_cast<unsigned>(rec["attempts"].u64().value_or(1));
-        prior.emplace(*key, std::move(r)); // the first record wins
+        results.emplace(*key, std::move(*r)); // the first record wins
     }
     if (incomplete != 0)
         warn("resume: re-running ", incomplete,
              " job(s) whose ok record lacks the full counter schema");
-    return prior;
 }
 
-std::string
-jobTraceId(const SimJob &job)
+const SimJobResult *
+ResumeIndex::result(const RecordId &id) const
 {
-    if (job.trace != nullptr)
-        return job.trace->name();
-    if (!job.tracePath.empty())
-        return job.tracePath;
-    return "<null>";
+    const auto it = results.find(id.key());
+    return it != results.end() ? &it->second : nullptr;
 }
 
-std::uint64_t
-JobRunner::deriveSeed(const std::string &config_name,
-                      const std::string &trace_name)
+std::vector<const json::Value *>
+ResumeIndex::records(const RecordId &id) const
 {
-    std::uint64_t h = 0xCBF29CE484222325ull; // FNV offset basis
-    h = mixString(h, config_name);
-    h = mixString(h, "/");
-    h = mixString(h, trace_name);
-    // SplitMix64 finalizer: spread the FNV state over all 64 bits.
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
+    std::vector<const json::Value *> out;
+    const auto it = byKey.find(id.key());
+    if (it != byKey.end())
+        for (const std::size_t i : it->second)
+            out.push_back(&all[i]);
+    return out;
 }
 
-std::string
-jobRecord(const SimJob &job, const SimJobResult &r)
+// ---- the engine ----------------------------------------------------------
+
+RunPolicy
+RunPolicy::fromEnv(unsigned workers)
 {
-    JsonObject o;
-    o.field("trace", jobTraceId(job));
-    o.field("config", job.configName);
-    o.field("seed", job.seed);
-    o.field("ok", r.ok);
-    o.field("seconds", r.seconds);
-    o.field("attempts", static_cast<std::uint64_t>(r.attempts));
-    if (!r.ok) {
-        o.field("error", r.error);
-        return o.str();
-    }
-    o.field("cpi", r.result.cpi);
-    for (const cpu::SimCounter &c : cpu::kSimCounters)
-        o.field(c.name, r.result.*c.member);
-    if (r.telemetry.collected) {
-        o.field("queueSeconds", r.telemetry.queueSeconds);
-        o.field("loadSeconds", r.telemetry.loadSeconds);
-        o.field("runSeconds", r.telemetry.runSeconds);
-        o.field("timeoutMargin", r.telemetry.timeoutMargin);
-        o.field("retries", static_cast<std::uint64_t>(r.telemetry.retries));
-        o.field("queueDepth", r.telemetry.queueDepth);
-        o.field("traceCacheHits", r.telemetry.traceCacheHits);
-    }
-    return o.str();
+    RunPolicy p;
+    p.workers = resolveJobs(workers);
+    p.sinkPath = JsonlSink::envPath();
+    const char *resume = std::getenv("ZBP_RESUME_JSONL");
+    p.resumePath = resume != nullptr ? resume : "";
+    p.timeout = timeoutFromEnv();
+    p.retries = retriesFromEnv();
+    p.ckptDir = ckpt::ckptDirFromEnv();
+    p.ckptInterval = ckpt::ckptIntervalFromEnv();
+    p.chunk = gangChunkFromEnv();
+    return p;
 }
 
-JobRunner::JobRunner(unsigned jobs) : nJobs(resolveJobs(jobs)) {}
-
-void
-JobRunner::setProgress(ProgressMeter::Callback cb)
+JobRunner::JobRunner(RunPolicy policy) : pol(std::move(policy))
 {
-    progress = std::move(cb);
+    pol.workers = resolveJobs(pol.workers);
+    ZBP_ASSERT(pol.chunk >= 1, "walk chunk must be >= 1");
 }
 
-void
-JobRunner::setSinkPath(std::string path)
+std::vector<JobOutcome>
+JobRunner::run(const std::vector<Job *> &jobs)
 {
-    sinkPath = std::move(path);
-    sinkPathSet = true;
-}
-
-void
-JobRunner::setJobTimeout(double seconds)
-{
-    jobTimeout = seconds;
-    jobTimeoutSet = true;
-}
-
-void
-JobRunner::setRetries(unsigned n)
-{
-    retries = n;
-    retriesSet = true;
-}
-
-void
-JobRunner::setResumePath(std::string path)
-{
-    resumePath = std::move(path);
-    resumePathSet = true;
-}
-
-std::vector<SimJobResult>
-JobRunner::run(const std::vector<SimJob> &jobs)
-{
-    std::vector<SimJob> resolved = jobs;
-    for (auto &j : resolved)
-        if (j.seed == 0)
-            j.seed = deriveSeed(j.configName, jobTraceId(j));
-
-    const std::string rpath =
-            resumePathSet ? resumePath : resumePathFromEnv();
-    std::unordered_map<std::string, SimJobResult> prior;
-    if (!rpath.empty())
-        prior = loadResumeResults(readRecords(rpath));
-
-    const double timeout = jobTimeoutSet ? jobTimeout : timeoutFromEnv();
-    const unsigned max_attempts =
-            1 + (retriesSet ? retries : retriesFromEnv());
-
-    JsonlSink sink(sinkPathSet ? sinkPath : JsonlSink::envPath());
-    ProgressMeter meter(resolved.size(), progress);
-    std::vector<SimJobResult> results(resolved.size());
-    TimeoutWatchdog dog(timeout);
-
+    const ResumeIndex prior(pol.resumePath);
+    JsonlSink sink(pol.sinkPath);
+    std::size_t nrecords = 0;
+    for (const Job *j : jobs)
+        nrecords += j->identity().records.size();
+    ProgressMeter meter(nrecords, pol.progress);
     obs::TraceWriter *const tw = obs::globalTraceWriter();
-    obs::IntervalWriter *const iw = obs::globalIntervalWriter();
-    const std::uint64_t obs_interval = obs::globalIntervalInsts();
-    const std::string ckpt_dir = ckpt::ckptDirFromEnv();
-    const std::uint64_t ckpt_interval = ckpt::ckptIntervalFromEnv();
-    const auto submit_at = std::chrono::steady_clock::now();
+    const auto submit_at = SteadyClock::now();
     std::atomic<std::uint64_t> nStarted{0};
+    std::vector<JobOutcome> outcomes(jobs.size());
 
-    ParallelExecutor exec(nJobs);
-    exec.run(resolved.size(), [&](std::size_t i) {
-        const SimJob &job = resolved[i];
-        SimJobResult &out = results[i];
-        const std::string label = job.configName + "/" + jobTraceId(job);
+    const auto report = [&](const Job &job, const std::string &suffix,
+                            double seconds) {
+        const auto &recs = job.identity().records;
+        for (const RecordId &r : recs)
+            meter.jobDone(r.config + "/" + r.trace + suffix,
+                          seconds / static_cast<double>(recs.size()));
+    };
 
-        if (!prior.empty()) {
-            const auto it =
-                    prior.find(resumeKey(job.configName, jobTraceId(job),
-                                         job.seed));
-            if (it != prior.end()) {
-                // Satisfied by the checkpoint: do not re-run, do not
-                // re-write to the sink (the record already exists in
-                // the resumed-from file).
-                out = it->second;
-                if (tw != nullptr)
-                    tw->instant(obs::TraceWriter::kPidRunner,
-                                workerLane(tw), "job", "job:resumed",
-                                tw->nowUs(),
-                                {{"job", obs::jsonStr(label)}});
-                meter.jobDone(label + " (resumed)", 0.0);
-                return;
-            }
+    ParallelExecutor(pol.workers).run(jobs.size(), [&](std::size_t i) {
+        Job &job = *jobs[i];
+        JobOutcome &out = outcomes[i];
+        const JobIdentity &id = job.identity();
+        const std::uint32_t lane = tw != nullptr ? workerLane(tw) : 0;
+
+        if (job.resume(prior)) {
+            // Satisfied from the resume file: not re-run, and not
+            // re-written (its records are already in that file).
+            out.ok = true;
+            out.resumed = true;
+            if (tw != nullptr)
+                tw->instant(obs::TraceWriter::kPidRunner, lane, "job",
+                            "job:resumed", tw->nowUs(),
+                            {{"job", obs::jsonStr(id.name)}});
+            report(job, " (resumed)", 0.0);
+            return;
         }
 
-        out.telemetry.collected = true;
-        out.telemetry.queueDepth =
-                resolved.size() - (nStarted.fetch_add(1) + 1);
-        const auto t0 = std::chrono::steady_clock::now();
-        out.telemetry.queueSeconds =
+        JobTelemetry &tel = out.telemetry;
+        tel.collected = true;
+        tel.queueDepth = jobs.size() - (nStarted.fetch_add(1) + 1);
+        const auto t0 = SteadyClock::now();
+        tel.queueSeconds =
                 std::chrono::duration<double>(t0 - submit_at).count();
-        std::uint32_t lane = 0;
-        double job_ts = 0.0;
-        if (tw != nullptr) {
-            lane = workerLane(tw);
-            job_ts = tw->nowUs();
-        }
-        for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-            out.attempts = attempt;
+        const double job_ts = tw != nullptr ? tw->nowUs() : 0.0;
+        const std::string ckpt_path = id.ckptPath(pol.ckptDir);
+        for (out.attempts = 1;; ++out.attempts) {
             bool retryable = false;
             try {
-                trace::Trace local;
-                const trace::Trace *tp = job.trace;
-                if (tp == nullptr) {
-                    if (job.tracePath.empty())
-                        throw std::runtime_error(
-                                "job has no trace (null trace pointer "
-                                "and empty tracePath)");
-                    const auto l0 = std::chrono::steady_clock::now();
-                    const double l0_ts =
-                            tw != nullptr ? tw->nowUs() : 0.0;
-                    local = trace::loadTraceFile(job.tracePath);
-                    tp = &local;
-                    out.telemetry.loadSeconds =
-                            std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - l0)
-                                    .count();
-                    if (tw != nullptr)
-                        tw->span(obs::TraceWriter::kPidRunner, lane,
-                                 "job", "load", l0_ts,
-                                 tw->nowUs() - l0_ts,
-                                 {{"path", obs::jsonStr(job.tracePath)}});
-                }
-                std::atomic<bool> cancelled{false};
-                TimeoutWatchdog::Scope scope(dog, cancelled);
-                const auto build_model = [&] {
-                    auto m = std::make_unique<cpu::CoreModel>(job.cfg);
-                    if (iw != nullptr)
-                        m->attachObs(iw, obs_interval, job.configName);
-                    if (tw != nullptr)
-                        m->attachTracer(tw);
-                    m->setCancelFlag(&cancelled);
-                    return m;
-                };
-                auto model = build_model();
-                const std::string ckpt_path = ckpt_dir.empty()
-                        ? std::string()
-                        : ckpt::ckptPathFor(
-                                  ckpt_dir,
-                                  resumeKey(job.configName, jobTraceId(job),
-                                            job.seed));
-                const auto r0 = std::chrono::steady_clock::now();
+                const Deadline deadline(pol.timeout);
+                const obs::TraceArgs attempt = {
+                        {"attempt", obs::jsonNum(std::uint64_t{out.attempts})}};
+                const auto l0 = SteadyClock::now();
+                const double l0_ts = tw != nullptr ? tw->nowUs() : 0.0;
+                job.begin(deadline.cancel());
+                tel.loadSeconds = secondsSince(l0);
+                runnerSpan(tw, lane, "load", l0_ts, attempt);
+                const auto r0 = SteadyClock::now();
                 const double r0_ts = tw != nullptr ? tw->nowUs() : 0.0;
-                out.result = runCoreCheckpointed(model, *tp, ckpt_path,
-                                                 ckpt_interval,
-                                                 build_model);
-                out.telemetry.runSeconds =
-                        std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - r0)
-                                .count();
-                if (tw != nullptr)
-                    tw->span(obs::TraceWriter::kPidRunner, lane, "job",
-                             "run", r0_ts, tw->nowUs() - r0_ts,
-                             {{"attempt",
-                               obs::jsonNum(std::uint64_t{attempt})}});
+                walk(job, pol, ckpt_path, deadline.cancel(), tw, lane);
+                job.finish();
+                if (!ckpt_path.empty())
+                    ckpt::removeCkptFile(ckpt_path);
+                tel.runSeconds = secondsSince(r0);
+                runnerSpan(tw, lane, "run", r0_ts, attempt);
                 out.ok = true;
                 out.error.clear();
-                break;
             } catch (const cpu::SimCancelled &e) {
                 // Over the wall-clock limit: a retry would hit it
-                // again, so fail the job immediately.
-                out.ok = false;
-                out.error = "timed out after " +
-                        std::to_string(dog.seconds()) + "s: " + e.what();
-                break;
-            } catch (const RetryableError &e) {
-                out.ok = false;
-                out.error = e.what();
-                retryable = true;
-            } catch (const trace::TraceOpenError &e) {
-                out.ok = false;
-                out.error = e.what();
-                retryable = true;
+                // again, so the job fails at once.
+                out.error = "timed out after " + std::to_string(pol.timeout) +
+                            "s: " + e.what();
             } catch (const std::exception &e) {
-                out.ok = false;
                 out.error = e.what();
-                break;
+                retryable = dynamic_cast<const RetryableError *>(&e) ||
+                            dynamic_cast<const trace::TraceOpenError *>(&e);
             } catch (...) {
-                out.ok = false;
                 out.error = "unknown error";
-                break;
             }
-            if (!retryable || attempt == max_attempts)
+            if (out.ok || !retryable || out.attempts > pol.retries)
                 break;
             if (tw != nullptr)
                 tw->instant(obs::TraceWriter::kPidRunner, lane, "job",
                             "job:retry-backoff", tw->nowUs(),
-                            {{"attempt",
-                              obs::jsonNum(std::uint64_t{attempt})},
+                            {{"attempt", obs::jsonNum(std::uint64_t{
+                                                 out.attempts})},
                              {"error", obs::jsonStr(out.error)}});
             // Deterministic exponential backoff before the retry.
             std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10u << (attempt - 1)));
+                    std::chrono::milliseconds(10u << (out.attempts - 1)));
         }
-        out.seconds = std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0).count();
+        out.seconds = secondsSince(t0);
+        tel.retries = out.attempts - 1;
+        if (pol.timeout > 0.0)
+            tel.timeoutMargin = pol.timeout - out.seconds;
+
+        for (const JobRecord &rec : job.close(out)) {
+            sink.write(rec.line);
+            // A job with a failed record failed, even when the rest of
+            // it (a gang's other members) ran to completion.
+            if (rec.failed && out.ok) {
+                out.ok = false;
+                out.error = rec.error;
+            }
+        }
         if (!out.ok) {
             // Abnormal exit: push everything observability has buffered
             // to disk while the process is still alive to do it.
             obs::obsFlush();
         }
-        out.telemetry.retries = out.attempts - 1;
-        if (dog.enabled())
-            out.telemetry.timeoutMargin = dog.seconds() - out.seconds;
-        if (tw != nullptr)
-            tw->span(obs::TraceWriter::kPidRunner, lane, "job",
-                     "job:" + label, job_ts, tw->nowUs() - job_ts,
-                     {{"ok", out.ok ? std::string("true")
-                                    : std::string("false")},
-                      {"attempts",
-                       obs::jsonNum(std::uint64_t{out.attempts})}});
-        sink.write(jobRecord(job, out));
-        meter.jobDone(label, out.seconds);
+        runnerSpan(tw, lane, "job:" + id.name, job_ts,
+                   {{"ok", out.ok ? "true" : "false"},
+                    {"attempts", obs::jsonNum(std::uint64_t{out.attempts})}});
+        report(job, "", out.seconds);
     });
+    return outcomes;
+}
+
+std::vector<SimJobResult>
+JobRunner::run(const std::vector<SimJob> &jobs)
+{
+    std::vector<std::unique_ptr<GangJob>> gangs;
+    for (const SimJob &j : jobs)
+        gangs.push_back(std::make_unique<GangJob>(j));
+    run(gangs);
+    std::vector<SimJobResult> results;
+    results.reserve(jobs.size());
+    for (auto &g : gangs)
+        results.push_back(std::move(g->results().front()));
     return results;
 }
 

@@ -1,20 +1,14 @@
 #include "zbp/sample/sample_runner.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "zbp/obs/obs_config.hh"
-#include "zbp/obs/trace_writer.hh"
 #include "zbp/runner/executor.hh"
-#include "zbp/runner/job_runner.hh"
-#include "zbp/runner/jsonl_sink.hh"
-#include "zbp/sample/snapshot_fanout.hh"
-#include "zbp/trace/trace_index.hh"
 
 namespace zbp::sample
 {
@@ -54,22 +48,112 @@ subtractResult(const cpu::SimResult &end, const cpu::SimResult &start)
 
 } // namespace
 
-SampleRunner::SampleRunner(SampleParams p, unsigned jobs)
-    : prm(p), nJobs(runner::resolveJobs(jobs))
+IntervalJob::IntervalJob(const std::string &config,
+                         const core::MachineParams &cfg_,
+                         const trace::Trace &t,
+                         const trace::TraceIndex *tidx_,
+                         const IntervalPlan &iv_,
+                         const ckpt::SnapshotBuffer &snapshot,
+                         bool closes_run)
+    : Job(runner::jobIdentity(
+              "interval",
+              SampleRunner::intervalConfigName(config, iv_.index) + "/" +
+                      t.name(),
+              {{SampleRunner::intervalConfigName(config, iv_.index),
+                t.name(), 0}})),
+      cfg(cfg_), tr(t), tidx(tidx_), iv(iv_), snap(snapshot),
+      closesRun(closes_run)
 {}
 
-void
-SampleRunner::setSinkPath(std::string path)
+bool
+IntervalJob::resume(const runner::ResumeIndex &prior)
 {
-    sinkPath = std::move(path);
-    sinkPathSet = true;
+    const runner::SimJobResult *r = prior.result(identity().records[0]);
+    if (r != nullptr)
+        res = *r;
+    return r != nullptr;
 }
 
 void
-SampleRunner::setResumePath(std::string path)
+IntervalJob::begin(const std::atomic<bool> *cancel)
 {
-    resumePath = std::move(path);
-    resumePathSet = true;
+    res = runner::SimJobResult();
+    measuring = false;
+    model = std::make_unique<cpu::CoreModel>(cfg);
+    model->setTraceIndex(tidx);
+    model->setCancelFlag(cancel);
+    model->beginRun(tr);
+    if (iv.snapshotAt > 0) {
+        ckpt::Reader r = snap.reader();
+        model->restoreState(r);
+        r.finish();
+    }
+}
+
+bool
+IntervalJob::advance(std::size_t target)
+{
+    if (!measuring) {
+        // Fast mode's detailed re-warm up to the window.
+        model->advance(std::min(target, iv.measureBegin));
+        if (target < iv.measureBegin)
+            return false;
+        start = model->interimResult();
+        measuring = true;
+    }
+    model->advance(target);
+    return target >= iv.measureEnd;
+}
+
+bool
+IntervalJob::save(ckpt::Writer &w) const
+{
+    w.beginSection(ckpt::tag::kJob);
+    w.putBool(measuring);
+    for (const cpu::SimCounter &c : cpu::kSimCounters)
+        w.putU64(start.*c.member);
+    w.endSection();
+    model->saveState(w);
+    return true;
+}
+
+void
+IntervalJob::restore(ckpt::Reader &r)
+{
+    r.openSection(ckpt::tag::kJob);
+    measuring = r.getBool();
+    for (const cpu::SimCounter &c : cpu::kSimCounters)
+        start.*c.member = r.getU64();
+    r.closeSection();
+    model->restoreState(r);
+}
+
+void
+IntervalJob::finish()
+{
+    const cpu::SimResult end =
+            closesRun ? model->finishRun() : model->interimResult();
+    res.result = subtractResult(end, start);
+    model.reset();
+}
+
+std::vector<runner::JobRecord>
+IntervalJob::close(const runner::JobOutcome &o)
+{
+    model.reset();
+    static_cast<runner::JobOutcome &>(res) = o;
+    return {{runner::jobRecord(identity().records[0], res), !o.ok,
+             o.error}};
+}
+
+SampleRunner::SampleRunner(SampleParams p, unsigned jobs)
+    : SampleRunner(p, runner::RunPolicy::fromEnv(jobs))
+{}
+
+SampleRunner::SampleRunner(SampleParams p, runner::RunPolicy policy)
+    : prm(p), pol(std::move(policy))
+{
+    pol.workers = runner::resolveJobs(pol.workers);
 }
 
 std::string
@@ -86,9 +170,6 @@ SampleRunner::run(const std::string &config_name,
     const auto plan = planIntervals(t.size(), prm);
 
     obs::TraceWriter *tw = obs::globalTraceWriter();
-    std::uint32_t lane = 0;
-    if (tw != nullptr)
-        lane = tw->newLane(obs::TraceWriter::kPidRunner, "sampled sim");
 
     // Serial half: one front-to-back warm-up pass over the trace,
     // snapshotting at every interval boundary.
@@ -100,7 +181,8 @@ SampleRunner::run(const std::string &config_name,
         warm.setTraceIndex(&tidx);
         fan = runWarmupFanout(warm, t, plan, prm.mode);
         if (tw != nullptr)
-            tw->span(obs::TraceWriter::kPidRunner, lane, "sample",
+            tw->span(obs::TraceWriter::kPidRunner, runner::workerLane(tw),
+                     "sample",
                      "warm-up:" + std::string(to_string(prm.mode)), ts,
                      tw->nowUs() - ts,
                      {{"instructions",
@@ -111,87 +193,40 @@ SampleRunner::run(const std::string &config_name,
 
     // Parallel half: every measurement interval is an independent
     // detailed job (restore, re-warm in fast mode, measure a window).
-    const std::string sink_path =
-            sinkPathSet ? sinkPath : runner::JsonlSink::envPath();
-    runner::JsonlSink sink(sink_path);
-    const std::string resume_path =
-            resumePathSet ? resumePath : runner::resumePathFromEnv();
-    const auto resume =
-            resume_path.empty()
-                    ? std::unordered_map<std::string,
-                                         runner::SimJobResult>{}
-                    : runner::loadResumeResults(
-                              runner::readRecords(resume_path));
-
-    std::vector<cpu::SimResult> deltas(plan.size());
-    std::vector<bool> resumed(plan.size(), false);
-    std::vector<double> seconds(plan.size(), 0.0);
-
+    std::vector<std::unique_ptr<IntervalJob>> ivs;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        const bool closes_run = prm.mode == SampleMode::kExact &&
+                                plan[i].measureEnd == t.size();
+        ivs.push_back(std::make_unique<IntervalJob>(
+                config_name, cfg, t, &tidx, plan[i], fan.snapshots[i],
+                closes_run));
+    }
     const double iv_ts = tw != nullptr ? tw->nowUs() : 0.0;
-    const runner::ParallelExecutor pool(nJobs);
-    const auto failures = pool.run(plan.size(), [&](std::size_t i) {
-        const IntervalPlan &iv = plan[i];
-        const std::string iv_name =
-                intervalConfigName(config_name, iv.index);
-        const std::uint64_t seed =
-                runner::JobRunner::deriveSeed(iv_name, t.name());
-
-        const auto hit =
-                resume.find(runner::resumeKey(iv_name, t.name(), seed));
-        if (hit != resume.end()) {
-            deltas[i] = hit->second.result;
-            resumed[i] = true;
-            return;
-        }
-
-        const auto j0 = std::chrono::steady_clock::now();
-        cpu::CoreModel m(cfg);
-        m.setTraceIndex(&tidx);
-        m.beginRun(t);
-        if (iv.snapshotAt > 0) {
-            ckpt::Reader r = fan.snapshots[i].reader();
-            m.restoreState(r);
-            r.finish();
-        }
-        m.advance(iv.measureBegin); // fast-mode detailed re-warm
-        const cpu::SimResult start = m.interimResult();
-        m.advance(iv.measureEnd);
-        const bool closes_run =
-                prm.mode == SampleMode::kExact && iv.measureEnd == t.size();
-        const cpu::SimResult end =
-                closes_run ? m.finishRun() : m.interimResult();
-        deltas[i] = subtractResult(end, start);
-        seconds[i] = secondsSince(j0);
-
-        runner::SimJob job(iv_name, cfg, &t, seed);
-        runner::SimJobResult jr;
-        jr.ok = true;
-        jr.seconds = seconds[i];
-        jr.result = deltas[i];
-        sink.write(runner::jobRecord(job, jr));
-    });
+    const auto outcomes = runner::JobRunner(pol).run(ivs);
+    std::size_t failed = 0;
+    std::size_t first_failed = 0;
+    for (std::size_t i = 0; i < outcomes.size(); ++i)
+        if (!outcomes[i].ok && failed++ == 0)
+            first_failed = i;
     if (tw != nullptr)
-        tw->span(obs::TraceWriter::kPidRunner, lane, "sample",
-                 "intervals", iv_ts, tw->nowUs() - iv_ts,
+        tw->span(obs::TraceWriter::kPidRunner, runner::workerLane(tw),
+                 "sample", "intervals", iv_ts, tw->nowUs() - iv_ts,
                  {{"intervals", obs::jsonNum(std::uint64_t{plan.size()})},
-                  {"failures",
-                   obs::jsonNum(std::uint64_t{failures.size()})}});
-    if (!failures.empty()) {
-        obs::obsFlush();
+                  {"failures", obs::jsonNum(std::uint64_t{failed})}});
+    if (failed != 0)
         throw std::runtime_error(
                 "sample: interval " +
-                std::to_string(plan[failures.front().index].index) +
-                " failed: " + failures.front().message + " (" +
-                std::to_string(failures.size()) + " of " +
+                std::to_string(plan[first_failed].index) + " failed: " +
+                outcomes[first_failed].error + " (" +
+                std::to_string(failed) + " of " +
                 std::to_string(plan.size()) + " intervals failed)");
-    }
 
     // Stitch.
     SampleReport rep;
     rep.stitched.traceName = t.name();
-    for (const auto &d : deltas)
+    for (const auto &iv : ivs)
         for (const cpu::SimCounter &c : cpu::kSimCounters)
-            rep.stitched.*c.member += d.*c.member;
+            rep.stitched.*c.member += iv->result().result.*c.member;
     rep.stitched.cpi = cpiOf(rep.stitched);
     rep.exact = prm.mode == SampleMode::kExact;
     if (rep.exact) {
@@ -201,9 +236,9 @@ SampleRunner::run(const std::string &config_name,
     }
 
     rep.intervals = plan.size();
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        rep.resumedIntervals += resumed[i] ? 1 : 0;
-        rep.detailedSeconds += seconds[i];
+    for (const runner::JobOutcome &o : outcomes) {
+        rep.resumedIntervals += o.resumed ? 1 : 0;
+        rep.detailedSeconds += o.seconds;
     }
     rep.coverage = t.size() > 0 ? static_cast<double>(
                                           rep.stitched.instructions) /
@@ -215,7 +250,8 @@ SampleRunner::run(const std::string &config_name,
     // stitched mean: the fast-mode error bar (0 for a single interval).
     if (plan.size() > 1 && rep.stitched.instructions > 0) {
         double var = 0.0;
-        for (const auto &d : deltas) {
+        for (const auto &iv : ivs) {
+            const cpu::SimResult &d = iv->result().result;
             const double w = static_cast<double>(d.instructions) /
                              static_cast<double>(rep.stitched.instructions);
             const double e = d.cpi - rep.estimatedCpi;

@@ -13,23 +13,28 @@
  * (pinned by tests/sample); in fast mode they are a sample, reported
  * with a coverage ratio and a CPI error bar.
  *
- * Each interval writes one JSONL record (config "<name>#iv<k>") under
- * the same ZBP_RESULTS_JSONL / ZBP_RESUME_JSONL contract as JobRunner,
- * so a killed sampled sweep resumes interval-granular.  A record
- * carries every counter, so a stitch over resumed intervals equals a
- * fresh one bit for bit.
+ * Each interval is one IntervalJob on the one engine
+ * (runner::JobRunner), so it writes one JSONL record (config
+ * "<name>#iv<k>") and honours the same resume, timeout, retry and
+ * checkpoint settings as every other job kind: a killed sampled sweep
+ * resumes interval-granular.  A record carries every counter, so a
+ * stitch over resumed intervals equals a fresh one bit for bit.
  */
 
 #ifndef ZBP_SAMPLE_SAMPLE_RUNNER_HH
 #define ZBP_SAMPLE_SAMPLE_RUNNER_HH
 
 #include <cstddef>
+#include <memory>
 #include <string>
 
 #include "zbp/core/params.hh"
 #include "zbp/cpu/core_model.hh"
+#include "zbp/runner/job_runner.hh"
 #include "zbp/sample/sample_params.hh"
+#include "zbp/sample/snapshot_fanout.hh"
 #include "zbp/trace/trace.hh"
+#include "zbp/trace/trace_index.hh"
 
 namespace zbp::sample
 {
@@ -59,22 +64,64 @@ struct SampleReport
     double wallSeconds = 0.0;     ///< end-to-end wall clock of run()
 };
 
+/**
+ * One measurement interval as an engine job: restore the warm-up's
+ * snapshot for the interval, re-warm in detail up to the window (fast
+ * mode), then measure the window's counter delta.
+ */
+class IntervalJob final : public runner::Job
+{
+  public:
+    /** Interval @p iv of config @p config over @p t.  Everything
+     * passed by reference must outlive the job; @p tidx may be null.
+     * @p closes_run finishes the run at the window's end (exact mode's
+     * last interval), so the delta includes post-run accounting. */
+    IntervalJob(const std::string &config, const core::MachineParams &cfg,
+                const trace::Trace &t, const trace::TraceIndex *tidx,
+                const IntervalPlan &iv, const ckpt::SnapshotBuffer &snapshot,
+                bool closes_run);
+
+    /** The measured delta (run or resumed) after the engine ran it. */
+    const runner::SimJobResult &result() const { return res; }
+
+    bool resume(const runner::ResumeIndex &prior) override;
+    void begin(const std::atomic<bool> *cancel) override;
+    std::size_t position() const override
+    {
+        return model->decodedInstructions();
+    }
+    std::size_t length() const override { return iv.measureEnd; }
+    bool advance(std::size_t target) override;
+    bool save(ckpt::Writer &w) const override;
+    void restore(ckpt::Reader &r) override;
+    void finish() override;
+    std::vector<runner::JobRecord>
+    close(const runner::JobOutcome &o) override;
+
+  private:
+    const core::MachineParams &cfg;
+    const trace::Trace &tr;
+    const trace::TraceIndex *tidx;
+    IntervalPlan iv;
+    const ckpt::SnapshotBuffer &snap;
+    bool closesRun;
+    runner::SimJobResult res;
+    // Per attempt.
+    std::unique_ptr<cpu::CoreModel> model;
+    bool measuring = false;  ///< the window has begun
+    cpu::SimResult start;    ///< counters at the window's start
+};
+
 /** Runs one configuration over one trace in sampled mode. */
 class SampleRunner
 {
   public:
-    /** @p jobs 0 resolves via ZBP_JOBS / hardware_concurrency. */
+    /** @p jobs 0 resolves via ZBP_JOBS / hardware_concurrency; every
+     * other setting from the environment (runner::RunPolicy). */
     explicit SampleRunner(SampleParams p, unsigned jobs = 0);
+    SampleRunner(SampleParams p, runner::RunPolicy policy);
 
-    unsigned jobs() const { return nJobs; }
-
-    /** Per-interval JSONL destination; overrides the ZBP_RESULTS_JSONL
-     * default.  Empty string disables export. */
-    void setSinkPath(std::string path);
-
-    /** Resume source; overrides the ZBP_RESUME_JSONL default.  Empty
-     * string disables. */
-    void setResumePath(std::string path);
+    unsigned jobs() const { return pol.workers; }
 
     /**
      * Warm up, fan out, measure, stitch.  Throws std::invalid_argument
@@ -93,11 +140,7 @@ class SampleRunner
 
   private:
     SampleParams prm;
-    unsigned nJobs;
-    std::string sinkPath;
-    bool sinkPathSet = false;
-    std::string resumePath;
-    bool resumePathSet = false;
+    runner::RunPolicy pol;
 };
 
 } // namespace zbp::sample

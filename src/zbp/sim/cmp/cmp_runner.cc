@@ -1,18 +1,14 @@
 #include "zbp/sim/cmp/cmp_runner.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <memory>
-#include <unordered_map>
+#include <optional>
+#include <stdexcept>
 
 #include "zbp/cache/dmiss_map.hh"
-#include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/log.hh"
 #include "zbp/obs/obs_config.hh"
-#include "zbp/runner/executor.hh"
 #include "zbp/runner/jsonl_sink.hh"
-#include "zbp/trace/trace_index.hh"
 
 namespace zbp::sim
 {
@@ -20,25 +16,14 @@ namespace zbp::sim
 namespace
 {
 
-/** Per-worker-thread lane on the orchestration track. */
-std::uint32_t
-cmpLaneFor(obs::TraceWriter *tw)
-{
-    static thread_local std::uint32_t lane = 0;
-    if (lane == 0)
-        lane = tw->newLane(obs::TraceWriter::kPidRunner, "cmp worker");
-    return lane;
-}
-
 std::string
-sharingRecord(const CmpJob &job, std::uint64_t seed, double seconds,
-              const CmpResult &r)
+sharingRecord(const runner::RecordId &id, double seconds, const CmpResult &r)
 {
     runner::JsonObject o;
-    o.field("trace", cmpTraceMixId(job.traces));
-    o.field("config", cmpSharedConfigName(job.name));
-    o.field("seed", seed);
-    // ok=false keeps runner::loadResumeResults from treating this
+    o.field("trace", id.trace);
+    o.field("config", id.config);
+    o.field("seed", id.seed);
+    // ok=false keeps runner::ResumeIndex from treating this
     // CMP-level stats line as a resumable per-core job record.
     o.field("ok", false);
     o.field("cmp", true);
@@ -52,94 +37,44 @@ sharingRecord(const CmpJob &job, std::uint64_t seed, double seconds,
     return o.str();
 }
 
-/** Index the complete sharing records among @p records by resume
- * identity; a record missing any sharing field is left out, so its job
- * re-runs. */
-std::unordered_map<std::string, CmpResult>
-loadSharingRecords(const std::vector<json::Value> &records)
+/** The sharing counters of a complete sharing record; nullopt when
+ * @p rec is not one or lacks a field (its job then re-runs). */
+std::optional<CmpResult>
+sharingResult(const json::Value &rec)
 {
-    std::unordered_map<std::string, CmpResult> out;
-    for (const json::Value &rec : records) {
-        const auto key = runner::recordResumeKey(rec);
-        if (rec["cmp"].boolean() != true || !key)
-            continue;
-        CmpResult r;
-        bool complete = true;
-        for (const CmpCounter &c : kCmpCounters) {
-            const auto v = rec[c.name].u64();
-            complete &= v.has_value();
-            r.*c.member = v.value_or(0);
-        }
-        for (const CmpCounterVector &c : kCmpCounterVectors) {
-            const json::Value &arr = rec[c.name];
-            complete &= arr.kind == json::Value::Kind::kArray;
-            for (const json::Value &x : arr.items) {
-                complete &= x.u64().has_value();
-                (r.*c.member).push_back(x.u64().value_or(0));
-            }
-        }
-        if (complete)
-            out.emplace(*key, std::move(r));
+    if (rec["cmp"].boolean() != true)
+        return std::nullopt;
+    CmpResult r;
+    bool complete = true;
+    for (const CmpCounter &c : kCmpCounters) {
+        const auto v = rec[c.name].u64();
+        complete &= v.has_value();
+        r.*c.member = v.value_or(0);
     }
-    return out;
+    for (const CmpCounterVector &c : kCmpCounterVectors) {
+        const json::Value &arr = rec[c.name];
+        complete &= arr.kind == json::Value::Kind::kArray;
+        for (const json::Value &x : arr.items) {
+            complete &= x.u64().has_value();
+            (r.*c.member).push_back(x.u64().value_or(0));
+        }
+    }
+    if (!complete)
+        return std::nullopt;
+    return r;
 }
 
-/**
- * Run a CMP model to completion with optional periodic checkpointing
- * and resume — the CMP twin of the per-core helper in job_runner.cc.
- * With no checkpoint path this is exactly model->run().  @p rebuild
- * reconstructs a fully-wired model after a corrupt restore (a failed
- * restoreState leaves the model half-mutated).
- */
-template <typename RebuildFn>
-CmpResult
-runCmpCheckpointed(std::unique_ptr<CmpModel> &model,
-                   const std::vector<const trace::Trace *> &tps,
-                   const std::string &ckpt_path, std::uint64_t interval,
-                   RebuildFn &&rebuild)
+/** Per-core records, then the sharing record. */
+runner::JobIdentity
+cmpIdentity(const CmpJob &job)
 {
-    if (ckpt_path.empty())
-        return model->run(tps);
-    model->beginRun(tps);
-    if (ckpt::ckptFileExists(ckpt_path)) {
-        try {
-            const auto bytes = ckpt::loadCkptFile(ckpt_path);
-            ckpt::Reader r(bytes.data(), bytes.size());
-            model->restoreState(r);
-            r.finish();
-            inform("resumed CMP job from checkpoint at ",
-                   model->decodedWindow(), " instructions");
-        } catch (const ckpt::CkptError &e) {
-            warn("discarding unusable CMP checkpoint '", ckpt_path,
-                 "' (", e.what(), "); running from scratch");
-            ckpt::removeCkptFile(ckpt_path);
-            model = rebuild();
-            model->beginRun(tps);
-        }
-    }
-    if (interval == 0) {
-        model->advance(model->maxInsts());
-    } else {
-        for (;;) {
-            const std::size_t done = model->decodedWindow();
-            const std::size_t total = model->maxInsts();
-            // The window frontier moves in stepInsts strides and may
-            // overshoot the requested target, so clamp defensively.
-            const std::size_t step = done >= total
-                    ? 0
-                    : static_cast<std::size_t>(std::min<std::uint64_t>(
-                              interval, total - done));
-            if (model->advance(done + step))
-                break;
-            ckpt::Writer w;
-            model->saveState(w);
-            w.finish();
-            ckpt::saveCkptFile(ckpt_path, w);
-        }
-    }
-    CmpResult r = model->finishRun();
-    ckpt::removeCkptFile(ckpt_path);
-    return r;
+    std::vector<runner::RecordId> records;
+    for (unsigned i = 0; i < job.traces.size(); ++i)
+        records.push_back({cmpCoreConfigName(job.name, i),
+                           runner::traceId(job.traces[i].get()), 0});
+    records.push_back({cmpSharedConfigName(job.name),
+                       cmpTraceMixId(job.traces), 0});
+    return runner::jobIdentity("cmp", job.name, std::move(records));
 }
 
 unsigned
@@ -180,7 +115,7 @@ cmpTraceMixId(const std::vector<trace::TraceHandle> &traces)
     for (const auto &t : traces) {
         if (!mix.empty())
             mix += '+';
-        mix += t->name();
+        mix += runner::traceId(t.get());
     }
     return mix;
 }
@@ -214,207 +149,134 @@ cmpArbPolicyFromEnv(preload::ArbPolicy dflt)
     return dflt;
 }
 
-CmpRunner::CmpRunner(unsigned jobs) : nJobs(runner::resolveJobs(jobs)) {}
+CmpChipJob::CmpChipJob(const CmpJob &spec_)
+    : Job(cmpIdentity(spec_)), spec(spec_)
+{}
 
-void
-CmpRunner::setProgress(runner::ProgressMeter::Callback cb)
+bool
+CmpChipJob::resume(const runner::ResumeIndex &prior)
 {
-    progress = std::move(cb);
+    // All-or-nothing: the sharing record and every per-core record.
+    const auto &ids = identity().records;
+    const std::size_t n = spec.traces.size();
+    std::optional<CmpResult> r;
+    for (const json::Value *rec : prior.records(ids[n]))
+        if ((r = sharingResult(*rec)))
+            break;
+    if (!r || n == 0)
+        return false;
+    double seconds = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const runner::SimJobResult *core = prior.result(ids[i]);
+        if (core == nullptr)
+            return false;
+        r->core.push_back(core->result);
+        seconds += core->seconds;
+    }
+    res.ok = true;
+    res.resumed = true;
+    res.seconds = seconds;
+    res.result = std::move(*r);
+    return true;
 }
 
 void
-CmpRunner::setSinkPath(std::string path)
+CmpChipJob::begin(const std::atomic<bool> *cancel)
 {
-    sinkPath = std::move(path);
-    sinkPathSet = true;
+    model.reset();
+    indexes.clear();
+    dmaps.clear();
+    // Shared read-only sidecars, deduplicated by trace: a homogeneous
+    // mix indexes its one trace once, not once per core.  The job's
+    // cores share one machine configuration, so one D-cache outcome
+    // map per distinct trace suffices.
+    const unsigned n = static_cast<unsigned>(spec.traces.size());
+    std::vector<const trace::Trace *> tps(n);
+    for (unsigned i = 0; i < n; ++i) {
+        const trace::Trace *tp = spec.traces[i].get();
+        if (tp == nullptr)
+            throw std::runtime_error("CMP core " + std::to_string(i) +
+                                     " has no trace (null trace handle)");
+        tps[i] = tp;
+        auto &idx = indexes[tp];
+        if (!idx)
+            idx = std::make_unique<trace::TraceIndex>(*tp);
+        if (spec.cfg.dcacheEnabled) {
+            auto &map = dmaps[tp];
+            if (map.empty())
+                map = cache::computeDataMissMap(*tp, spec.cfg.dcache);
+        }
+    }
+    model = std::make_unique<CmpModel>(spec.cfg);
+    if (obs::IntervalWriter *iw = obs::globalIntervalWriter())
+        model->attachObs(iw, obs::globalIntervalInsts(), spec.name);
+    if (obs::TraceWriter *tw = obs::globalTraceWriter())
+        model->attachTracer(tw);
+    for (unsigned i = 0; i < n; ++i) {
+        model->setTraceIndex(i, indexes[tps[i]].get());
+        if (spec.cfg.dcacheEnabled)
+            model->setDataMissMap(i, &dmaps[tps[i]]);
+    }
+    model->setCancelFlag(cancel);
+    model->beginRun(tps);
 }
 
-void
-CmpRunner::setResumePath(std::string path)
+std::vector<runner::JobRecord>
+CmpChipJob::close(const runner::JobOutcome &o)
 {
-    resumePath = std::move(path);
-    resumePathSet = true;
+    static_cast<runner::JobOutcome &>(res) = o;
+    model.reset();
+    indexes.clear();
+    dmaps.clear();
+    const auto &ids = identity().records;
+    const std::size_t n = spec.traces.size();
+    std::vector<runner::JobRecord> records;
+    if (!o.ok) {
+        // One failure record under the job's own name so the failed
+        // sweep is visible in the results file.
+        runner::SimJobResult cr;
+        static_cast<runner::JobOutcome &>(cr) = o;
+        records.push_back(
+                {runner::jobRecord(
+                         {spec.name,
+                          runner::traceId(n != 0 ? spec.traces[0].get()
+                                                 : nullptr),
+                          0},
+                         cr),
+                 true, o.error});
+        return records;
+    }
+    // Per-core records, byte-compatible with the generic path; the job
+    // wall-clock split evenly (cores of a CMP advance in lockstep, their
+    // time is not separable).
+    for (std::size_t i = 0; i < n; ++i) {
+        runner::SimJobResult cr;
+        static_cast<runner::JobOutcome &>(cr) = o;
+        cr.seconds = o.seconds / static_cast<double>(n);
+        cr.result = res.result.core[i];
+        records.push_back({runner::jobRecord(ids[i], cr)});
+    }
+    records.push_back({sharingRecord(ids[n], o.seconds, res.result)});
+    return records;
 }
+
+CmpRunner::CmpRunner(unsigned jobs)
+    : CmpRunner(runner::RunPolicy::fromEnv(jobs))
+{}
+
+CmpRunner::CmpRunner(runner::RunPolicy policy) : pol(std::move(policy)) {}
 
 std::vector<CmpJobResult>
 CmpRunner::run(const std::vector<CmpJob> &jobs)
 {
-    using SteadyClock = std::chrono::steady_clock;
-
-    const std::string rpath =
-            resumePathSet ? resumePath : runner::resumePathFromEnv();
-    std::unordered_map<std::string, runner::SimJobResult> prior;
-    std::unordered_map<std::string, CmpResult> prior_sharing;
-    if (!rpath.empty()) {
-        const auto records = runner::readRecords(rpath);
-        prior = runner::loadResumeResults(records);
-        prior_sharing = loadSharingRecords(records);
-    }
-
-    runner::JsonlSink sink(sinkPathSet ? sinkPath
-                                       : runner::JsonlSink::envPath());
-    runner::ProgressMeter meter(jobs.size(), progress);
-    std::vector<CmpJobResult> results(jobs.size());
-
-    obs::TraceWriter *const tw = obs::globalTraceWriter();
-    obs::IntervalWriter *const iw = obs::globalIntervalWriter();
-    const std::uint64_t obs_interval = obs::globalIntervalInsts();
-    const std::string ckpt_dir = ckpt::ckptDirFromEnv();
-    const std::uint64_t ckpt_interval = ckpt::ckptIntervalFromEnv();
-    const auto submit_at = SteadyClock::now();
-    std::atomic<std::uint64_t> nStarted{0};
-
-    const runner::ParallelExecutor exec(nJobs);
-    exec.run(jobs.size(), [&](std::size_t ji) {
-        const CmpJob &job = jobs[ji];
-        CmpJobResult &out = results[ji];
-        const unsigned n = static_cast<unsigned>(job.traces.size());
-
-        const std::uint64_t queue_depth =
-                jobs.size() - (nStarted.fetch_add(1) + 1);
-        const double queue_s = std::chrono::duration<double>(
-                SteadyClock::now() - submit_at).count();
-        std::uint32_t lane = 0;
-        double job_ts = 0.0;
-        if (tw != nullptr) {
-            lane = cmpLaneFor(tw);
-            job_ts = tw->nowUs();
-        }
-
-        // Per-core identity, interchangeable with JobRunner's: seed
-        // from (config name, trace name) only, never execution order.
-        std::vector<std::uint64_t> seeds(n);
-        for (unsigned i = 0; i < n; ++i)
-            seeds[i] = runner::JobRunner::deriveSeed(
-                    cmpCoreConfigName(job.name, i),
-                    job.traces[i]->name());
-        const std::string mix = cmpTraceMixId(job.traces);
-        const std::uint64_t shared_seed = runner::JobRunner::deriveSeed(
-                cmpSharedConfigName(job.name), mix);
-
-        // All-or-nothing resume: the job is satisfied only when its
-        // sharing record and every per-core record are in the
-        // checkpoint.
-        const auto shared_hit = prior_sharing.find(runner::resumeKey(
-                cmpSharedConfigName(job.name), mix, shared_seed));
-        if (shared_hit != prior_sharing.end() && n != 0) {
-            CmpResult resumed = shared_hit->second;
-            double seconds = 0.0;
-            for (unsigned i = 0; i < n; ++i) {
-                const auto it = prior.find(runner::resumeKey(
-                        cmpCoreConfigName(job.name, i),
-                        job.traces[i]->name(), seeds[i]));
-                if (it == prior.end())
-                    break;
-                resumed.core.push_back(it->second.result);
-                seconds += it->second.seconds;
-            }
-            if (resumed.core.size() == n) {
-                out.ok = true;
-                out.resumed = true;
-                out.seconds = seconds;
-                out.result = std::move(resumed);
-                meter.jobDone(job.name + " (resumed)", 0.0);
-                return;
-            }
-        }
-
-        const auto t0 = SteadyClock::now();
-        try {
-            // Shared read-only sidecars, deduplicated by trace: a
-            // homogeneous mix indexes its one trace once, not once per
-            // core.  The job's cores share one machine configuration,
-            // so one D-cache outcome map per distinct trace suffices.
-            std::unordered_map<const trace::Trace *,
-                               std::unique_ptr<trace::TraceIndex>> indexes;
-            std::unordered_map<const trace::Trace *,
-                               std::vector<std::uint8_t>> dmaps;
-            std::vector<const trace::Trace *> tps(n);
-            for (unsigned i = 0; i < n; ++i) {
-                const trace::Trace *tp = &*job.traces[i];
-                tps[i] = tp;
-                auto &idx = indexes[tp];
-                if (!idx)
-                    idx = std::make_unique<trace::TraceIndex>(*tp);
-                if (job.cfg.dcacheEnabled) {
-                    auto &map = dmaps[tp];
-                    if (map.empty())
-                        map = cache::computeDataMissMap(*tp,
-                                                        job.cfg.dcache);
-                }
-            }
-
-            const auto buildModel = [&] {
-                auto m = std::make_unique<CmpModel>(job.cfg);
-                if (iw != nullptr)
-                    m->attachObs(iw, obs_interval, job.name);
-                if (tw != nullptr)
-                    m->attachTracer(tw);
-                for (unsigned i = 0; i < n; ++i) {
-                    m->setTraceIndex(i, indexes[tps[i]].get());
-                    if (job.cfg.dcacheEnabled)
-                        m->setDataMissMap(i, &dmaps[tps[i]]);
-                }
-                return m;
-            };
-            auto model = buildModel();
-            const std::string ckpt_path = ckpt_dir.empty()
-                    ? std::string()
-                    : ckpt::ckptPathFor(ckpt_dir,
-                                        "cmp\x1f" + job.name + "\x1f" +
-                                                mix);
-            out.result = runCmpCheckpointed(model, tps, ckpt_path,
-                                            ckpt_interval, buildModel);
-            out.ok = true;
-        } catch (const std::exception &e) {
-            out.ok = false;
-            out.error = e.what();
-            // The process may be dying with the job; push buffered
-            // observability rows to disk first.
-            obs::obsFlush();
-        }
-        out.seconds = std::chrono::duration<double>(SteadyClock::now() -
-                                                    t0).count();
-
-        if (out.ok) {
-            // Per-core records, byte-compatible with the generic
-            // runner path; job wall-clock split evenly (cores of a CMP
-            // advance in lockstep, their time is not separable).
-            for (unsigned i = 0; i < n; ++i) {
-                runner::SimJob cj(cmpCoreConfigName(job.name, i),
-                                  job.cfg, &*job.traces[i], seeds[i]);
-                runner::SimJobResult cr;
-                cr.ok = true;
-                cr.seconds = out.seconds / n;
-                cr.result = out.result.core[i];
-                cr.telemetry.collected = true;
-                cr.telemetry.queueSeconds = queue_s;
-                cr.telemetry.queueDepth = queue_depth;
-                cr.telemetry.runSeconds = cr.seconds;
-                sink.write(runner::jobRecord(cj, cr));
-            }
-            sink.write(sharingRecord(job, shared_seed, out.seconds,
-                                     out.result));
-        } else {
-            // One failure record under the job's own name so the
-            // failed sweep is visible in the results file.
-            runner::SimJob cj(job.name, job.cfg,
-                              n != 0 ? &*job.traces[0] : nullptr, 0);
-            runner::SimJobResult cr;
-            cr.ok = false;
-            cr.error = out.error;
-            cr.seconds = out.seconds;
-            sink.write(runner::jobRecord(cj, cr));
-        }
-        if (tw != nullptr)
-            tw->span(obs::TraceWriter::kPidRunner, lane, "cmp",
-                     std::string("cmp:") + job.name, job_ts,
-                     tw->nowUs() - job_ts,
-                     {{"ok", out.ok ? "true" : "false"},
-                      {"cores", obs::jsonNum(
-                               static_cast<std::uint64_t>(n))}});
-        meter.jobDone(job.name, out.seconds);
-    });
+    std::vector<std::unique_ptr<CmpChipJob>> chips;
+    for (const CmpJob &j : jobs)
+        chips.push_back(std::make_unique<CmpChipJob>(j));
+    runner::JobRunner(pol).run(chips);
+    std::vector<CmpJobResult> results;
+    results.reserve(jobs.size());
+    for (auto &c : chips)
+        results.push_back(std::move(c->result()));
     return results;
 }
 

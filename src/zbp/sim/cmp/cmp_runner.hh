@@ -1,11 +1,10 @@
 /**
  * @file
- * CmpRunner — sharded execution of CMP jobs with the same JSONL
- * record/resume contract as runner::JobRunner.
- *
- * One CMP job is one N-core CmpModel over N traces.  The parallel axis
- * is jobs (a CMP steps its cores sequentially for determinism), and
- * every job emits:
+ * CMP jobs on the one engine: a CmpChipJob is one N-core CmpModel over
+ * N traces, run by runner::JobRunner under the same JSONL record,
+ * resume, timeout, retry and checkpoint contract as every other job
+ * kind.  The parallel axis is jobs (a CMP steps its cores sequentially
+ * for determinism), and every job emits:
  *
  *  - one per-core record per (job, core), config name "<job>#c<i>",
  *    byte-compatible with runner::jobRecord so the generic tooling
@@ -13,11 +12,11 @@
  *  - one sharing record, config name "<job>#shared", carrying every
  *    arbiter/L2I counter that exists only at the CMP level (the
  *    per-core and per-bank ones as JSON arrays).  It is written with
- *    ok=false so runner::loadResumeResults skips it (it is not a
+ *    ok=false so runner::ResumeIndex never restores it (it is not a
  *    re-runnable job), and read back here with the same JSON reader.
  *
  * Resume is all-or-nothing per job: a job is satisfied from the
- * checkpoint only when its sharing record and every per-core record
+ * results file only when its sharing record and every per-core record
  * are present, so a resumed CmpResult equals a fresh one on every
  * counter; otherwise the whole job re-runs.
  */
@@ -25,11 +24,14 @@
 #ifndef ZBP_SIM_CMP_CMP_RUNNER_HH
 #define ZBP_SIM_CMP_CMP_RUNNER_HH
 
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "zbp/runner/job_runner.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
+#include "zbp/trace/trace_index.hh"
 
 namespace zbp::sim
 {
@@ -44,44 +46,65 @@ struct CmpJob
 };
 
 /** Outcome of one CMP job: a result, or a captured error. */
-struct CmpJobResult
+struct CmpJobResult : runner::JobOutcome
 {
-    bool ok = false;
-    std::string error;    ///< set when !ok
-    double seconds = 0.0; ///< wall-clock of this job
-    bool resumed = false; ///< satisfied from a resume file, not re-run
-    CmpResult result;     ///< valid when ok
+    CmpResult result; ///< valid when ok
+};
+
+/** One CmpJob as an engine job.  Cores share read-only sidecars,
+ * deduplicated by trace. */
+class CmpChipJob final : public runner::Job
+{
+  public:
+    /** @p spec (and its traces) must outlive the job. */
+    explicit CmpChipJob(const CmpJob &spec);
+
+    /** The job's result after the engine ran it. */
+    CmpJobResult &result() { return res; }
+
+    bool resume(const runner::ResumeIndex &prior) override;
+    void begin(const std::atomic<bool> *cancel) override;
+    std::size_t position() const override { return model->decodedWindow(); }
+    std::size_t length() const override { return model->maxInsts(); }
+    bool advance(std::size_t target) override
+    {
+        return model->advance(target);
+    }
+    bool save(ckpt::Writer &w) const override
+    {
+        model->saveState(w);
+        return true;
+    }
+    void restore(ckpt::Reader &r) override { model->restoreState(r); }
+    void finish() override { res.result = model->finishRun(); }
+    std::vector<runner::JobRecord>
+    close(const runner::JobOutcome &o) override;
+
+  private:
+    const CmpJob &spec;
+    CmpJobResult res;
+    // Per attempt.
+    std::unordered_map<const trace::Trace *,
+                       std::unique_ptr<trace::TraceIndex>> indexes;
+    std::unordered_map<const trace::Trace *, std::vector<std::uint8_t>>
+            dmaps;
+    std::unique_ptr<CmpModel> model;
 };
 
 class CmpRunner
 {
   public:
-    /** @p jobs 0 resolves via ZBP_JOBS / hardware_concurrency. */
+    /** @p jobs 0 resolves via ZBP_JOBS / hardware_concurrency; every
+     * other setting from the environment (runner::RunPolicy). */
     explicit CmpRunner(unsigned jobs = 0);
-
-    unsigned jobs() const { return nJobs; }
-
-    /** Per-completion callback (one completion per CMP job). */
-    void setProgress(runner::ProgressMeter::Callback cb);
-
-    /** JSONL destination; overrides the ZBP_RESULTS_JSONL default.
-     * Empty string disables export. */
-    void setSinkPath(std::string path);
-
-    /** Resume checkpoint; overrides the ZBP_RESUME_JSONL default. */
-    void setResumePath(std::string path);
+    explicit CmpRunner(runner::RunPolicy policy);
 
     /** Run every job; result i corresponds to jobs[i].  A job that
      * throws yields ok=false with the message; the rest still run. */
     std::vector<CmpJobResult> run(const std::vector<CmpJob> &jobs);
 
   private:
-    unsigned nJobs;
-    runner::ProgressMeter::Callback progress;
-    std::string sinkPath;
-    bool sinkPathSet = false;
-    std::string resumePath;
-    bool resumePathSet = false;
+    runner::RunPolicy pol;
 };
 
 /** The per-core record/resume config name of core @p i of job @p name

@@ -1,11 +1,7 @@
 #include "zbp/sim/simulator.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "zbp/common/log.hh"
 #include "zbp/runner/executor.hh"
-#include "zbp/runner/job_runner.hh"
 #include "zbp/sim/gang_runner.hh"
 
 namespace zbp::sim
@@ -14,42 +10,12 @@ namespace zbp::sim
 namespace
 {
 
-/** Adapt a string progress callback to the runner's event callback. */
-runner::ProgressMeter::Callback
-adaptProgress(const std::function<void(const std::string &)> &cb)
-{
-    if (!cb)
-        return {};
-    return [cb](const runner::ProgressMeter::Event &e) { cb(e.label); };
-}
-
-/** Unpack a batch, warning about (and zero-filling) failed jobs. */
-std::vector<cpu::SimResult>
-unpack(const std::vector<runner::SimJob> &jobs,
-       std::vector<runner::SimJobResult> &&raw)
-{
-    std::vector<cpu::SimResult> out;
-    out.reserve(raw.size());
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (!raw[i].ok) {
-            warn("simulation '", jobs[i].configName, "' on '",
-                 jobs[i].trace->name(), "' failed: ", raw[i].error);
-            cpu::SimResult empty;
-            empty.traceName = jobs[i].trace->name();
-            out.push_back(std::move(empty));
-        } else {
-            out.push_back(std::move(raw[i].result));
-        }
-    }
-    return out;
-}
-
-/** Unpack one gang config's per-trace results, warning about (and
+/** The results of one gang config over @p traces, warning about (and
  * zero-filling) failed cells. */
 std::vector<cpu::SimResult>
-unpackGang(const std::string &cfg_name,
-           const std::vector<trace::TraceHandle> &traces,
-           std::vector<runner::SimJobResult> &&raw)
+unpack(const std::string &cfg_name,
+       const std::vector<trace::TraceHandle> &traces,
+       std::vector<runner::SimJobResult> &&raw)
 {
     std::vector<cpu::SimResult> out;
     out.reserve(raw.size());
@@ -68,13 +34,6 @@ unpackGang(const std::string &cfg_name,
 }
 
 } // namespace
-
-bool
-fuseFromEnv()
-{
-    const char *s = std::getenv("ZBP_FUSE");
-    return s == nullptr || std::strcmp(s, "0") != 0;
-}
 
 double
 Fig2Row::btb2Improvement() const
@@ -104,76 +63,30 @@ runOne(const core::MachineParams &cfg, const trace::Trace &t)
     return model.run(t);
 }
 
-Fig2Row
-runFig2Row(const trace::Trace &t)
-{
-    std::vector<trace::TraceHandle> one;
-    one.push_back(trace::borrowTrace(t));
-    return runFig2Rows(one).front();
-}
-
 std::vector<Fig2Row>
 runFig2Rows(const std::vector<trace::TraceHandle> &traces, unsigned jobs)
 {
-    struct Cfg
-    {
-        const char *name;
-        core::MachineParams params;
-    };
-    Cfg cfgs[] = {
+    std::vector<GangConfig> gang = {
         {"no-btb2", configNoBtb2()},
         {"btb2", configBtb2()},
         {"large-btb1", configLargeBtb1()},
     };
     // Sweep path: counters only, no per-run stats-text formatting.
-    for (auto &c : cfgs)
-        c.params.collectStatsText = false;
+    for (auto &c : gang)
+        c.cfg.collectStatsText = false;
 
-    const std::size_t n = traces.size();
-    std::vector<Fig2Row> rows(n);
-
-    if (fuseFromEnv()) {
-        // Fused path: the 3 configs run as one gang per trace, chunk-
-        // interleaved over shared trace bytes (bit-identical to the
-        // legacy path below — the golden-counter tests pin it).
-        std::vector<GangConfig> gang;
-        for (const auto &c : cfgs)
-            gang.push_back({c.name, c.params});
-        GangRunner gr(std::move(gang), jobs);
-        gr.setProgress(runner::consoleProgress());
-        auto res = gr.run(traces);
-        std::vector<std::vector<cpu::SimResult>> per_cfg;
-        for (std::size_t ci = 0; ci < 3; ++ci)
-            per_cfg.push_back(unpackGang(cfgs[ci].name, traces,
-                                         std::move(res[ci])));
-        for (std::size_t i = 0; i < n; ++i) {
-            rows[i].trace = traces[i]->name();
-            rows[i].base = std::move(per_cfg[0][i]);
-            rows[i].withBtb2 = std::move(per_cfg[1][i]);
-            rows[i].largeBtb1 = std::move(per_cfg[2][i]);
-        }
-        return rows;
-    }
-
-    // Legacy path (ZBP_FUSE=0): 3 N independent jobs, grouped
-    // [config1 x N][config2 x N][...] so result i maps back to
-    // (i / N, i % N).
-    std::vector<runner::SimJob> batch;
-    batch.reserve(3 * n);
-    for (const auto &c : cfgs)
-        for (const auto &t : traces)
-            batch.push_back({c.name, c.params, t.get()});
-
-    runner::JobRunner jr(jobs);
-    jr.setProgress(runner::consoleProgress()); // tty-only status line
-    auto raw = jr.run(batch);
-    auto results = unpack(batch, std::move(raw));
-
-    for (std::size_t i = 0; i < n; ++i) {
+    runner::RunPolicy policy = runner::RunPolicy::fromEnv(jobs);
+    policy.progress = runner::consoleProgress(); // tty-only status line
+    auto res = runGangs(policy, gang, traces);
+    std::vector<std::vector<cpu::SimResult>> per_cfg;
+    for (std::size_t ci = 0; ci < gang.size(); ++ci)
+        per_cfg.push_back(unpack(gang[ci].name, traces, std::move(res[ci])));
+    std::vector<Fig2Row> rows(traces.size());
+    for (std::size_t i = 0; i < traces.size(); ++i) {
         rows[i].trace = traces[i]->name();
-        rows[i].base = std::move(results[i]);
-        rows[i].withBtb2 = std::move(results[n + i]);
-        rows[i].largeBtb1 = std::move(results[2 * n + i]);
+        rows[i].base = std::move(per_cfg[0][i]);
+        rows[i].withBtb2 = std::move(per_cfg[1][i]);
+        rows[i].largeBtb1 = std::move(per_cfg[2][i]);
     }
     return rows;
 }
@@ -203,36 +116,13 @@ SuiteRunner::SuiteRunner(double scale)
               f.message);
 }
 
-std::vector<cpu::SimResult>
-SuiteRunner::runBatch(const core::MachineParams &cfg,
-                      const std::string &cfg_name)
-{
-    core::MachineParams sweep_cfg = cfg;
-    sweep_cfg.collectStatsText = false; // counters only in sweeps
-    std::vector<runner::SimJob> batch;
-    batch.reserve(tr.size());
-    for (const auto &t : tr)
-        batch.push_back({cfg_name, sweep_cfg, t.get()});
-    runner::JobRunner jr(jobs);
-    jr.setProgress(adaptProgress(progress));
-    return unpack(batch, jr.run(batch));
-}
-
 std::vector<std::vector<double>>
 SuiteRunner::sweepImprovements(const std::vector<core::MachineParams> &cfgs)
 {
     std::vector<std::vector<double>> out;
     out.reserve(cfgs.size());
 
-    if (!fuseFromEnv()) {
-        for (const auto &c : cfgs)
-            out.push_back(improvements(c));
-        return out;
-    }
-
-    // One gang: [baseline if missing] + every sweep point.  Config
-    // names match the incremental path so JSONL records and resume keys
-    // are interchangeable between the two.
+    // One gang per trace: [baseline if missing] + every sweep point.
     std::vector<GangConfig> gang;
     const bool need_base = base.empty();
     if (need_base) {
@@ -245,17 +135,20 @@ SuiteRunner::sweepImprovements(const std::vector<core::MachineParams> &cfgs)
         s.collectStatsText = false;
         gang.push_back({describe(c), std::move(s)});
     }
+    if (gang.empty())
+        return out;
 
-    GangRunner gr(std::move(gang), jobs);
-    gr.setProgress(adaptProgress(progress));
-    auto res = gr.run(tr);
+    runner::RunPolicy policy = runner::RunPolicy::fromEnv(jobs);
+    if (progress)
+        policy.progress = [cb = progress](const runner::ProgressMeter::Event
+                                                  &e) { cb(e.label); };
+    auto res = runGangs(policy, gang, tr);
 
     std::size_t at = 0;
     if (need_base)
-        base = unpackGang("baseline", tr, std::move(res[at++]));
+        base = unpack("baseline", tr, std::move(res[at++]));
     for (const auto &c : cfgs) {
-        const auto results =
-                unpackGang(describe(c), tr, std::move(res[at++]));
+        const auto results = unpack(describe(c), tr, std::move(res[at++]));
         std::vector<double> imp;
         imp.reserve(tr.size());
         for (std::size_t i = 0; i < tr.size(); ++i)
@@ -280,36 +173,6 @@ SuiteRunner::averageImprovements(const std::vector<core::MachineParams> &cfgs)
                                 : sum / static_cast<double>(imps.size()));
     }
     return means;
-}
-
-const std::vector<cpu::SimResult> &
-SuiteRunner::baseline()
-{
-    if (base.empty())
-        base = runBatch(configNoBtb2(), "baseline");
-    return base;
-}
-
-std::vector<double>
-SuiteRunner::improvements(const core::MachineParams &cfg)
-{
-    const auto &b = baseline();
-    const auto results = runBatch(cfg, describe(cfg));
-    std::vector<double> out;
-    out.reserve(tr.size());
-    for (std::size_t i = 0; i < tr.size(); ++i)
-        out.push_back(cpu::cpiImprovement(b[i], results[i]));
-    return out;
-}
-
-double
-SuiteRunner::averageImprovement(const core::MachineParams &cfg)
-{
-    const auto imps = improvements(cfg);
-    double sum = 0.0;
-    for (double v : imps)
-        sum += v;
-    return imps.empty() ? 0.0 : sum / static_cast<double>(imps.size());
 }
 
 void

@@ -44,18 +44,11 @@ struct Fig2Row
 cpu::SimResult runOne(const core::MachineParams &cfg,
                       const trace::Trace &t);
 
-/** Run the full Figure 2 comparison for one trace (no trace copy). */
-Fig2Row runFig2Row(const trace::Trace &t);
-
 /**
  * Run the Figure 2 comparison for every trace, sharding across worker
  * threads (@p jobs 0 = ZBP_JOBS / auto).  Row order matches @p traces.
- *
- * Default execution is the fused path: the 3 configurations run as one
- * gang per trace in chunk-interleaved order (see GangRunner), sharing
- * the trace bytes and one TraceIndex per trace.  ZBP_FUSE=0 falls back
- * to independent job-per-(config, trace) execution; both paths produce
- * bit-identical results and JSONL records.
+ * The 3 configurations run as one gang per trace (runner::GangJob),
+ * chunk-interleaved over shared trace bytes and one TraceIndex.
  */
 std::vector<Fig2Row>
 runFig2Rows(const std::vector<trace::TraceHandle> &traces,
@@ -65,9 +58,6 @@ runFig2Rows(const std::vector<trace::TraceHandle> &traces,
  * copied; they must outlive the call). */
 std::vector<Fig2Row> runFig2Rows(const std::vector<trace::Trace> &traces,
                                  unsigned jobs = 0);
-
-/** False when ZBP_FUSE=0 disables gang-chunked sweep fusion. */
-bool fuseFromEnv();
 
 /**
  * Loads the 13 paper suites once (through the workload trace cache,
@@ -87,28 +77,19 @@ class SuiteRunner
     /** Worker threads for subsequent batches (0 = ZBP_JOBS / auto). */
     void setJobs(unsigned n) { jobs = n; }
 
-    /** Baseline (config 1) results, computed on first use. */
-    const std::vector<cpu::SimResult> &baseline();
-
-    /** Per-trace % CPI improvement of @p cfg over the baseline.  A
-     * failed simulation contributes 0.0 and a warning. */
-    std::vector<double> improvements(const core::MachineParams &cfg);
-
-    /** Mean of improvements() — the y-axis of Figures 5/6/7. */
-    double averageImprovement(const core::MachineParams &cfg);
-
     /**
-     * Fused sweep: run every config of @p cfgs — plus the baseline if
-     * it is not yet computed — as ONE gang over the suite traces;
-     * result [k] is improvements(cfgs[k]).  Emits the same per-
-     * (config, trace) JSONL records as the incremental path (config
-     * names "baseline" / describe(cfg)).  ZBP_FUSE=0 falls back to
-     * calling improvements() per config; results are bit-identical.
+     * Run every config of @p cfgs — plus the baseline if it is not yet
+     * computed — as ONE gang per suite trace; result [k][t] is the %
+     * CPI improvement of cfgs[k] over the baseline on trace t.  Each
+     * (config, trace) writes one JSONL record (config names "baseline"
+     * / describe(cfg)).  A failed simulation contributes 0.0 and a
+     * warning.
      */
     std::vector<std::vector<double>>
     sweepImprovements(const std::vector<core::MachineParams> &cfgs);
 
-    /** Mean of each sweepImprovements() row. */
+    /** Mean of each sweepImprovements() row — the y-axis of Figures
+     * 5/6/7. */
     std::vector<double>
     averageImprovements(const std::vector<core::MachineParams> &cfgs);
 
@@ -117,11 +98,8 @@ class SuiteRunner
     void setProgress(std::function<void(const std::string &)> cb);
 
   private:
-    std::vector<cpu::SimResult> runBatch(const core::MachineParams &cfg,
-                                         const std::string &cfg_name);
-
     std::vector<trace::TraceHandle> tr;
-    std::vector<cpu::SimResult> base;
+    std::vector<cpu::SimResult> base; ///< config 1, run on first use
     std::function<void(const std::string &)> progress;
     unsigned jobs = 0;
 };

@@ -1,27 +1,20 @@
 /**
  * @file
- * Checkpoint/restore across the runner stack: a planted mid-trace
- * snapshot resumes a JobRunner / GangRunner / CmpRunner job to the
- * exact counters of an uninterrupted run, a corrupt snapshot degrades
- * to a from-scratch re-run, torn trailing JSONL lines are skipped on
- * resume, and a SIGKILLed sweep re-run with checkpointing produces the
- * identical final record set (the crash-recovery contract end to end).
+ * Checkpoint/restore across the job kinds: a planted mid-trace snapshot
+ * resumes a single job / gang / CMP job to the exact counters of an
+ * uninterrupted run, a corrupt snapshot degrades to a from-scratch
+ * re-run, and torn trailing JSONL lines are skipped on resume.  The
+ * SIGKILL crash-recovery contract is exercised for every job kind in
+ * tests/runner/test_chaos.cc.
  */
 
-#include <sys/types.h>
-#include <sys/wait.h>
-
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -44,37 +37,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped setenv/unsetenv so runner env contracts cannot leak. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *var, const char *value) : name(var)
-    {
-        const char *old = std::getenv(var);
-        if (old != nullptr) {
-            hadOld = true;
-            oldValue = old;
-        }
-        if (value != nullptr)
-            ::setenv(var, value, 1);
-        else
-            ::unsetenv(var);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld)
-            ::setenv(name.c_str(), oldValue.c_str(), 1);
-        else
-            ::unsetenv(name.c_str());
-    }
-
-  private:
-    std::string name;
-    std::string oldValue;
-    bool hadOld = false;
-};
 
 /** A fresh empty checkpoint directory under the test tmpdir. */
 std::string
@@ -109,20 +71,18 @@ midTrace(const char *name, std::uint64_t length)
     return workload::generateTrace(prog, gp, name);
 }
 
-/** Plant a mid-run snapshot exactly where the JobRunner would look. */
+/** Plant a mid-run snapshot of @p job exactly where the engine would
+ * look for it. */
 std::string
-plantJobCheckpoint(const std::string &dir, const std::string &config,
-                   const core::MachineParams &cfg, const trace::Trace &t,
+plantJobCheckpoint(const std::string &dir, const SimJob &job,
                    std::size_t at)
 {
-    const std::uint64_t seed = JobRunner::deriveSeed(config, t.name());
-    const std::string path =
-            ckpt::ckptPathFor(dir, resumeKey(config, t.name(), seed));
-    cpu::CoreModel m(cfg);
-    m.beginRun(t);
-    m.advance(at);
+    GangJob gang(job);
+    const std::string path = gang.identity().ckptPath(dir);
+    gang.begin(nullptr);
+    gang.advance(at);
     ckpt::Writer w;
-    m.saveState(w);
+    EXPECT_TRUE(gang.save(w));
     w.finish();
     EXPECT_TRUE(ckpt::saveCkptFile(path, w));
     return path;
@@ -134,22 +94,15 @@ TEST(CkptRunner, JobRunnerResumesMidTraceFromPlantedCheckpoint)
     std::vector<SimJob> jobs;
     jobs.push_back(SimJob("ck-job", sim::configBtb2(), &t));
 
-    JobRunner plain(1);
-    plain.setSinkPath("");
-    plain.setResumePath("");
+    JobRunner plain(RunPolicy{.workers = 1});
     const auto golden = plain.run(jobs);
     ASSERT_TRUE(golden[0].ok) << golden[0].error;
 
     const std::string dir = freshCkptDir("zbp_ckpt_job");
-    const std::string path = plantJobCheckpoint(
-            dir, "ck-job", sim::configBtb2(), t, t.size() / 2);
+    const std::string path = plantJobCheckpoint(dir, jobs[0], t.size() / 2);
     ASSERT_TRUE(ckpt::ckptFileExists(path));
 
-    ScopedEnv d("ZBP_CKPT_DIR", dir.c_str());
-    ScopedEnv i("ZBP_CKPT_INTERVAL", nullptr);
-    JobRunner resumed(1);
-    resumed.setSinkPath("");
-    resumed.setResumePath("");
+    JobRunner resumed(RunPolicy{.workers = 1, .ckptDir = dir});
     const auto got = resumed.run(jobs);
     ASSERT_TRUE(got[0].ok) << got[0].error;
     EXPECT_EQ(cpu::counterMismatch(golden[0].result, got[0].result), "");
@@ -163,15 +116,12 @@ TEST(CkptRunner, JobRunnerDiscardsCorruptCheckpointAndRecomputes)
     std::vector<SimJob> jobs;
     jobs.push_back(SimJob("ck-corrupt", sim::configBtb2(), &t));
 
-    JobRunner plain(1);
-    plain.setSinkPath("");
-    plain.setResumePath("");
+    JobRunner plain(RunPolicy{.workers = 1});
     const auto golden = plain.run(jobs);
     ASSERT_TRUE(golden[0].ok) << golden[0].error;
 
     const std::string dir = freshCkptDir("zbp_ckpt_corrupt");
-    const std::string path = plantJobCheckpoint(
-            dir, "ck-corrupt", sim::configBtb2(), t, t.size() / 2);
+    const std::string path = plantJobCheckpoint(dir, jobs[0], t.size() / 2);
 
     // Flip a byte deep inside the snapshot body.
     auto bytes = ckpt::loadCkptFile(path);
@@ -182,10 +132,7 @@ TEST(CkptRunner, JobRunnerDiscardsCorruptCheckpointAndRecomputes)
              static_cast<std::streamsize>(bytes.size()));
     os.close();
 
-    ScopedEnv d("ZBP_CKPT_DIR", dir.c_str());
-    JobRunner resumed(1);
-    resumed.setSinkPath("");
-    resumed.setResumePath("");
+    JobRunner resumed(RunPolicy{.workers = 1, .ckptDir = dir});
     const auto got = resumed.run(jobs);
     ASSERT_TRUE(got[0].ok) << got[0].error;
     EXPECT_EQ(cpu::counterMismatch(golden[0].result, got[0].result), "");
@@ -199,17 +146,12 @@ TEST(CkptRunner, JobRunnerPeriodicCheckpointingIsInvisibleInResults)
     jobs.push_back(SimJob("ck-per-a", sim::configNoBtb2(), &t));
     jobs.push_back(SimJob("ck-per-b", sim::configBtb2(), &t));
 
-    JobRunner plain(2);
-    plain.setSinkPath("");
-    plain.setResumePath("");
+    JobRunner plain(RunPolicy{.workers = 2});
     const auto golden = plain.run(jobs);
 
     const std::string dir = freshCkptDir("zbp_ckpt_periodic");
-    ScopedEnv d("ZBP_CKPT_DIR", dir.c_str());
-    ScopedEnv i("ZBP_CKPT_INTERVAL", "7000");
-    JobRunner ck(2);
-    ck.setSinkPath("");
-    ck.setResumePath("");
+    JobRunner ck(RunPolicy{
+            .workers = 2, .ckptDir = dir, .ckptInterval = 7000});
     const auto got = ck.run(jobs);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         SCOPED_TRACE(j);
@@ -229,10 +171,7 @@ TEST(CkptRunner, GangRunnerResumesFromPlantedGangCheckpoint)
     };
     const std::vector<trace::TraceHandle> traces = {trace::borrowTrace(t)};
 
-    sim::GangRunner plain(gang, 1);
-    plain.setSinkPath("");
-    plain.setResumePath("");
-    const auto golden = plain.run(traces);
+    const auto golden = sim::runGangs(RunPolicy{.workers = 1}, gang, traces);
     ASSERT_TRUE(golden[0][0].ok);
     ASSERT_TRUE(golden[1][0].ok);
 
@@ -265,21 +204,11 @@ TEST(CkptRunner, GangRunnerResumesFromPlantedGangCheckpoint)
     w.finish();
 
     const std::string dir = freshCkptDir("zbp_ckpt_gang");
-    std::string key = "gang";
-    for (const auto &gc : gang) {
-        key += '\x1f';
-        key += gc.name;
-    }
-    key += '\x1f';
-    key += t.name();
-    const std::string path = ckpt::ckptPathFor(dir, key);
+    const std::string path = GangJob(gang, &t).identity().ckptPath(dir);
     ASSERT_TRUE(ckpt::saveCkptFile(path, w));
 
-    ScopedEnv d("ZBP_CKPT_DIR", dir.c_str());
-    sim::GangRunner resumed(gang, 1);
-    resumed.setSinkPath("");
-    resumed.setResumePath("");
-    const auto got = resumed.run(traces);
+    const auto got = sim::runGangs(RunPolicy{.workers = 1, .ckptDir = dir},
+                                   gang, traces);
     for (std::size_t ci = 0; ci < gang.size(); ++ci) {
         SCOPED_TRACE(ci);
         ASSERT_TRUE(got[ci][0].ok) << got[ci][0].error;
@@ -301,9 +230,7 @@ TEST(CkptRunner, CmpRunnerResumesFromPlantedCheckpoint)
     job.cfg.cmp.btb2Banks = 2;
     job.traces = {trace::borrowTrace(ta), trace::borrowTrace(tb)};
 
-    sim::CmpRunner plain(1);
-    plain.setSinkPath("");
-    plain.setResumePath("");
+    sim::CmpRunner plain(RunPolicy{.workers = 1});
     const auto golden = plain.run({job});
     ASSERT_TRUE(golden[0].ok) << golden[0].error;
 
@@ -327,18 +254,10 @@ TEST(CkptRunner, CmpRunnerResumesFromPlantedCheckpoint)
     w.finish();
 
     const std::string dir = freshCkptDir("zbp_ckpt_cmp");
-    std::string key = "cmp";
-    key += '\x1f';
-    key += job.name;
-    key += '\x1f';
-    key += sim::cmpTraceMixId(job.traces);
-    const std::string path = ckpt::ckptPathFor(dir, key);
+    const std::string path = sim::CmpChipJob(job).identity().ckptPath(dir);
     ASSERT_TRUE(ckpt::saveCkptFile(path, w));
 
-    ScopedEnv d("ZBP_CKPT_DIR", dir.c_str());
-    sim::CmpRunner resumed(1);
-    resumed.setSinkPath("");
-    resumed.setResumePath("");
+    sim::CmpRunner resumed(RunPolicy{.workers = 1, .ckptDir = dir});
     const auto got = resumed.run({job});
     ASSERT_TRUE(got[0].ok) << got[0].error;
     EXPECT_EQ(sim::cmpMismatch(golden[0].result, got[0].result), "");
@@ -354,9 +273,7 @@ TEST(CkptRunner, TornTrailingJsonlLineIsSkippedOnResume)
     std::vector<SimJob> jobs;
     jobs.push_back(SimJob("torn-a", sim::configNoBtb2(), &t));
     jobs.push_back(SimJob("torn-b", sim::configBtb2(), &t));
-    JobRunner jr(2);
-    jr.setSinkPath(sink);
-    jr.setResumePath("");
+    JobRunner jr(RunPolicy{.workers = 2, .sinkPath = sink});
     const auto first = jr.run(jobs);
     ASSERT_TRUE(first[0].ok);
     ASSERT_TRUE(first[1].ok);
@@ -367,101 +284,13 @@ TEST(CkptRunner, TornTrailingJsonlLineIsSkippedOnResume)
         os << R"({"config":"torn-c","trace":")" << t.name()
            << R"(","seed":1,"ok":true,"cycles":12)";
     }
-    const auto prior = loadResumeResults(readRecords(sink));
-    EXPECT_EQ(prior.size(), 2u);
+    EXPECT_EQ(ResumeIndex(sink).size(), 2u);
 
-    JobRunner again(2);
-    again.setSinkPath("");
-    again.setResumePath(sink);
+    JobRunner again(RunPolicy{.workers = 2, .resumePath = sink});
     const auto second = again.run(jobs);
     EXPECT_TRUE(second[0].resumed);
     EXPECT_TRUE(second[1].resumed);
     std::remove(sink.c_str());
-}
-
-TEST(CkptRunner, KillResumeChaosProducesIdenticalRecordSet)
-{
-    const auto t = midTrace("ckpt-chaos", 1'200'000);
-    std::vector<SimJob> jobs;
-    jobs.push_back(SimJob("chaos-a", sim::configNoBtb2(), &t));
-    jobs.push_back(SimJob("chaos-b", sim::configBtb2(), &t));
-
-    JobRunner plain(2);
-    plain.setSinkPath("");
-    plain.setResumePath("");
-    const auto golden = plain.run(jobs);
-    ASSERT_TRUE(golden[0].ok);
-    ASSERT_TRUE(golden[1].ok);
-
-    const std::string dir = freshCkptDir("zbp_ckpt_chaos");
-    const std::string sink = dir + "/results.jsonl";
-
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0) << "fork failed";
-    if (child == 0) {
-        // The victim sweep: checkpoint frequently, then get SIGKILLed.
-        ::setenv("ZBP_CKPT_DIR", dir.c_str(), 1);
-        ::setenv("ZBP_CKPT_INTERVAL", "25000", 1);
-        int rc = 0;
-        try {
-            JobRunner victim(2);
-            victim.setSinkPath(sink);
-            victim.setResumePath("");
-            victim.run(jobs);
-        } catch (...) {
-            rc = 1;
-        }
-        ::_exit(rc);
-    }
-
-    // Kill the child as soon as the first snapshot lands (or let it
-    // finish if it is faster than us — recovery must cope with both).
-    bool exited = false;
-    for (int spin = 0; spin < 20'000; ++spin) {
-        int status = 0;
-        if (::waitpid(child, &status, WNOHANG) == child) {
-            exited = true;
-            break;
-        }
-        if (ckptFilesIn(dir) > 0)
-            break;
-        ::usleep(500);
-    }
-    if (!exited) {
-        ::kill(child, SIGKILL);
-        int status = 0;
-        ::waitpid(child, &status, 0);
-    }
-
-    // The recovery run: resume from the dead sweep's records and
-    // snapshots, finishing whatever the kill interrupted.
-    ScopedEnv d("ZBP_CKPT_DIR", dir.c_str());
-    ScopedEnv i("ZBP_CKPT_INTERVAL", "25000");
-    JobRunner recover(2);
-    recover.setSinkPath(sink);
-    recover.setResumePath(sink);
-    const auto got = recover.run(jobs);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        SCOPED_TRACE(j);
-        ASSERT_TRUE(got[j].ok) << got[j].error;
-        EXPECT_EQ(cpu::counterMismatch(golden[j].result, got[j].result), "");
-    }
-
-    // The final record set holds exactly one valid record per job,
-    // with the golden counters — never a duplicate, never a torn one.
-    const auto prior = loadResumeResults(readRecords(sink));
-    ASSERT_EQ(prior.size(), jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        SCOPED_TRACE(j);
-        const auto it = prior.find(resumeKey(
-                jobs[j].configName, t.name(),
-                JobRunner::deriveSeed(jobs[j].configName, t.name())));
-        ASSERT_NE(it, prior.end());
-        EXPECT_EQ(cpu::counterMismatch(it->second.result, golden[j].result),
-                  "");
-    }
-    EXPECT_EQ(ckptFilesIn(dir), 0u);
-    fs::remove_all(dir);
 }
 
 } // namespace

@@ -49,12 +49,10 @@ TEST(JobRunner, ParallelIsBitIdenticalToSerial)
     const auto traces = smallTraces();
     const auto jobs = crossJobs(traces); // 6 jobs
 
-    JobRunner serial(1);
-    serial.setSinkPath("");
+    JobRunner serial(RunPolicy{.workers = 1});
     auto a = serial.run(jobs);
 
-    JobRunner parallel(8);
-    parallel.setSinkPath("");
+    JobRunner parallel(RunPolicy{.workers = 8});
     auto b = parallel.run(jobs);
 
     ASSERT_EQ(a.size(), jobs.size());
@@ -77,8 +75,7 @@ TEST(JobRunner, OneFailingJobDoesNotPoisonTheSweep)
     jobs.push_back(SimJob("broken", sim::configNoBtb2(), nullptr));
     jobs.push_back(SimJob("ok-2", sim::configBtb2(), &traces[1]));
 
-    JobRunner jr(4);
-    jr.setSinkPath("");
+    JobRunner jr(RunPolicy{.workers = 4});
     const auto res = jr.run(jobs);
     ASSERT_EQ(res.size(), 3u);
     EXPECT_TRUE(res[0].ok);
@@ -94,13 +91,12 @@ TEST(JobRunner, ProgressReportsEveryJobWithTiming)
     const auto traces = smallTraces();
     const auto jobs = crossJobs(traces);
 
-    JobRunner jr(4);
-    jr.setSinkPath("");
     std::vector<ProgressMeter::Event> events;
-    jr.setProgress([&](const ProgressMeter::Event &e) {
+    RunPolicy policy{.workers = 4};
+    policy.progress = [&](const ProgressMeter::Event &e) {
         events.push_back(e); // serialised by the meter's lock
-    });
-    jr.run(jobs);
+    };
+    JobRunner(policy).run(jobs);
 
     ASSERT_EQ(events.size(), jobs.size());
     for (const auto &e : events) {
@@ -122,8 +118,7 @@ TEST(JobRunner, NullTraceFailureNamesTheCause)
     // null trace — never a crash.
     std::vector<SimJob> jobs;
     jobs.push_back(SimJob("broken", sim::configNoBtb2(), nullptr));
-    JobRunner jr(1);
-    jr.setSinkPath("");
+    JobRunner jr(RunPolicy{.workers = 1});
     const auto res = jr.run(jobs);
     ASSERT_EQ(res.size(), 1u);
     EXPECT_FALSE(res[0].ok);
@@ -150,8 +145,7 @@ TEST(JobRunner, TracePathJobMatchesInMemoryRun)
     byPath.seed = JobRunner::deriveSeed("mem", traces[0].name());
     jobs.push_back(byPath);
 
-    JobRunner jr(1);
-    jr.setSinkPath("");
+    JobRunner jr(RunPolicy{.workers = 1});
     const auto res = jr.run(jobs);
     std::remove(path.c_str());
     ASSERT_EQ(res.size(), 2u);
@@ -168,9 +162,7 @@ TEST(JobRunner, MissingTracePathRetriesThenFails)
     job.configName = "gone";
     job.cfg = sim::configNoBtb2();
     job.tracePath = "/nonexistent/dir/x.zbpt";
-    JobRunner jr(1);
-    jr.setSinkPath("");
-    jr.setRetries(2);
+    JobRunner jr(RunPolicy{.workers = 1, .retries = 2});
     const auto res = jr.run({job});
     ASSERT_EQ(res.size(), 1u);
     EXPECT_FALSE(res[0].ok);
@@ -191,9 +183,7 @@ TEST(JobRunner, CorruptTraceFailsOnceWithDescriptiveError)
     job.configName = "corrupt";
     job.cfg = sim::configNoBtb2();
     job.tracePath = path;
-    JobRunner jr(1);
-    jr.setSinkPath("");
-    jr.setRetries(3);
+    JobRunner jr(RunPolicy{.workers = 1, .retries = 3});
     const auto res = jr.run({job});
     std::remove(path.c_str());
     ASSERT_EQ(res.size(), 1u);
@@ -214,15 +204,13 @@ TEST(JobRunner, ResumeSkipsCompletedJobsAndWritesNoNewRecords)
     std::remove(first.c_str());
     std::remove(second.c_str());
 
-    JobRunner a(2);
-    a.setSinkPath(first);
+    JobRunner a(RunPolicy{.workers = 2, .sinkPath = first});
     const auto r1 = a.run(jobs);
     for (const auto &r : r1)
         ASSERT_TRUE(r.ok) << r.error;
 
-    JobRunner b(2);
-    b.setSinkPath(second);
-    b.setResumePath(first);
+    JobRunner b(RunPolicy{
+            .workers = 2, .sinkPath = second, .resumePath = first});
     const auto r2 = b.run(jobs);
     ASSERT_EQ(r2.size(), r1.size());
     for (std::size_t i = 0; i < r2.size(); ++i) {
@@ -258,8 +246,7 @@ TEST(JobRunner, ResumeReRunsFailedJobs)
     jobs.push_back(SimJob("good", sim::configNoBtb2(), &traces[0]));
     jobs.push_back(SimJob("bad", sim::configNoBtb2(), nullptr));
 
-    JobRunner a(1);
-    a.setSinkPath(first);
+    JobRunner a(RunPolicy{.workers = 1, .sinkPath = first});
     const auto r1 = a.run(jobs);
     ASSERT_TRUE(r1[0].ok);
     ASSERT_FALSE(r1[1].ok);
@@ -267,9 +254,7 @@ TEST(JobRunner, ResumeReRunsFailedJobs)
     // Fix the broken job, resume: the good job is skipped, the fixed
     // one actually executes.
     jobs[1].trace = &traces[1];
-    JobRunner b(1);
-    b.setSinkPath("");
-    b.setResumePath(first);
+    JobRunner b(RunPolicy{.workers = 1, .resumePath = first});
     const auto r2 = b.run(jobs);
     std::remove(first.c_str());
     EXPECT_TRUE(r2[0].resumed);
@@ -288,8 +273,7 @@ TEST(JobRunner, ResumeReRunsRecordsOfAnOlderSchema)
             ::testing::TempDir() + "/zbp_jr_resume_schema_old.jsonl";
     std::remove(fresh.c_str());
 
-    JobRunner a(2);
-    a.setSinkPath(fresh);
+    JobRunner a(RunPolicy{.workers = 2, .sinkPath = fresh});
     const auto r1 = a.run(jobs);
 
     // Rewrite every record in the earlier 20-counter format: the same
@@ -303,13 +287,11 @@ TEST(JobRunner, ResumeReRunsRecordsOfAnOlderSchema)
         for (std::string line; std::getline(in, line);)
             out << std::regex_replace(line, dropped, "") << '\n';
     }
-    EXPECT_TRUE(loadResumeResults(readRecords(old)).empty());
+    EXPECT_EQ(ResumeIndex(old).size(), 0u);
 
     // No record is applied with zeroed counters: every job re-runs and
     // matches its fresh result.
-    JobRunner b(2);
-    b.setSinkPath("");
-    b.setResumePath(old);
+    JobRunner b(RunPolicy{.workers = 2, .resumePath = old});
     const auto r2 = b.run(jobs);
     for (std::size_t i = 0; i < r2.size(); ++i) {
         EXPECT_FALSE(r2[i].resumed) << i;
@@ -360,20 +342,16 @@ struct HostileRecord
         r.result.faultsInjected = 0xFFFFFFFFFFFFFFFFull;
         r.result.cpi = 1.0 / 3.0;
     }
-
-    std::string key() const
-    {
-        return resumeKey(job.configName, t.name(), job.seed);
-    }
 };
 
-std::unordered_map<std::string, SimJobResult>
-resumeFromLine(const std::string &line)
+/** How many results the single JSONL line @p line restores. */
+std::size_t
+restoredFromLine(const std::string &line)
 {
-    const auto rec = json::parse(line);
+    auto rec = json::parse(line);
     if (!rec)
-        return {};
-    return loadResumeResults(std::vector<json::Value>{*rec});
+        return 0;
+    return ResumeIndex(std::vector<json::Value>{std::move(*rec)}).size();
 }
 
 TEST(ResumeRecord, HostileNamesSeedAndLargeCountersRoundTrip)
@@ -385,25 +363,25 @@ TEST(ResumeRecord, HostileNamesSeedAndLargeCountersRoundTrip)
         std::ofstream os(path, std::ios::trunc);
         os << jobRecord(h.job, h.r) << '\n';
     }
-    const auto prior = loadResumeResults(readRecords(path));
+    const ResumeIndex prior(path);
     std::remove(path.c_str());
     ASSERT_EQ(prior.size(), 1u);
-    const auto it = prior.find(h.key());
-    ASSERT_NE(it, prior.end()) << "identity did not survive the record";
-    EXPECT_TRUE(it->second.resumed);
-    EXPECT_EQ(cpu::counterMismatch(it->second.result, h.r.result), "");
-    EXPECT_EQ(it->second.result.traceName, h.t.name());
-    EXPECT_EQ(it->second.seconds, h.r.seconds);
-    EXPECT_EQ(it->second.attempts, h.r.attempts);
+    const SimJobResult *r = prior.result(simJobId(h.job));
+    ASSERT_NE(r, nullptr) << "identity did not survive the record";
+    EXPECT_TRUE(r->resumed);
+    EXPECT_EQ(cpu::counterMismatch(r->result, h.r.result), "");
+    EXPECT_EQ(r->result.traceName, h.t.name());
+    EXPECT_EQ(r->seconds, h.r.seconds);
+    EXPECT_EQ(r->attempts, h.r.attempts);
 }
 
 TEST(ResumeRecord, EveryTruncationIsNeverApplied)
 {
     const HostileRecord h;
     const std::string line = jobRecord(h.job, h.r);
-    ASSERT_EQ(resumeFromLine(line).size(), 1u);
+    ASSERT_EQ(restoredFromLine(line), 1u);
     for (std::size_t n = 0; n < line.size(); ++n)
-        EXPECT_TRUE(resumeFromLine(line.substr(0, n)).empty()) << n;
+        EXPECT_EQ(restoredFromLine(line.substr(0, n)), 0u) << n;
 }
 
 TEST(ResumeRecord, EverySingleByteCorruptionParsesOrIsRejected)
@@ -427,11 +405,21 @@ TEST(ResumeRecord, EverySingleByteCorruptionParsesOrIsRejected)
     EXPECT_GT(rejected, 0u);
     // A corruption that still parses and still carries the full schema
     // can change at most the one value it hit — never zero the rest.
-    for (const auto &[key, r] : loadResumeResults(parsed)) {
+    for (json::Value &rec : parsed) {
+        const std::string *config = rec["config"].str();
+        const std::string *trace = rec["trace"].str();
+        const auto seed = rec["seed"].u64();
+        if (config == nullptr || trace == nullptr || !seed)
+            continue; // no identity: never restored
+        const RecordId id{*config, *trace, *seed};
+        const ResumeIndex one(std::vector<json::Value>{std::move(rec)});
+        const SimJobResult *r = one.result(id);
+        if (r == nullptr)
+            continue;
         std::size_t differing = 0;
         for (const cpu::SimCounter &c : cpu::kSimCounters)
-            differing += r.result.*c.member != h.r.result.*c.member;
-        EXPECT_LE(differing, 1u) << key;
+            differing += r->result.*c.member != h.r.result.*c.member;
+        EXPECT_LE(differing, 1u) << id.key();
     }
 }
 

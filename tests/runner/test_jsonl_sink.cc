@@ -112,8 +112,7 @@ TEST(JsonlSink, SweepRoundTripMatchesInMemoryResults)
     jobs.push_back({"btb2", sim::configBtb2(), &trace});
     jobs.push_back({"broken", sim::configBtb2(), nullptr});
 
-    JobRunner jr(4);
-    jr.setSinkPath(path);
+    JobRunner jr(RunPolicy{.workers = 4, .sinkPath = path});
     const auto res = jr.run(jobs);
 
     const auto lines = readLines(path);

@@ -142,9 +142,7 @@ TEST(SampleRunnerTest, ExactStitchBitIdenticalToMonolithicRun)
 
         for (const unsigned jobs : {1u, 4u}) {
             SCOPED_TRACE(jobs);
-            SampleRunner sr(p, jobs);
-            sr.setSinkPath("");
-            sr.setResumePath("");
+            SampleRunner sr(p, runner::RunPolicy{.workers = jobs});
             const SampleReport rep = sr.run(c.name, c.cfg, t);
 
             EXPECT_TRUE(rep.exact);
@@ -169,9 +167,7 @@ TEST(SampleRunnerTest, FastModeEstimatesWithBoundedCoverage)
     p.warmupInsts = 1'000;
     p.measureInsts = 1'000;
 
-    SampleRunner sr(p, 4);
-    sr.setSinkPath("");
-    sr.setResumePath("");
+    SampleRunner sr(p, runner::RunPolicy{.workers = 4});
     const SampleReport rep = sr.run("btb2", cfg, t);
 
     // Window boundaries shift by up to decodeWidth-1 instructions
@@ -210,9 +206,7 @@ TEST(SampleRunnerTest, IntervalRecordsFollowTheJsonlContract)
     SampleParams p;
     p.mode = SampleMode::kExact;
     p.intervalInsts = (t.size() + 2) / 3; // exactly 3 intervals
-    SampleRunner sr(p, 2);
-    sr.setSinkPath(sink);
-    sr.setResumePath("");
+    SampleRunner sr(p, runner::RunPolicy{.workers = 2, .sinkPath = sink});
     const SampleReport rep = sr.run("base", cfg, t);
     EXPECT_EQ(rep.intervals, 3u);
     EXPECT_EQ(rep.resumedIntervals, 0u);
@@ -249,15 +243,14 @@ TEST(SampleRunnerTest, ResumeSatisfiesIntervalsFromPriorResults)
     p.mode = SampleMode::kExact;
     p.intervalInsts = 4'000;
 
-    SampleRunner sr(p, 2);
-    sr.setSinkPath(first);
-    sr.setResumePath("");
+    SampleRunner sr(p,
+                    runner::RunPolicy{.workers = 2, .sinkPath = first});
     const SampleReport rep1 = sr.run("btb2", cfg, t);
     EXPECT_EQ(rep1.resumedIntervals, 0u);
 
-    SampleRunner sr2(p, 2);
-    sr2.setSinkPath(second);
-    sr2.setResumePath(first);
+    SampleRunner sr2(p, runner::RunPolicy{.workers = 2,
+                                          .sinkPath = second,
+                                          .resumePath = first});
     const SampleReport rep2 = sr2.run("btb2", cfg, t);
     EXPECT_EQ(rep2.resumedIntervals, rep2.intervals);
 
@@ -279,9 +272,7 @@ TEST(SampleRunnerTest, ResumeSatisfiesIntervalsFromPriorResults)
 TEST(SampleRunnerTest, EmptyTraceRejected)
 {
     SampleParams p;
-    SampleRunner sr(p, 1);
-    sr.setSinkPath("");
-    sr.setResumePath("");
+    SampleRunner sr(p, runner::RunPolicy{.workers = 1});
     const trace::Trace t("empty");
     EXPECT_THROW(sr.run("x", sim::configNoBtb2(), t),
                  std::invalid_argument);

@@ -90,10 +90,8 @@ TEST(CmpRunner, WritesPerCoreAndSharingRecords)
     std::remove(path.c_str());
 
     const auto traces = smallTraces();
-    CmpRunner runner(1);
-    runner.setSinkPath(path);
-    runner.setResumePath("");
-    const auto res = runner.run({twoCoreJob("mixA", traces)});
+    CmpRunner cr(runner::RunPolicy{.workers = 1, .sinkPath = path});
+    const auto res = cr.run({twoCoreJob("mixA", traces)});
     ASSERT_EQ(res.size(), 1u);
     ASSERT_TRUE(res[0].ok) << res[0].error;
     EXPECT_FALSE(res[0].resumed);
@@ -131,15 +129,12 @@ TEST(CmpRunner, ResumeSatisfiesJobAndRestoresSharingStats)
     const auto traces = smallTraces();
     const auto job = twoCoreJob("mixR", traces);
 
-    CmpRunner runner(1);
-    runner.setSinkPath(first);
-    runner.setResumePath("");
-    const auto ref = runner.run({job});
+    CmpRunner cr(runner::RunPolicy{.workers = 1, .sinkPath = first});
+    const auto ref = cr.run({job});
     ASSERT_TRUE(ref[0].ok) << ref[0].error;
 
-    CmpRunner resumer(1);
-    resumer.setSinkPath(second);
-    resumer.setResumePath(first);
+    CmpRunner resumer(runner::RunPolicy{
+            .workers = 1, .sinkPath = second, .resumePath = first});
     const auto got = resumer.run({job});
     ASSERT_TRUE(got[0].ok) << got[0].error;
     EXPECT_TRUE(got[0].resumed);
@@ -164,9 +159,8 @@ TEST(CmpRunner, ResumeSatisfiesJobAndRestoresSharingStats)
                 if (l.find(dropped) == std::string::npos)
                     out << l << '\n';
         }
-        CmpRunner partialRunner(1);
-        partialRunner.setSinkPath("");
-        partialRunner.setResumePath(partial);
+        CmpRunner partialRunner(
+                runner::RunPolicy{.workers = 1, .resumePath = partial});
         const auto rerun = partialRunner.run({job});
         ASSERT_TRUE(rerun[0].ok) << rerun[0].error;
         EXPECT_FALSE(rerun[0].resumed);
@@ -185,10 +179,8 @@ TEST(CmpRunner, FailingJobIsRecordedNotFatal)
     auto bad = twoCoreJob("bad", traces);
     bad.cfg.btb1.rows = 3; // not a power of two: ctor rejects
 
-    CmpRunner runner(1);
-    runner.setSinkPath("");
-    runner.setResumePath("");
-    const auto res = runner.run({bad, good});
+    CmpRunner cr(runner::RunPolicy{.workers = 1});
+    const auto res = cr.run({bad, good});
     ASSERT_EQ(res.size(), 2u);
     EXPECT_FALSE(res[0].ok);
     EXPECT_NE(res[0].error.find("power of two"), std::string::npos)

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -52,10 +51,9 @@ TEST(GangRunner, BitIdenticalToSerialAcrossChunkSizes)
 
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{1000},
                                     std::size_t{1} << 30}) {
-        GangRunner runner(gang, 1);
-        runner.setChunk(chunk);
-        runner.setSinkPath("");
-        const auto got = runner.run(traces);
+        const auto got = runGangs(
+                runner::RunPolicy{.workers = 1, .chunk = chunk}, gang,
+                traces);
         ASSERT_EQ(got.size(), gang.size());
         for (std::size_t ci = 0; ci < gang.size(); ++ci) {
             ASSERT_EQ(got[ci].size(), traces.size());
@@ -79,10 +77,8 @@ TEST(GangRunner, FailingMemberDoesNotSinkTheGang)
     gang[1].name = "broken";
     gang[1].cfg.btb1.rows = 3; // not a power of two: ctor rejects
 
-    GangRunner runner(gang, 1);
-    runner.setSinkPath("");
     const auto traces = smallTraces();
-    const auto got = runner.run(traces);
+    const auto got = runGangs(runner::RunPolicy{.workers = 1}, gang, traces);
 
     for (std::size_t ti = 0; ti < traces.size(); ++ti) {
         EXPECT_TRUE(got[0][ti].ok) << got[0][ti].error;
@@ -92,6 +88,17 @@ TEST(GangRunner, FailingMemberDoesNotSinkTheGang)
                   std::string::npos)
                 << got[1][ti].error;
     }
+
+    // The gang's own outcome is not ok: it names the failed member's
+    // error, while the healthy members' results stand.
+    runner::GangJob job(gang, traces[0].get());
+    const auto out = runner::JobRunner(runner::RunPolicy{.workers = 1})
+                             .run({&job});
+    EXPECT_FALSE(out[0].ok);
+    EXPECT_NE(out[0].error.find("power of two"), std::string::npos)
+            << out[0].error;
+    EXPECT_TRUE(job.results()[0].ok);
+    EXPECT_TRUE(job.results()[2].ok);
 }
 
 TEST(GangRunner, WritesOneRecordPerConfigTracePair)
@@ -100,11 +107,10 @@ TEST(GangRunner, WritesOneRecordPerConfigTracePair)
             testing::TempDir() + "gang_records.jsonl";
     std::remove(path.c_str());
 
-    GangRunner runner(fig2Gang(), 1);
-    runner.setSinkPath(path);
-    runner.setResumePath("");
     const auto traces = smallTraces();
-    const auto fresh = runner.run(traces);
+    const auto fresh = runGangs(runner::RunPolicy{.workers = 1,
+                                                  .sinkPath = path},
+                                fig2Gang(), traces);
 
     std::ifstream in(path);
     std::size_t lines = 0;
@@ -115,10 +121,9 @@ TEST(GangRunner, WritesOneRecordPerConfigTracePair)
 
     // The records resume losslessly: every cell is satisfied from them
     // and equals the fresh run on every counter and the CPI bits.
-    GangRunner resumer(fig2Gang(), 1);
-    resumer.setSinkPath("");
-    resumer.setResumePath(path);
-    const auto got = resumer.run(traces);
+    const auto got = runGangs(runner::RunPolicy{.workers = 1,
+                                                .resumePath = path},
+                              fig2Gang(), traces);
     for (std::size_t ci = 0; ci < got.size(); ++ci) {
         for (std::size_t ti = 0; ti < traces.size(); ++ti) {
             ASSERT_TRUE(got[ci][ti].ok) << got[ci][ti].error;
@@ -131,36 +136,6 @@ TEST(GangRunner, WritesOneRecordPerConfigTracePair)
         }
     }
     std::remove(path.c_str());
-}
-
-TEST(GangRunner, FuseEnvSelectsIdenticalFig2Rows)
-{
-    const auto traces = smallTraces();
-
-    ::setenv("ZBP_FUSE", "0", 1);
-    const auto legacy = runFig2Rows(traces, 1);
-    EXPECT_FALSE(fuseFromEnv());
-    ::setenv("ZBP_FUSE", "1", 1);
-    const auto fused = runFig2Rows(traces, 1);
-    EXPECT_TRUE(fuseFromEnv());
-    ::unsetenv("ZBP_FUSE");
-
-    ASSERT_EQ(fused.size(), legacy.size());
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-        EXPECT_EQ(fused[i].trace, legacy[i].trace);
-        EXPECT_EQ(cpu::counterMismatch(fused[i].base, legacy[i].base), "");
-        EXPECT_EQ(cpu::counterMismatch(fused[i].withBtb2,
-                                       legacy[i].withBtb2),
-                  "");
-        EXPECT_EQ(cpu::counterMismatch(fused[i].largeBtb1,
-                                       legacy[i].largeBtb1),
-                  "");
-        EXPECT_EQ(fused[i].base.traceName, legacy[i].base.traceName);
-        EXPECT_EQ(fused[i].withBtb2.traceName,
-                  legacy[i].withBtb2.traceName);
-        EXPECT_EQ(fused[i].largeBtb1.traceName,
-                  legacy[i].largeBtb1.traceName);
-    }
 }
 
 } // namespace

@@ -69,11 +69,14 @@ TEST(Simulator, SuiteRunnerHandlesShareStorage)
 TEST(Simulator, SuiteRunnerCachesBaseline)
 {
     SuiteRunner runner(0.01);
-    const auto &a = runner.baseline();
-    const auto *ptr = a.data();
-    const auto &b = runner.baseline();
-    EXPECT_EQ(b.data(), ptr); // same vector, not re-run
-    EXPECT_EQ(a.size(), 13u);
+    int progress_calls = 0;
+    runner.setProgress([&](const std::string &) { ++progress_calls; });
+    const auto first = runner.sweepImprovements({configBtb2()});
+    EXPECT_EQ(progress_calls, 2 * 13); // baseline + sweep point
+    progress_calls = 0;
+    const auto again = runner.sweepImprovements({configBtb2()});
+    EXPECT_EQ(progress_calls, 13); // the baseline is not re-run
+    EXPECT_EQ(again, first);
 }
 
 TEST(Simulator, ImprovementsHaveOnePerSuite)
@@ -81,9 +84,11 @@ TEST(Simulator, ImprovementsHaveOnePerSuite)
     SuiteRunner runner(0.01);
     int progress_calls = 0;
     runner.setProgress([&](const std::string &) { ++progress_calls; });
-    const auto imps = runner.improvements(configBtb2());
-    EXPECT_EQ(imps.size(), 13u);
-    EXPECT_GT(progress_calls, 13); // baseline + sweep runs
+    const auto imps = runner.sweepImprovements({configBtb2(), configBtb2()});
+    ASSERT_EQ(imps.size(), 2u);
+    EXPECT_EQ(imps[0].size(), 13u);
+    EXPECT_EQ(imps[1], imps[0]);
+    EXPECT_EQ(progress_calls, 3 * 13); // baseline + 2 sweep points
 }
 
 } // namespace
