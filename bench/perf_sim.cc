@@ -1,13 +1,14 @@
 /**
  * @file
- * Simulator hot-path performance benchmarks: the allocation-free
- * structure primitives (BTB row search/read, first-level search with
- * candidate merge) and end-to-end CoreModel::run throughput with the
- * event-skipping loop, with stats-text collection on and off.
+ * google-benchmark microbenchmarks of the simulator, layer by layer:
+ * the allocation-free structure primitives (BTB row search/read/install,
+ * first-level search with candidate merge, SOT tracking/steering, PHT
+ * lookup), trace generation and indexing, end-to-end CoreModel::run
+ * throughput with stats-text collection on and off, observability
+ * overhead, gang-fused sweeps and CMP lockstep stepping.
  *
- * Headline trajectory numbers live in BENCH_sim.json, produced by
- * scripts/perf.sh from a fixed-seed sweep; this binary is for zooming
- * into individual layers when the headline moves.
+ * The judged end-to-end numbers come from perfbench/ (BENCHMARK.json);
+ * this binary is for zooming into individual layers when those move.
  */
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "zbp/core/hierarchy.hh"
 #include "zbp/cpu/core_model.hh"
 #include "zbp/obs/interval_sampler.hh"
+#include "zbp/preload/sector_order_table.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
 #include "zbp/sim/configs.hh"
 #include "zbp/trace/trace_index.hh"
@@ -109,27 +111,93 @@ BM_FirstLevelSearchMerged(benchmark::State &state)
 BENCHMARK(BM_FirstLevelSearchMerged);
 
 void
-BM_BtbSearchSimd(benchmark::State &state)
+BM_Btb1Install(benchmark::State &state)
 {
-    // The dispatched row-match path (rowSig filter + way compare) over
-    // a populated table.  Run once as-built (AVX2/NEON when compiled
-    // in and supported) and once under ZBP_SIMD=0 to price the vector
-    // kernel against the scalar loop; the label records which path
-    // this process resolved to.
     btb::SetAssocBtb t("btb1", btb::btb1Config());
-    for (Addr ia = 0; ia < 4096 * 8; ia += 10)
-        t.install(btb::BtbEntry::freshTaken(ia, ia + 64));
     Addr a = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(t.searchFrom(a));
-        benchmark::DoNotOptimize(t.readRow(a + 32));
-        a = (a + 14) & 0xFFFF;
+        benchmark::DoNotOptimize(
+                t.install(btb::BtbEntry::freshTaken(a, a + 8)));
+        a += 30;
     }
-    state.SetLabel(btb::simd::activePath());
-    state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations()) * 2);
 }
-BENCHMARK(BM_BtbSearchSimd);
+BENCHMARK(BM_Btb1Install);
+
+void
+BM_FirstLevelSearch(benchmark::State &state)
+{
+    // BTB1 only: the single-table path without the BTBP merge.
+    core::BranchPredictorHierarchy bp{core::MachineParams{}};
+    for (Addr ia = 0; ia < 4096 * 8; ia += 24)
+        bp.btb1().install(btb::BtbEntry::freshTaken(ia, ia + 64));
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(bp.searchFirstLevel(a));
+        a = (a + 32) & 0xFFFF;
+    }
+}
+BENCHMARK(BM_FirstLevelSearch);
+
+void
+BM_SotInstructionCompleted(benchmark::State &state)
+{
+    preload::SectorOrderTable sot{preload::SotParams{}};
+    Addr a = 0;
+    for (auto _ : state) {
+        sot.instructionCompleted(a);
+        a += 97; // wanders across sectors and blocks
+    }
+}
+BENCHMARK(BM_SotInstructionCompleted);
+
+void
+BM_SotOrder(benchmark::State &state)
+{
+    preload::SectorOrderTable sot{preload::SotParams{}};
+    for (Addr a = 0; a < 1 << 20; a += 300)
+        sot.instructionCompleted(a);
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sot.order(a));
+        a = (a + 4096) & 0xFFFFF;
+    }
+}
+BENCHMARK(BM_SotOrder);
+
+void
+BM_PhtLookup(benchmark::State &state)
+{
+    dir::Pht pht;
+    dir::HistoryState h;
+    for (int i = 0; i < 4000; ++i) {
+        pht.update(Addr{0x1000} + i * 6, h, i % 2 != 0, true);
+        h.push(Addr{0x1000} + i * 6, i % 2 != 0);
+    }
+    Addr a = 0x1000;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pht.lookup(a, h));
+        a += 6;
+    }
+}
+BENCHMARK(BM_PhtLookup);
+
+void
+BM_TraceGeneration(benchmark::State &state)
+{
+    workload::BuildParams bp;
+    bp.numFunctions = 500;
+    const auto prog = workload::buildProgram(bp);
+    workload::GenParams gp;
+    gp.length = 100'000;
+    for (auto _ : state) {
+        gp.seed += 1;
+        benchmark::DoNotOptimize(
+                workload::generateTrace(prog, gp, "bm"));
+    }
+    state.SetItemsProcessed(
+            static_cast<std::int64_t>(state.iterations()) * 100'000);
+}
+BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
 // --- end-to-end simulation ------------------------------------------
 

@@ -9,8 +9,10 @@
  *  3. (ZBP_SAMPLE_CHECK_EXACT=1) exact-tiling sampled run — stitched
  *     counters must be bit-identical to leg 2, else exit non-zero.
  *
- * Prints a human table plus one "sampled-summary: {...}" JSON line for
- * scripts/perf.sh to lift into BENCH_sim.json.
+ * Prints a human table plus one machine-readable "sampled-summary:
+ * {...}" JSON line with the same figures.  The judged long-trace
+ * numbers come from perfbench/'s sampled_long workload, which drives
+ * the same SampleRunner path at full scale.
  *
  * Environment (on top of the standard bench contract):
  *   ZBP_SAMPLE_TRACE     suite to run (default tpf)

@@ -2,7 +2,8 @@
 #
 # Smoke-verify the repo: the full tier-1 build + test cycle, then one
 # sharded bench run exercising zbp::runner end to end (parallel
-# execution + JSONL export) at a small trace scale.
+# execution + JSONL export) at a small trace scale, then every
+# figure/table/ablation binary at a tiny scale.
 #
 # Usage:
 #   scripts/smoke.sh               # full: configure, build, ctest, bench
@@ -462,6 +463,29 @@ if ! grep -q "13 cache hits, 0 generated" <<<"$warm_out"; then
     exit 1
 fi
 echo "smoke: trace cache OK (second run: 13 hits, 0 generated)"
+
+# Bench-binary leg: every figure/table/ablation binary (each
+# zbp_bench() target in bench/CMakeLists.txt) must run to completion at
+# a tiny trace scale, so a bench that aborts before printing its table
+# fails tier-1 instead of the next full-scale reproduction.
+bin_scale=0.01
+echo "== bench-binary smoke: every bench binary at ZBP_LEN_SCALE=$bin_scale =="
+bin_start=$SECONDS
+bin_count=0
+for name in $(sed -n 's/^zbp_bench(\(.*\))$/\1/p' \
+        "$repo_root/bench/CMakeLists.txt"); do
+    exe="$build_dir/bench/$name"
+    if [[ ! -x "$exe" ]]; then
+        echo "smoke: missing $exe (build the repo first)" >&2
+        exit 1
+    fi
+    if ! ZBP_LEN_SCALE="$bin_scale" ZBP_JOBS="$jobs" "$exe" >/dev/null; then
+        echo "smoke: $name exited non-zero at ZBP_LEN_SCALE=$bin_scale" >&2
+        exit 1
+    fi
+    bin_count=$((bin_count + 1))
+done
+echo "smoke: bench binaries OK ($bin_count ran, $((SECONDS - bin_start))s)"
 
 # The bench-only leg is the runner_smoke ctest target; the CMP, obs,
 # ckpt and sample legs have their own ctest targets (cmp_smoke,

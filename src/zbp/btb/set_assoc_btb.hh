@@ -14,8 +14,8 @@
  * kMaxBtbWays lanes so a row's keys are exactly one 64-byte line), with
  * the instruction address, target and direction/gate planes held in
  * separate contiguous arrays.  A row search touches only the signature
- * and key planes — matchable by one vector compare (btb/simd.hh) — and
- * the wider planes are read per *hit*, not per way probed.  BtbEntry is
+ * and key planes — one dense way compare (btb/simd.hh) — and the wider
+ * planes are read per *hit*, not per way probed.  BtbEntry is
  * a materialized view assembled on demand.
  *
  * The class exposes the LRU surgery the semi-exclusive hierarchy needs:
@@ -108,7 +108,7 @@ struct BtbHit
  */
 using BtbHitList = InlineVec<BtbHit, kMaxBtbWays>;
 
-/** Generic tagged set-associative BTB (SoA planes, vector search). */
+/** Generic tagged set-associative BTB (SoA planes, one-line key rows). */
 class SetAssocBtb
 {
   public:
@@ -168,11 +168,9 @@ class SetAssocBtb
     /**
      * The shared row prefilter + way compare: per-way bitmask of valid,
      * tag-matching lanes of @p row for a lookup of @p ia.  One inlined
-     * helper feeds searchFrom, readRow, lookup and install so the SIMD
-     * and scalar paths (btb/simd.hh) are exercised identically
-     * everywhere: the rowSig test rejects most foreign rows on one
-     * 64-bit load, and the key compare runs data-parallel across the
-     * padded lane group.
+     * helper feeds searchFrom, readRow, lookup and install: the rowSig
+     * test rejects most foreign rows on one 64-bit load, and the key
+     * compare (btb/simd.hh) scans the row's one-line lane group.
      */
     std::uint32_t
     rowMatchMask(std::uint32_t row, Addr ia) const
@@ -360,7 +358,7 @@ class SetAssocBtb
     std::uint64_t validCount() const;
 
     /** Serialize every plane + LRU + counters into one checkpoint
-     * section (explicit-width fields; SIMD/scalar-build independent). */
+     * section (explicit-width fields, independent of the plane layout). */
     void saveState(ckpt::Writer &w) const;
 
     /** Overwrite from a checkpoint section; throws ckpt::CkptError on

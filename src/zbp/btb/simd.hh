@@ -1,155 +1,35 @@
 /**
  * @file
- * Data-parallel way-compare kernels for the SoA BTB key plane.
+ * The way-compare kernel for the SoA BTB key plane.
  *
  * A SetAssocBtb row's search-relevant state is one 64-byte line of
  * kMaxBtbWays packed 64-bit keys (valid bit | tag); matching a search
- * address against a row reduces to comparing one broadcast key word
- * against all lanes.  The kernels here produce the per-way match
- * bitmask three ways:
- *
- *  - AVX2 (x86-64): two 256-bit cmpeq over the 8-lane row, compiled
- *    with a per-function target attribute so the rest of the simulator
- *    keeps the default ISA, selected at runtime via cpuid;
- *  - NEON (aarch64): four 128-bit cmpeq, always available;
- *  - scalar: a ways-bounded loop, used when ZBP_ENABLE_SIMD is OFF at
- *    configure time, when ZBP_SIMD=0 at run time, or when the CPU
- *    lacks AVX2.
- *
- * All paths return bit w set iff lane w equals the key, so the callers
- * in set_assoc_btb.hh are path-agnostic and bit-identical by
- * construction (the bit-identity suite pins this; padding lanes hold 0
- * and a key always has the valid bit set, so they can never match).
+ * address against a row reduces to comparing one key word against the
+ * row's lanes.  matchWays is a plain portable loop bounded by the
+ * configured ways: vector kernels bought ~3% on the full Fig. 2 sweep,
+ * inside its run-to-run noise (DESIGN.md §7).
  */
 
 #ifndef ZBP_BTB_SIMD_HH
 #define ZBP_BTB_SIMD_HH
 
 #include <cstdint>
-#include <cstdlib>
-
-#include "zbp/common/bitfield.hh"
-
-#if defined(ZBP_ENABLE_SIMD)
-#if defined(__x86_64__) || defined(_M_X64)
-#define ZBP_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__aarch64__)
-#define ZBP_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-#endif
 
 namespace zbp::btb::simd
 {
 
-/** Scalar reference kernel: bit w set iff keys[w] == key, w < ways. */
+/**
+ * Per-way match mask over one padded key row: bit w set iff
+ * keys[w] == key, for w < @p ways.  This is the single entry point the
+ * BTB row access primitives use.
+ */
 inline std::uint32_t
-matchWaysScalar(const std::uint64_t *keys, std::uint64_t key,
-                std::uint32_t ways)
+matchWays(const std::uint64_t *keys, std::uint64_t key, std::uint32_t ways)
 {
     std::uint32_t m = 0;
     for (std::uint32_t w = 0; w < ways; ++w)
         m |= static_cast<std::uint32_t>(keys[w] == key) << w;
     return m;
-}
-
-#if ZBP_SIMD_AVX2
-
-/** All-8-lane AVX2 compare of one key row (64 B, unaligned-safe). */
-__attribute__((target("avx2"))) inline std::uint32_t
-matchWays8Avx2(const std::uint64_t *keys, std::uint64_t key)
-{
-    const __m256i k = _mm256_set1_epi64x(static_cast<long long>(key));
-    const __m256i lo = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(keys));
-    const __m256i hi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(keys + 4));
-    const auto m_lo = static_cast<std::uint32_t>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(lo, k))));
-    const auto m_hi = static_cast<std::uint32_t>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(hi, k))));
-    return m_lo | (m_hi << 4);
-}
-
-#elif ZBP_SIMD_NEON
-
-/** All-8-lane NEON compare of one key row. */
-inline std::uint32_t
-matchWays8Neon(const std::uint64_t *keys, std::uint64_t key)
-{
-    const uint64x2_t k = vdupq_n_u64(key);
-    std::uint32_t m = 0;
-    for (unsigned i = 0; i < 8; i += 2) {
-        const uint64x2_t c = vceqq_u64(vld1q_u64(keys + i), k);
-        m |= static_cast<std::uint32_t>(vgetq_lane_u64(c, 0) & 1) << i;
-        m |= static_cast<std::uint32_t>(vgetq_lane_u64(c, 1) & 1)
-                << (i + 1);
-    }
-    return m;
-}
-
-#endif
-
-/**
- * Runtime path selection, decided once per process: the vector kernels
- * are compiled in (ZBP_ENABLE_SIMD), the kill switch ZBP_SIMD=0 is not
- * set, and the CPU supports the compiled ISA.
- */
-inline bool
-detectSimd()
-{
-#if ZBP_SIMD_AVX2 || ZBP_SIMD_NEON
-    const char *e = std::getenv("ZBP_SIMD");
-    if (e != nullptr && e[0] == '0' && e[1] == '\0')
-        return false;
-#if ZBP_SIMD_AVX2
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return true;
-#endif
-#else
-    return false;
-#endif
-}
-
-inline const bool kSimdActive = detectSimd();
-
-/** Human-readable name of the active path (bench / perf reporting). */
-inline const char *
-activePath()
-{
-#if ZBP_SIMD_AVX2
-    if (kSimdActive)
-        return "avx2";
-#elif ZBP_SIMD_NEON
-    if (kSimdActive)
-        return "neon";
-#endif
-    return "scalar";
-}
-
-/**
- * Per-way match mask over one padded key row (kMaxBtbWays lanes).
- * @p keys must point at a full 8-lane row; lanes >= @p ways hold 0 and
- * are masked off.  This is the single entry point the BTB row access
- * primitives use; scalar and vector paths are interchangeable.
- */
-inline std::uint32_t
-matchWays(const std::uint64_t *keys, std::uint64_t key, std::uint32_t ways)
-{
-#if ZBP_SIMD_AVX2
-    if (kSimdActive) {
-        return matchWays8Avx2(keys, key) &
-               static_cast<std::uint32_t>(maskBits(ways));
-    }
-#elif ZBP_SIMD_NEON
-    if (kSimdActive) {
-        return matchWays8Neon(keys, key) &
-               static_cast<std::uint32_t>(maskBits(ways));
-    }
-#endif
-    return matchWaysScalar(keys, key, ways);
 }
 
 /** Portable read-prefetch hint (no-op where unsupported). */

@@ -477,15 +477,9 @@ removeCkptFile(const std::string &path)
 std::string
 ckptPathFor(const std::string &dir, const std::string &key)
 {
-    // FNV-1a, the same stable-name hash the runner uses for seeds.
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : key) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ull;
-    }
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(h));
+                  static_cast<unsigned long long>(nameHash(key)));
     std::string p = dir;
     if (!p.empty() && p.back() != '/')
         p += '/';

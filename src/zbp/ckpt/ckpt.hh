@@ -7,8 +7,8 @@
  * caller falls back to a full re-run, never to wrong counters.
  *
  * Format (all integers little-endian, explicit widths — no raw struct
- * dumps, so snapshots are layout-independent and a SIMD build restores
- * a scalar build's file and vice versa):
+ * dumps, so snapshots are independent of the struct layout of the
+ * build that wrote them):
  *
  *   file   := "ZBPC" u32(formatVersion) section* endSection
  *   section:= u32(tag) u64(payloadLen) payload u32(crc32(payload))
@@ -31,7 +31,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "zbp/common/hash.hh"
 
 namespace zbp::ckpt
 {
@@ -269,8 +272,18 @@ std::uint64_t ckptIntervalFromEnv();
 /** ZBP_CKPT_DIR: directory for snapshot files; empty = off. */
 std::string ckptDirFromEnv();
 
+/** Stable hash of a name inside the checkpoint contract (snapshot file
+ * names, the trace fingerprint of a core section): FNV-1a from the
+ * basis these were first written with, the standard one missing its
+ * last digit.  Fixed so existing snapshots stay valid. */
+constexpr std::uint64_t
+nameHash(std::string_view s)
+{
+    return fnv1a(s, 1469598103934665603ull);
+}
+
 /** Snapshot path for one resume identity: ZBP_CKPT_DIR/zbp-<hash>.ckpt
- * (FNV-1a over the key, so the name is stable across processes). */
+ * (nameHash over the key, so the name is stable across processes). */
 std::string ckptPathFor(const std::string &dir, const std::string &key);
 
 } // namespace zbp::ckpt

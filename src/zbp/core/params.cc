@@ -102,7 +102,6 @@ MachineParams::validate() const
 
     checkNonZero("search.missSearchLimit", search.missSearchLimit);
     checkNonZero("search.maxNotTakenPerRow", search.maxNotTakenPerRow);
-    checkNonZero("search.fitEntries", search.fitEntries);
     checkNonZero("search.maxQueuedPredictions",
                  search.maxQueuedPredictions);
     checkNonZero("search.seqBurst", search.seqBurst);

@@ -32,7 +32,8 @@ struct SearchParams
     /** Maximum not-taken predictions broadcast per searched row. */
     unsigned maxNotTakenPerRow = 2;
 
-    /** Fast Index Table capacity (taken-branch re-index acceleration). */
+    /** Fast Index Table capacity (taken-branch re-index acceleration);
+     * 0 disables the FIT. */
     unsigned fitEntries = 64;
 
     /** Outstanding-prediction cap: how far the asynchronous lookahead

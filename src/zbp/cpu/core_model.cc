@@ -1247,17 +1247,6 @@ CoreModel::finishRun()
 namespace
 {
 
-std::uint64_t
-traceNameHash(const std::string &name)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 void
 savePrediction(ckpt::Writer &w, const core::Prediction &p)
 {
@@ -1302,7 +1291,7 @@ CoreModel::saveState(ckpt::Writer &w) const
 {
     ZBP_ASSERT(runActive, "saveState() without an armed run");
     w.beginSection(ckpt::tag::kCore);
-    w.putU64(traceNameHash(tr->name()));
+    w.putU64(ckpt::nameHash(tr->name()));
     w.putU64(tr->size());
     w.putBool(l1d != nullptr);
     w.putBool(eng != nullptr);
@@ -1362,7 +1351,7 @@ CoreModel::restoreState(ckpt::Reader &r)
 {
     ZBP_ASSERT(runActive, "restoreState() without an armed run");
     r.openSection(ckpt::tag::kCore);
-    if (r.getU64() != traceNameHash(tr->name()) ||
+    if (r.getU64() != ckpt::nameHash(tr->name()) ||
         r.getU64() != tr->size())
         throw ckpt::CkptError("checkpoint was taken over a different "
                               "trace");

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "zbp/common/hash.hh"
 #include "zbp/common/log.hh"
 #include "zbp/obs/obs_config.hh"
 #include "zbp/runner/executor.hh"
@@ -30,16 +31,6 @@ double
 secondsSince(SteadyClock::time_point t0)
 {
     return std::chrono::duration<double>(SteadyClock::now() - t0).count();
-}
-
-std::uint64_t
-mixString(std::uint64_t h, const std::string &s)
-{
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001B3ull; // FNV-1a step
-    }
-    return h;
 }
 
 /** The value of env var @p var parsed by @p parse, or @p dflt when
@@ -309,10 +300,7 @@ std::uint64_t
 JobRunner::deriveSeed(const std::string &config_name,
                       const std::string &trace_name)
 {
-    std::uint64_t h = 0xCBF29CE484222325ull; // FNV offset basis
-    h = mixString(h, config_name);
-    h = mixString(h, "/");
-    h = mixString(h, trace_name);
+    std::uint64_t h = fnv1a(config_name + '/' + trace_name);
     // SplitMix64 finalizer: spread the FNV state over all 64 bits.
     h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
     h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;

@@ -217,5 +217,16 @@ TEST(CkptEnv, PathForIsStableAndDistinguishesKeys)
     EXPECT_NE(a.find(".ckpt"), std::string::npos) << a;
 }
 
+TEST(CkptEnv, PathForIsPinned)
+{
+    // Snapshot directories written earlier must keep resolving to the
+    // same file names.
+    EXPECT_EQ(ckptPathFor("/ckpts", "cfg\x1ftrace\x1f" "1"),
+              "/ckpts/zbp-e214373577869499.ckpt");
+    EXPECT_EQ(ckptPathFor("d/", ""), "d/zbp-14650fb0739d0383.ckpt");
+    EXPECT_EQ(ckptPathFor("", "btb2\x1f" "cb84\x1f" "42\xff"),
+              "zbp-935f6d278535ee8b.ckpt");
+}
+
 } // namespace
 } // namespace zbp::ckpt

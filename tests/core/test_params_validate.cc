@@ -6,6 +6,8 @@
  * instead of asserting deep inside a table constructor.
  */
 
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +16,7 @@
 #include "zbp/core/params.hh"
 #include "zbp/cpu/core_model.hh"
 #include "zbp/sim/configs.hh"
+#include "zbp/workload/suites.hh"
 
 namespace zbp::core
 {
@@ -181,6 +184,38 @@ TEST(ParamsValidate, CmpConfigIsValidAtManyCoresAndBanks)
     p.cmp.btb2Banks = 16;
     p.cmp.sharedL2i = true;
     EXPECT_NO_THROW(p.validate());
+}
+
+/** The value of scalar @p label in a statsText dump (-1 when absent). */
+double
+statValue(const std::string &stats_text, const std::string &label)
+{
+    std::istringstream in(stats_text);
+    std::string name;
+    double v = 0;
+    while (in >> name >> v) {
+        if (name == label)
+            return v;
+        in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return -1;
+}
+
+TEST(ParamsValidate, ZeroEntryFitIsValidAndNeverHits)
+{
+    // The ablation's "no FIT" machine: a 0-entry FIT learns nothing and
+    // never accelerates a re-index, so 0 is a supported value.
+    MachineParams no_fit = sim::configBtb2();
+    no_fit.search.fitEntries = 0;
+    EXPECT_NO_THROW(no_fit.validate());
+
+    const auto t = workload::makeSuiteTrace(workload::findSuite("tpf"),
+                                            0.005);
+    const auto with_fit = cpu::CoreModel(sim::configBtb2()).run(t);
+    const auto without = cpu::CoreModel(no_fit).run(t);
+    EXPECT_GT(statValue(with_fit.statsText, "searchPipeline.fitAccels"), 0);
+    EXPECT_EQ(statValue(without.statsText, "searchPipeline.fitAccels"), 0);
+    EXPECT_EQ(without.instructions, t.size());
 }
 
 TEST(ParamsValidate, CoreModelRefusesInvalidConfig)

@@ -314,6 +314,19 @@ TEST(JobRunner, SeedDerivationIsStableAndIdentityBased)
               JobRunner::deriveSeed("a", "bc"));
 }
 
+TEST(JobRunner, SeedDerivationIsPinned)
+{
+    // Existing result records carry these seeds (FNV-1a over
+    // "config/trace", then a SplitMix64 finalizer): the derivation must
+    // never drift, or resume would stop recognizing them.
+    EXPECT_EQ(JobRunner::deriveSeed("btb2", "cb84"), 0x8bf78d5114d61c42ull);
+    EXPECT_EQ(JobRunner::deriveSeed("no-btb2", "tpf"),
+              0x8b09940347eb94e2ull);
+    EXPECT_EQ(JobRunner::deriveSeed("", ""), 0x7face396ae054c7dull);
+    EXPECT_EQ(JobRunner::deriveSeed("large-btb1 \xc3\xa9", "zos/\x01"),
+              0x615d02d5e8a3e83bull);
+}
+
 // ---- the resume file: the one JSON input read from outside ---------
 
 /** A record whose identity and counters stress the reader: quotes,
