@@ -2,22 +2,26 @@
  * @file
  * Golden-counter regression tests: small fixed-seed traces run through
  * the three Figure 2 configurations, with every SimResult counter
- * asserted against checked-in values captured from the reference
- * implementation.  These pin the simulator's observable behaviour so
- * hot-path optimisations (allocation removal, idle-cycle skipping)
- * cannot silently drift the numbers.
+ * (cpu::kSimCounters) and the CPI bits asserted against checked-in
+ * values captured from the reference implementation.  These pin the
+ * simulator's observable behaviour so hot-path optimisations
+ * (allocation removal, idle-cycle skipping) and decode refactors cannot
+ * silently drift the numbers.  Both execution modes are pinned: the
+ * detailed run and the functional warm-up (sampled simulation).
  *
  * Regenerating: build with the implementation you trust, then run
  *   ZBP_GOLDEN_REGEN=1 ./zbp_core_tests --gtest_filter='GoldenCounters*'
- * and paste the printed rows over the kGolden table below.
+ * and paste the printed rows over the kGolden/kGoldenFunctional tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <string>
-#include <vector>
 
 #include "zbp/cpu/core_model.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
@@ -31,48 +35,42 @@ namespace zbp::cpu
 namespace
 {
 
-/** Every integer counter in SimResult, in declaration order. */
+/** One trace x config: every counter, in kSimCounters order. */
 struct GoldenRow
 {
     const char *trace;
     const char *config;
-    std::uint64_t cycles;
-    std::uint64_t instructions;
-    std::uint64_t branches;
-    std::uint64_t takenBranches;
-    std::uint64_t correct;
-    std::uint64_t mispredictDir;
-    std::uint64_t mispredictTarget;
-    std::uint64_t surpriseCompulsory;
-    std::uint64_t surpriseLatency;
-    std::uint64_t surpriseCapacity;
-    std::uint64_t surpriseBenign;
-    std::uint64_t phantoms;
-    std::uint64_t icacheMisses;
-    std::uint64_t dcacheMisses;
-    std::uint64_t dataAccesses;
-    std::uint64_t btb1MissReports;
-    std::uint64_t btb2RowReads;
-    std::uint64_t btb2Transfers;
-    std::uint64_t btb2FullSearches;
-    std::uint64_t btb2PartialSearches;
-    std::uint64_t predictionsMade;
-    std::uint64_t watchdogResets;
+    std::uint64_t counters[std::size(kSimCounters)];
 };
 
 // clang-format off
+/** Detailed runs (CoreModel::run). */
 const GoldenRow kGolden[] = {
     // Captured from the reference implementation (pre-optimisation
     // seed); regenerate with ZBP_GOLDEN_REGEN=1 (see file header).
-    {"golden-small", "no-btb2", 34558ull, 20006ull, 3849ull, 3189ull, 2987ull, 190ull, 226ull, 175ull, 1ull, 0ull, 270ull, 0ull, 34ull, 1177ull, 6495ull, 331ull, 0ull, 0ull, 0ull, 0ull, 9879ull, 0ull},
-    {"golden-small", "btb2", 34558ull, 20006ull, 3849ull, 3189ull, 2987ull, 190ull, 226ull, 175ull, 1ull, 0ull, 270ull, 0ull, 34ull, 1177ull, 6495ull, 331ull, 5152ull, 1129ull, 40ull, 8ull, 9879ull, 0ull},
-    {"golden-small", "large-btb1", 34558ull, 20006ull, 3849ull, 3189ull, 2987ull, 190ull, 226ull, 175ull, 1ull, 0ull, 270ull, 0ull, 34ull, 1177ull, 6495ull, 331ull, 0ull, 0ull, 0ull, 0ull, 9879ull, 0ull},
-    {"golden-caps", "no-btb2", 60079ull, 40004ull, 6990ull, 5605ull, 5225ull, 306ull, 194ull, 447ull, 5ull, 0ull, 813ull, 0ull, 112ull, 1829ull, 13286ull, 927ull, 0ull, 0ull, 0ull, 0ull, 13970ull, 0ull},
-    {"golden-caps", "btb2", 60079ull, 40004ull, 6990ull, 5605ull, 5225ull, 306ull, 194ull, 447ull, 5ull, 0ull, 813ull, 0ull, 112ull, 1829ull, 13286ull, 927ull, 14164ull, 2158ull, 107ull, 55ull, 13970ull, 0ull},
-    {"golden-caps", "large-btb1", 60074ull, 40004ull, 6990ull, 5605ull, 5225ull, 306ull, 194ull, 447ull, 5ull, 0ull, 813ull, 0ull, 112ull, 1829ull, 13286ull, 927ull, 0ull, 0ull, 0ull, 0ull, 13979ull, 0ull},
-    {"tpf", "no-btb2", 56148ull, 32001ull, 8354ull, 6378ull, 5691ull, 380ull, 104ull, 985ull, 11ull, 8ull, 1175ull, 0ull, 280ull, 1163ull, 9413ull, 2086ull, 0ull, 0ull, 0ull, 0ull, 13785ull, 0ull},
-    {"tpf", "btb2", 56128ull, 32001ull, 8354ull, 6378ull, 5690ull, 379ull, 104ull, 985ull, 11ull, 10ull, 1175ull, 0ull, 280ull, 1163ull, 9413ull, 2086ull, 29052ull, 2247ull, 218ull, 101ull, 13792ull, 0ull},
-    {"tpf", "large-btb1", 56146ull, 32001ull, 8354ull, 6378ull, 5691ull, 380ull, 104ull, 985ull, 11ull, 8ull, 1175ull, 0ull, 280ull, 1163ull, 9413ull, 2086ull, 0ull, 0ull, 0ull, 0ull, 13793ull, 0ull},
+    {"golden-small", "no-btb2", {34558, 20006, 3849, 3189, 2987, 190, 226, 175, 1, 0, 270, 0, 34, 1177, 6495, 331, 0, 0, 0, 0, 9879, 0, 3849, 0}},
+    {"golden-small", "btb2", {34558, 20006, 3849, 3189, 2987, 190, 226, 175, 1, 0, 270, 0, 34, 1177, 6495, 331, 5152, 1129, 40, 8, 9879, 0, 3849, 0}},
+    {"golden-small", "large-btb1", {34558, 20006, 3849, 3189, 2987, 190, 226, 175, 1, 0, 270, 0, 34, 1177, 6495, 331, 0, 0, 0, 0, 9879, 0, 3849, 0}},
+    {"golden-caps", "no-btb2", {60079, 40004, 6990, 5605, 5225, 306, 194, 447, 5, 0, 813, 0, 112, 1829, 13286, 927, 0, 0, 0, 0, 13970, 0, 6990, 0}},
+    {"golden-caps", "btb2", {60079, 40004, 6990, 5605, 5225, 306, 194, 447, 5, 0, 813, 0, 112, 1829, 13286, 927, 14164, 2158, 107, 55, 13970, 0, 6990, 0}},
+    {"golden-caps", "large-btb1", {60074, 40004, 6990, 5605, 5225, 306, 194, 447, 5, 0, 813, 0, 112, 1829, 13286, 927, 0, 0, 0, 0, 13979, 0, 6990, 0}},
+    {"tpf", "no-btb2", {56148, 32001, 8354, 6378, 5691, 380, 104, 985, 11, 8, 1175, 0, 280, 1163, 9413, 2086, 0, 0, 0, 0, 13785, 0, 8354, 0}},
+    {"tpf", "btb2", {56128, 32001, 8354, 6378, 5690, 379, 104, 985, 11, 10, 1175, 0, 280, 1163, 9413, 2086, 29052, 2247, 218, 101, 13792, 0, 8354, 0}},
+    {"tpf", "large-btb1", {56146, 32001, 8354, 6378, 5691, 380, 104, 985, 11, 8, 1175, 0, 280, 1163, 9413, 2086, 0, 0, 0, 0, 13793, 0, 8354, 0}},
+};
+
+/** Functional warm-up: beginRun, advanceFunctional(size / 2),
+ * advanceFunctional(size), interimResult(). */
+const GoldenRow kGoldenFunctional[] = {
+    {"golden-small", "no-btb2", {34790, 20006, 3849, 3189, 2989, 189, 226, 175, 0, 0, 270, 0, 34, 1177, 6495, 0, 0, 0, 0, 0, 0, 0, 3849, 0}},
+    {"golden-small", "btb2", {34790, 20006, 3849, 3189, 2989, 189, 226, 175, 0, 0, 270, 0, 34, 1177, 6495, 0, 34764, 8432, 266, 179, 0, 0, 3849, 0}},
+    {"golden-small", "large-btb1", {34790, 20006, 3849, 3189, 2989, 189, 226, 175, 0, 0, 270, 0, 34, 1177, 6495, 0, 0, 0, 0, 0, 0, 0, 3849, 0}},
+    {"golden-caps", "no-btb2", {60828, 40004, 6990, 5605, 5228, 308, 194, 447, 0, 0, 813, 0, 112, 1829, 13286, 0, 0, 0, 0, 0, 0, 0, 6990, 0}},
+    {"golden-caps", "btb2", {60828, 40004, 6990, 5605, 5228, 308, 194, 447, 0, 0, 813, 0, 112, 1829, 13286, 0, 81672, 13383, 618, 642, 0, 0, 6990, 0}},
+    {"golden-caps", "large-btb1", {60828, 40004, 6990, 5605, 5228, 308, 194, 447, 0, 0, 813, 0, 112, 1829, 13286, 0, 0, 0, 0, 0, 0, 0, 6990, 0}},
+    {"tpf", "no-btb2", {54692, 32001, 8354, 6378, 5701, 381, 103, 985, 0, 9, 1175, 0, 280, 1163, 9413, 0, 0, 0, 0, 0, 0, 0, 8354, 0}},
+    {"tpf", "btb2", {54708, 32001, 8354, 6378, 5705, 381, 104, 985, 0, 4, 1175, 0, 280, 1163, 9413, 0, 222184, 19042, 1722, 442, 0, 0, 8354, 0}},
+    {"tpf", "large-btb1", {54692, 32001, 8354, 6378, 5701, 381, 103, 985, 0, 9, 1175, 0, 280, 1163, 9413, 0, 0, 0, 0, 0, 0, 0, 8354, 0}},
 };
 // clang-format on
 
@@ -112,6 +110,17 @@ makeGoldenTrace(const std::string &name)
     return workload::makeSuiteTrace(workload::findSuite("tpf"), 0.02);
 }
 
+/** The golden trace @p name, generated once per test binary. */
+const trace::Trace &
+goldenTrace(const std::string &name)
+{
+    static std::map<std::string, trace::Trace> cache;
+    auto it = cache.find(name);
+    if (it == cache.end())
+        it = cache.emplace(name, makeGoldenTrace(name)).first;
+    return it->second;
+}
+
 core::MachineParams
 configFor(const std::string &name)
 {
@@ -125,66 +134,29 @@ configFor(const std::string &name)
 void
 printRegenRow(const GoldenRow &g, const SimResult &r)
 {
-    std::printf("    {\"%s\", \"%s\", %lluull, %lluull, %lluull, %lluull, "
-                "%lluull, %lluull, %lluull, %lluull, %lluull, %lluull, "
-                "%lluull, %lluull, %lluull, %lluull, %lluull, %lluull, "
-                "%lluull, %lluull, %lluull, %lluull, %lluull, %lluull},\n",
-                g.trace, g.config,
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(r.instructions),
-                static_cast<unsigned long long>(r.branches),
-                static_cast<unsigned long long>(r.takenBranches),
-                static_cast<unsigned long long>(r.correct),
-                static_cast<unsigned long long>(r.mispredictDir),
-                static_cast<unsigned long long>(r.mispredictTarget),
-                static_cast<unsigned long long>(r.surpriseCompulsory),
-                static_cast<unsigned long long>(r.surpriseLatency),
-                static_cast<unsigned long long>(r.surpriseCapacity),
-                static_cast<unsigned long long>(r.surpriseBenign),
-                static_cast<unsigned long long>(r.phantoms),
-                static_cast<unsigned long long>(r.icacheMisses),
-                static_cast<unsigned long long>(r.dcacheMisses),
-                static_cast<unsigned long long>(r.dataAccesses),
-                static_cast<unsigned long long>(r.btb1MissReports),
-                static_cast<unsigned long long>(r.btb2RowReads),
-                static_cast<unsigned long long>(r.btb2Transfers),
-                static_cast<unsigned long long>(r.btb2FullSearches),
-                static_cast<unsigned long long>(r.btb2PartialSearches),
-                static_cast<unsigned long long>(r.predictionsMade),
-                static_cast<unsigned long long>(r.watchdogResets));
+    std::printf("    {\"%s\", \"%s\", {", g.trace, g.config);
+    const char *sep = "";
+    for (const SimCounter &c : kSimCounters) {
+        std::printf("%s%llu", sep,
+                    static_cast<unsigned long long>(r.*c.member));
+        sep = ", ";
+    }
+    std::printf("}},\n");
 }
 
 void
 expectMatchesGolden(const GoldenRow &g, const SimResult &r)
 {
-    const std::string ctx =
-        std::string(g.trace) + " / " + g.config;
-    EXPECT_EQ(r.cycles, g.cycles) << ctx;
-    EXPECT_EQ(r.instructions, g.instructions) << ctx;
+    const std::string ctx = std::string(g.trace) + " / " + g.config;
+    for (std::size_t i = 0; i < std::size(kSimCounters); ++i)
+        EXPECT_EQ(r.*kSimCounters[i].member, g.counters[i])
+                << ctx << ": " << kSimCounters[i].name;
     // CPI is derived, but assert it stays bit-identical too.
-    EXPECT_EQ(r.cpi, static_cast<double>(g.cycles) /
-                         static_cast<double>(g.instructions))
-        << ctx;
-    EXPECT_EQ(r.branches, g.branches) << ctx;
-    EXPECT_EQ(r.takenBranches, g.takenBranches) << ctx;
-    EXPECT_EQ(r.correct, g.correct) << ctx;
-    EXPECT_EQ(r.mispredictDir, g.mispredictDir) << ctx;
-    EXPECT_EQ(r.mispredictTarget, g.mispredictTarget) << ctx;
-    EXPECT_EQ(r.surpriseCompulsory, g.surpriseCompulsory) << ctx;
-    EXPECT_EQ(r.surpriseLatency, g.surpriseLatency) << ctx;
-    EXPECT_EQ(r.surpriseCapacity, g.surpriseCapacity) << ctx;
-    EXPECT_EQ(r.surpriseBenign, g.surpriseBenign) << ctx;
-    EXPECT_EQ(r.phantoms, g.phantoms) << ctx;
-    EXPECT_EQ(r.icacheMisses, g.icacheMisses) << ctx;
-    EXPECT_EQ(r.dcacheMisses, g.dcacheMisses) << ctx;
-    EXPECT_EQ(r.dataAccesses, g.dataAccesses) << ctx;
-    EXPECT_EQ(r.btb1MissReports, g.btb1MissReports) << ctx;
-    EXPECT_EQ(r.btb2RowReads, g.btb2RowReads) << ctx;
-    EXPECT_EQ(r.btb2Transfers, g.btb2Transfers) << ctx;
-    EXPECT_EQ(r.btb2FullSearches, g.btb2FullSearches) << ctx;
-    EXPECT_EQ(r.btb2PartialSearches, g.btb2PartialSearches) << ctx;
-    EXPECT_EQ(r.predictionsMade, g.predictionsMade) << ctx;
-    EXPECT_EQ(r.watchdogResets, g.watchdogResets) << ctx;
+    const double cpi = static_cast<double>(g.counters[0]) /
+                       static_cast<double>(g.counters[1]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cpi),
+              std::bit_cast<std::uint64_t>(cpi))
+            << ctx << ": cpi " << r.cpi << " != " << cpi;
     // The outcome taxonomy must tile the branch count exactly.
     EXPECT_EQ(r.correct + r.mispredictDir + r.mispredictTarget +
                   r.surpriseCompulsory + r.surpriseLatency +
@@ -193,46 +165,53 @@ expectMatchesGolden(const GoldenRow &g, const SimResult &r)
         << ctx;
 }
 
-TEST(GoldenCounters, AllTracesAllConfigsMatchCheckedInValues)
+/** Check (or, in regen mode, print) every row of @p table against the
+ * result @p simulate produces for its trace and config. */
+template <std::size_t N, typename Simulate>
+void
+checkTable(const char *table_name, const GoldenRow (&table)[N],
+           Simulate simulate)
 {
-    // Generate each trace once and reuse it across the three configs
-    // (trace generation is itself deterministic, but this also keeps
-    // the test fast).
-    std::vector<std::string> traceNames;
-    for (const auto &g : kGolden) {
-        if (traceNames.empty() || traceNames.back() != g.trace)
-            traceNames.push_back(g.trace);
-    }
-    std::vector<trace::Trace> traces;
-    traces.reserve(traceNames.size());
-    for (const auto &n : traceNames)
-        traces.push_back(makeGoldenTrace(n));
-
     const bool regen = regenMode();
     if (regen)
-        std::printf("const GoldenRow kGolden[] = {\n");
-
-    for (const auto &g : kGolden) {
-        const trace::Trace *t = nullptr;
-        for (std::size_t i = 0; i < traceNames.size(); ++i) {
-            if (traceNames[i] == g.trace)
-                t = &traces[i];
-        }
-        ASSERT_NE(t, nullptr);
-        CoreModel m(configFor(g.config));
-        const auto r = m.run(*t);
-        if (regen) {
+        std::printf("const GoldenRow %s[] = {\n", table_name);
+    for (const GoldenRow &g : table) {
+        const SimResult r =
+                simulate(configFor(g.config), goldenTrace(g.trace));
+        if (regen)
             printRegenRow(g, r);
-            continue;
-        }
-        expectMatchesGolden(g, r);
+        else
+            expectMatchesGolden(g, r);
     }
-
     if (regen) {
         std::printf("};\n");
         GTEST_SKIP() << "regen mode: printed actual counters, "
                         "no assertions run";
     }
+}
+
+TEST(GoldenCounters, AllTracesAllConfigsMatchCheckedInValues)
+{
+    checkTable("kGolden", kGolden,
+               [](const core::MachineParams &cfg, const trace::Trace &t) {
+                   CoreModel m(cfg);
+                   return m.run(t);
+               });
+}
+
+TEST(GoldenCounters, FunctionalWarmupMatchesCheckedInValues)
+{
+    // Two chunks, so the pin also covers chunk composition (decode
+    // bandwidth keyed on the absolute cursor, the drained-machine
+    // resync between calls).
+    checkTable("kGoldenFunctional", kGoldenFunctional,
+               [](const core::MachineParams &cfg, const trace::Trace &t) {
+                   CoreModel m(cfg);
+                   m.beginRun(t);
+                   m.advanceFunctional(t.size() / 2);
+                   m.advanceFunctional(t.size());
+                   return m.interimResult();
+               });
 }
 
 TEST(GoldenCounters, CmpSingleCoreSingleBankMatchesCheckedInValues)
@@ -245,28 +224,12 @@ TEST(GoldenCounters, CmpSingleCoreSingleBankMatchesCheckedInValues)
     if (regenMode())
         GTEST_SKIP() << "regen mode: the CoreModel test prints the rows";
 
-    std::vector<std::string> traceNames;
     for (const auto &g : kGolden) {
-        if (traceNames.empty() || traceNames.back() != g.trace)
-            traceNames.push_back(g.trace);
-    }
-    std::vector<trace::Trace> traces;
-    traces.reserve(traceNames.size());
-    for (const auto &n : traceNames)
-        traces.push_back(makeGoldenTrace(n));
-
-    for (const auto &g : kGolden) {
-        const trace::Trace *t = nullptr;
-        for (std::size_t i = 0; i < traceNames.size(); ++i) {
-            if (traceNames[i] == g.trace)
-                t = &traces[i];
-        }
-        ASSERT_NE(t, nullptr);
         core::MachineParams cfg = configFor(g.config);
         cfg.cmp.cores = 1;
         cfg.cmp.btb2Banks = 1;
         sim::CmpModel m(cfg);
-        const auto r = m.run({t});
+        const auto r = m.run({&goldenTrace(g.trace)});
         ASSERT_EQ(r.core.size(), 1u);
         expectMatchesGolden(g, r.core[0]);
         // The degenerate arbiter never delayed anything.
