@@ -49,8 +49,7 @@ struct GlobalObs
     {
         cfg = obsConfigFromEnv();
         if (cfg.tracingEnabled())
-            tracer = std::make_unique<TraceWriter>(cfg.tracePath,
-                                                   cfg.traceMaxEvents);
+            tracer = std::make_unique<TraceWriter>(cfg.tracePath);
         if (cfg.samplingEnabled())
             intervals = std::make_unique<IntervalWriter>(cfg.intervalPath);
     }
@@ -74,7 +73,6 @@ obsConfigFromEnv()
     if (c.intervalInsts > 0 && c.intervalPath.empty())
         c.intervalPath = "obs_intervals.jsonl";
     c.tracePath = strFromEnv("ZBP_OBS_TRACE");
-    c.traceMaxEvents = u64FromEnv("ZBP_OBS_TRACE_MAX", 1'000'000);
     return c;
 }
 

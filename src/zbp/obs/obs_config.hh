@@ -13,7 +13,7 @@
  *                          "obs_intervals.jsonl" when ZBP_OBS_INTERVAL
  *                          is set without it.
  *  - ZBP_OBS_TRACE=path    Chrome trace-event / Perfetto JSON timeline
- *  - ZBP_OBS_TRACE_MAX=N   event cap for the timeline (default 1M)
+ *                          (TraceWriter's default event cap)
  *
  * The writers are lazily constructed singletons: every job of every
  * runner::JobRunner run in one process must share one sidecar / one
@@ -39,7 +39,6 @@ struct ObsConfig
     std::uint64_t intervalInsts = 0; ///< 0 = sampling off
     std::string intervalPath;
     std::string tracePath;           ///< empty = tracing off
-    std::uint64_t traceMaxEvents = 1'000'000;
 
     bool samplingEnabled() const { return intervalInsts > 0; }
     bool tracingEnabled() const { return !tracePath.empty(); }

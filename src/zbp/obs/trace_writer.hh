@@ -19,9 +19,9 @@
  * Zero-overhead contract (same as zbp::fault): components hold a plain
  * `TraceWriter *` that is null unless tracing is enabled; every hook is
  * a single null-pointer test on the hot path.  Emission itself is
- * mutex-serialised and O(event text); a hard event cap (default 1M,
- * ZBP_OBS_TRACE_MAX) bounds file size — events past the cap are counted
- * as dropped, and the count is recorded in the file's metadata.
+ * mutex-serialised and O(event text); a hard event cap (default 1M)
+ * bounds file size — events past the cap are counted as dropped, and
+ * the count is recorded in the file's metadata.
  */
 
 #ifndef ZBP_OBS_TRACE_WRITER_HH

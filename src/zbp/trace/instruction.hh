@@ -49,6 +49,16 @@ staticGuessTaken(InstKind k)
            k == InstKind::kReturn;
 }
 
+/** True for relative branches, whose target is known at decode: a
+ * surprise guessed taken can redirect fetch there without waiting for
+ * the resolve (returns and indirect branches cannot). */
+constexpr bool
+isDirectBranch(InstKind k)
+{
+    return k == InstKind::kCondBranch || k == InstKind::kUncondBranch ||
+           k == InstKind::kCall;
+}
+
 /**
  * One retired instruction.  Non-branches carry taken=false and
  * target=kNoAddr.  sizeof == 32 so multi-million instruction traces stay

@@ -58,6 +58,17 @@ TEST(Instruction, StaticGuessRules)
     EXPECT_FALSE(staticGuessTaken(InstKind::kIndirect));
 }
 
+TEST(Instruction, DirectBranchPredicate)
+{
+    // Relative branches carry their target in the instruction text.
+    EXPECT_FALSE(isDirectBranch(InstKind::kNonBranch));
+    EXPECT_TRUE(isDirectBranch(InstKind::kCondBranch));
+    EXPECT_TRUE(isDirectBranch(InstKind::kUncondBranch));
+    EXPECT_TRUE(isDirectBranch(InstKind::kCall));
+    EXPECT_FALSE(isDirectBranch(InstKind::kReturn));
+    EXPECT_FALSE(isDirectBranch(InstKind::kIndirect));
+}
+
 TEST(Instruction, Equality)
 {
     Instruction a, b;
