@@ -9,9 +9,14 @@
  * silently drift the numbers.  Both execution modes are pinned: the
  * detailed run and the functional warm-up (sampled simulation).
  *
+ * The snapshot images are pinned the same way: kSnapshotDigests holds
+ * the FNV-1a of mid-run checkpoint images, so a refactor of the
+ * save/restore code cannot change a single snapshot byte unnoticed.
+ *
  * Regenerating: build with the implementation you trust, then run
  *   ZBP_GOLDEN_REGEN=1 ./zbp_core_tests --gtest_filter='GoldenCounters*'
- * and paste the printed rows over the kGolden/kGoldenFunctional tables.
+ * and paste the printed rows over the kGolden/kGoldenFunctional/
+ * kSnapshotDigests tables.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +26,15 @@
 #include <cstdlib>
 #include <iterator>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 
+#include "zbp/ckpt/ckpt.hh"
+#include "zbp/common/hash.hh"
 #include "zbp/cpu/core_model.hh"
+#include "zbp/runner/gang_job.hh"
+#include "zbp/sample/sample_runner.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
 #include "zbp/sim/configs.hh"
 #include "zbp/workload/generator.hh"
@@ -71,6 +82,38 @@ const GoldenRow kGoldenFunctional[] = {
     {"tpf", "no-btb2", {54692, 32001, 8354, 6378, 5701, 381, 103, 985, 0, 9, 1175, 0, 280, 1163, 9413, 0, 0, 0, 0, 0, 0, 0, 8354, 0}},
     {"tpf", "btb2", {54708, 32001, 8354, 6378, 5705, 381, 104, 985, 0, 4, 1175, 0, 280, 1163, 9413, 0, 222184, 19042, 1722, 442, 0, 0, 8354, 0}},
     {"tpf", "large-btb1", {54692, 32001, 8354, 6378, 5701, 381, 103, 985, 0, 9, 1175, 0, 280, 1163, 9413, 0, 0, 0, 0, 0, 0, 0, 8354, 0}},
+};
+/** One mid-run snapshot image, named by how it was taken. */
+struct SnapshotDigest
+{
+    const char *name;
+    std::uint64_t digest; ///< fnv1a over the image bytes
+};
+
+/** See snapshotImage() for what each name means. */
+const SnapshotDigest kSnapshotDigests[] = {
+    {"detailed/golden-small/no-btb2", 0xf8703f4f2f97c0f7ull},
+    {"detailed/golden-small/btb2", 0x058028dccc9c1f5eull},
+    {"detailed/golden-small/large-btb1", 0x1b8ad74e961feec4ull},
+    {"detailed/golden-caps/no-btb2", 0xaa7008d29e5c9252ull},
+    {"detailed/golden-caps/btb2", 0xd336f06ace406c7full},
+    {"detailed/golden-caps/large-btb1", 0xae1f9788daa25491ull},
+    {"detailed/tpf/no-btb2", 0x90f58a03f8336772ull},
+    {"detailed/tpf/btb2", 0x273cfd0f7dfa08e5ull},
+    {"detailed/tpf/large-btb1", 0x5e4279680ede3446ull},
+    {"functional/golden-small/no-btb2", 0x9cfe830dd836ddbaull},
+    {"functional/golden-small/btb2", 0x6ec2fc08fa2e0112ull},
+    {"functional/golden-small/large-btb1", 0x157b5c1fa1f0c06eull},
+    {"functional/golden-caps/no-btb2", 0x8fa55cec4d5ccb59ull},
+    {"functional/golden-caps/btb2", 0x975146e3f0ce9408ull},
+    {"functional/golden-caps/large-btb1", 0x0eefaa4287c30684ull},
+    {"functional/tpf/no-btb2", 0xc0b8b7175a61d2beull},
+    {"functional/tpf/btb2", 0x56ca021d449f0b72ull},
+    {"functional/tpf/large-btb1", 0xc469ada9ca8996d8ull},
+    {"detailed/golden-small/btb2+faults", 0xfe2d2fddd3ef5b27ull},
+    {"cmp4/shared-l2i/2-banks", 0x33e555fde181afe3ull},
+    {"gang/golden-small/no-btb2+btb2", 0xd281cc0e3b726ea0ull},
+    {"interval/golden-small/btb2", 0x5070e6d9f7788760ull},
 };
 // clang-format on
 
@@ -238,6 +281,121 @@ TEST(GoldenCounters, CmpSingleCoreSingleBankMatchesCheckedInValues)
         EXPECT_EQ(r.arbQueueFullRejects, 0u)
                 << g.trace << " / " << g.config;
     }
+}
+
+/** The finish()ed image of @p save(w). */
+template <typename Save>
+ckpt::SnapshotBuffer
+imageOf(Save save)
+{
+    ckpt::Writer w;
+    save(w);
+    w.finish();
+    return ckpt::SnapshotBuffer::capture(w);
+}
+
+/** A CoreModel over @p trace, stopped halfway by @p mode ("detailed"
+ * or "functional"), snapshotted. */
+ckpt::SnapshotBuffer
+coreImage(const std::string &mode, const core::MachineParams &cfg,
+          const trace::Trace &t)
+{
+    CoreModel m(cfg);
+    m.beginRun(t);
+    if (mode == "functional")
+        m.advanceFunctional(t.size() / 2);
+    else
+        m.advance(t.size() / 2);
+    return imageOf([&](ckpt::Writer &w) { m.saveState(w); });
+}
+
+/** Every image kSnapshotDigests pins, in table order. */
+std::vector<std::pair<std::string, ckpt::SnapshotBuffer>>
+snapshotImages()
+{
+    std::vector<std::pair<std::string, ckpt::SnapshotBuffer>> out;
+    for (const char *mode : {"detailed", "functional"})
+        for (const GoldenRow &g : kGolden)
+            out.emplace_back(std::string(mode) + "/" + g.trace + "/" +
+                                     g.config,
+                             coreImage(mode, configFor(g.config),
+                                       goldenTrace(g.trace)));
+
+    core::MachineParams faulty = sim::configBtb2();
+    faulty.faults.enabled = true;
+    faulty.faults.rate = 1e-3;
+    faulty.faults.seed = 99;
+    out.emplace_back("detailed/golden-small/btb2+faults",
+                     coreImage("detailed", faulty,
+                               goldenTrace("golden-small")));
+
+    core::MachineParams cmp = sim::configBtb2();
+    cmp.cmp.cores = 4;
+    cmp.cmp.btb2Banks = 2;
+    cmp.cmp.sharedL2i = true;
+    const trace::Trace &caps = goldenTrace("golden-caps");
+    const trace::Trace &small = goldenTrace("golden-small");
+    sim::CmpModel chip(cmp);
+    chip.beginRun({&caps, &small, &caps, &small});
+    chip.advance(small.size() / 2);
+    out.emplace_back("cmp4/shared-l2i/2-banks",
+                     imageOf([&](ckpt::Writer &w) { chip.saveState(w); }));
+
+    runner::GangJob gang({{"no-btb2", sim::configNoBtb2()},
+                          {"btb2", sim::configBtb2()}},
+                         &small);
+    gang.begin(nullptr);
+    gang.advance(small.size() / 2);
+    out.emplace_back("gang/golden-small/no-btb2+btb2",
+                     imageOf([&](ckpt::Writer &w) { gang.save(w); }));
+
+    const core::MachineParams btb2 = sim::configBtb2();
+    const ckpt::SnapshotBuffer none;
+    sample::IntervalPlan iv;
+    iv.measureBegin = small.size() / 4;
+    iv.measureEnd = small.size();
+    sample::IntervalJob interval("btb2", btb2, small, nullptr, iv, none,
+                                 false);
+    interval.begin(nullptr);
+    interval.advance(small.size() / 2);
+    out.emplace_back("interval/golden-small/btb2",
+                     imageOf([&](ckpt::Writer &w) { interval.save(w); }));
+    return out;
+}
+
+TEST(GoldenCounters, SnapshotDigestsMatchCheckedInValues)
+{
+    // Snapshot bytes are a file format: a restore-side refactor must
+    // leave every image byte-identical, section order included.
+    const auto images = snapshotImages();
+    if (regenMode()) {
+        std::printf("const SnapshotDigest kSnapshotDigests[] = {\n");
+        for (const auto &[name, img] : images) {
+            const std::string_view bytes(
+                    reinterpret_cast<const char *>(img.bytes().data()),
+                    img.sizeBytes());
+            std::printf("    {\"%s\", 0x%016llxull},\n", name.c_str(),
+                        static_cast<unsigned long long>(fnv1a(bytes)));
+        }
+        std::printf("};\n");
+        GTEST_SKIP() << "regen mode: printed actual digests, "
+                        "no assertions run";
+    }
+    ASSERT_EQ(images.size(), std::size(kSnapshotDigests));
+    std::set<std::uint32_t> tags;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+        const auto &[name, img] = images[i];
+        EXPECT_EQ(name, kSnapshotDigests[i].name);
+        const std::string_view bytes(
+                reinterpret_cast<const char *>(img.bytes().data()),
+                img.sizeBytes());
+        EXPECT_EQ(fnv1a(bytes), kSnapshotDigests[i].digest) << name;
+        for (const ckpt::SectionDiff &d : ckpt::diffSnapshots(img, img))
+            tags.insert(d.tagA);
+    }
+    // Together the images exercise every component's section.
+    for (std::uint32_t t = ckpt::tag::kBtb; t <= ckpt::tag::kGang; ++t)
+        EXPECT_TRUE(tags.count(t) != 0) << ckpt::tagName(t);
 }
 
 } // namespace
