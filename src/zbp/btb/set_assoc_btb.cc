@@ -210,80 +210,41 @@ SetAssocBtb::validCount() const
 void
 SetAssocBtb::saveState(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kBtb);
-    w.putU32(cfg.rows);
-    w.putU32(cfg.ways);
-    w.putU32(cfg.rowBytes);
-    w.putU32(cfg.tagBits);
-    // Only the configured ways are stored; padding lanes are always
-    // zero and are reconstructed on restore.
-    for (std::uint32_t row = 0; row < cfg.rows; ++row) {
-        const std::size_t base = slotBase(row);
-        for (std::uint32_t way = 0; way < cfg.ways; ++way) {
-            const std::size_t s = base + way;
-            w.putU64(keys[s]);
-            w.putU64(ias[s]);
-            w.putU64(targets[s]);
-            w.putU8(meta[s]);
-        }
-        w.putU64(rowSig[row]);
-        for (unsigned i = 0; i < cfg.ways; ++i)
-            w.putU8(static_cast<std::uint8_t>(lru[row].orderAt(i)));
-    }
-    w.putU64(nInstalls.value());
-    w.putU64(nEvictions.value());
-    w.putU64(nUpdates.value());
-    w.endSection();
+    state(*this, w);
 }
 
 void
 SetAssocBtb::restoreState(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kBtb);
-    if (r.getU32() != cfg.rows || r.getU32() != cfg.ways ||
-        r.getU32() != cfg.rowBytes || r.getU32() != cfg.tagBits)
-        throw ckpt::CkptError("BTB '" + btbName + "' geometry mismatch");
-    // Stage into fresh planes so a mid-section CkptError cannot leave
-    // the live table half-overwritten.
-    std::vector<std::uint64_t> k(keys.size(), 0);
-    std::vector<Addr> ia(ias.size(), 0);
-    std::vector<Addr> tg(targets.size(), 0);
-    std::vector<std::uint8_t> mt(meta.size(), 0);
-    std::vector<std::uint64_t> sig(rowSig.size(), 0);
-    std::vector<LruState> lr(lru);
-    for (std::uint32_t row = 0; row < cfg.rows; ++row) {
-        const std::size_t base = slotBase(row);
-        for (std::uint32_t way = 0; way < cfg.ways; ++way) {
-            const std::size_t s = base + way;
-            k[s] = r.getU64();
-            ia[s] = r.getU64();
-            tg[s] = r.getU64();
-            mt[s] = r.getU8();
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+SetAssocBtb::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kBtb);
+    io.expect(s.cfg.rows, "BTB rows");
+    io.expect(s.cfg.ways, "BTB ways");
+    io.expect(s.cfg.rowBytes, "BTB row bytes");
+    io.expect(s.cfg.tagBits, "BTB tag width");
+    // Only the configured ways are stored; padding lanes are always
+    // zero.
+    for (std::uint32_t row = 0; row < s.cfg.rows; ++row) {
+        const std::size_t base = s.slotBase(row);
+        for (std::size_t i = base; i < base + s.cfg.ways; ++i) {
+            io.u64(s.keys[i]);
+            io.u64(s.ias[i]);
+            io.u64(s.targets[i]);
+            io.u8(s.meta[i]);
         }
-        sig[row] = r.getU64();
-        std::uint8_t order[kMaxBtbWays];
-        for (unsigned i = 0; i < cfg.ways; ++i)
-            order[i] = r.getU8();
-        if (!lr[row].setOrder(order, cfg.ways))
-            throw ckpt::CkptError("BTB '" + btbName +
-                                  "' LRU state is not a permutation");
+        io.u64(s.rowSig[row]);
+        LruState::state(s.lru[row], io);
     }
-    const std::uint64_t installs = r.getU64();
-    const std::uint64_t evictions = r.getU64();
-    const std::uint64_t updates = r.getU64();
-    r.closeSection();
-    keys = std::move(k);
-    ias = std::move(ia);
-    targets = std::move(tg);
-    meta = std::move(mt);
-    rowSig = std::move(sig);
-    lru = std::move(lr);
-    nInstalls.reset();
-    nInstalls += installs;
-    nEvictions.reset();
-    nEvictions += evictions;
-    nUpdates.reset();
-    nUpdates += updates;
+    io.counter(s.nInstalls);
+    io.counter(s.nEvictions);
+    io.counter(s.nUpdates);
+    io.endSection();
 }
 
 } // namespace zbp::btb

@@ -374,6 +374,9 @@ class SetAssocBtb
     }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     static constexpr std::uint64_t kValidBit = std::uint64_t{1} << 63;
     static constexpr std::uint8_t kDirMask = 0x3;
     static constexpr std::uint8_t kPhtBit = 0x4;

@@ -87,64 +87,36 @@ ICache::reset()
 void
 ICache::saveState(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kICache);
-    w.putU32(numSets);
-    w.putU32(prm.ways);
-    w.putU32(prm.lineBytes);
-    for (const Line &l : lines) {
-        w.putBool(l.valid);
-        w.putU64(l.tag);
-    }
-    for (const LruState &s : lru)
-        for (unsigned i = 0; i < prm.ways; ++i)
-            w.putU8(static_cast<std::uint8_t>(s.orderAt(i)));
-    w.putU64(blockMiss.size());
-    for (const auto &[block, cycle] : blockMiss) {
-        w.putU64(block);
-        w.putU64(cycle);
-    }
-    w.putU64(nHits.value());
-    w.putU64(nMisses.value());
-    w.endSection();
+    state(*this, w);
 }
 
 void
 ICache::restoreState(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kICache);
-    if (r.getU32() != numSets || r.getU32() != prm.ways ||
-        r.getU32() != prm.lineBytes)
-        throw ckpt::CkptError("I-cache geometry mismatch");
-    std::vector<Line> fresh(lines.size());
-    for (Line &l : fresh) {
-        l.valid = r.getBool();
-        l.tag = r.getU64();
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+ICache::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kICache);
+    io.expect(s.numSets, "I-cache sets");
+    io.expect(s.prm.ways, "I-cache ways");
+    io.expect(s.prm.lineBytes, "I-cache line bytes");
+    for (auto &l : s.lines) {
+        io.flag(l.valid);
+        io.u64(l.tag);
     }
-    std::vector<LruState> lr(lru);
-    for (LruState &s : lr) {
-        std::uint8_t order[LruState::kMaxWays];
-        for (unsigned i = 0; i < prm.ways; ++i)
-            order[i] = r.getU8();
-        if (!s.setOrder(order, prm.ways))
-            throw ckpt::CkptError("I-cache LRU state is not a permutation");
-    }
-    const std::uint64_t n = r.getU64();
-    std::unordered_map<Addr, Cycle> bm;
-    bm.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr block = r.getU64();
-        bm[block] = r.getU64();
-    }
-    const std::uint64_t hits = r.getU64();
-    const std::uint64_t misses = r.getU64();
-    r.closeSection();
-    lines = std::move(fresh);
-    lru = std::move(lr);
-    blockMiss = std::move(bm);
-    nHits.reset();
-    nHits += hits;
-    nMisses.reset();
-    nMisses += misses;
+    for (auto &l : s.lru)
+        LruState::state(l, io);
+    io.list64(s.blockMiss, [&io](auto &bm) {
+        io.u64(bm.first);
+        io.u64(bm.second);
+    });
+    io.counter(s.nHits);
+    io.counter(s.nMisses);
+    io.endSection();
 }
 
 } // namespace zbp::cache

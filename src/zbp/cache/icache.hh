@@ -119,6 +119,9 @@ class ICache
     }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     struct Line
     {
         bool valid = false;

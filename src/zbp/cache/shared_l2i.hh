@@ -70,34 +70,11 @@ class SharedL2I
 
     /** Serialize array state + per-core tallies into checkpoint
      * sections (the ICache writes its own section first). */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        array.saveState(w);
-        w.beginSection(ckpt::tag::kSharedL2I);
-        w.putU32(static_cast<std::uint32_t>(hitsBy.size()));
-        for (std::size_t c = 0; c < hitsBy.size(); ++c) {
-            w.putU64(hitsBy[c]);
-            w.putU64(missesBy[c]);
-        }
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from checkpoint sections; throws ckpt::CkptError on a
      * core-count mismatch. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        array.restoreState(r);
-        r.openSection(ckpt::tag::kSharedL2I);
-        if (r.getU32() != hitsBy.size())
-            throw ckpt::CkptError("shared L2I core count mismatch");
-        for (std::size_t c = 0; c < hitsBy.size(); ++c) {
-            hitsBy[c] = r.getU64();
-            missesBy[c] = r.getU64();
-        }
-        r.closeSection();
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
     std::uint64_t hits() const { return array.hits(); }
     std::uint64_t misses() const { return array.misses(); }
@@ -106,6 +83,22 @@ class SharedL2I
     const ICacheParams &params() const { return array.params(); }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.part(s.array);
+        io.beginSection(ckpt::tag::kSharedL2I);
+        io.expect(static_cast<std::uint32_t>(s.hitsBy.size()),
+                  "shared L2I core count");
+        for (std::size_t c = 0; c < s.hitsBy.size(); ++c) {
+            io.u64(s.hitsBy[c]);
+            io.u64(s.missesBy[c]);
+        }
+        io.endSection();
+    }
+
     ICache array;
     std::vector<std::uint64_t> hitsBy;
     std::vector<std::uint64_t> missesBy;

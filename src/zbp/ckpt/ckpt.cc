@@ -24,6 +24,15 @@ namespace
 
 constexpr char kMagic[4] = {'Z', 'B', 'P', 'C'};
 
+/** The file header: magic, then the format version. */
+void
+putHeader(Writer &w)
+{
+    for (const char c : kMagic)
+        w.u8(c);
+    w.u32(kFormatVersion);
+}
+
 std::array<std::uint32_t, 256>
 makeCrcTable()
 {
@@ -60,38 +69,13 @@ crc32(const void *data, std::size_t n)
 // ---- Writer ---------------------------------------------------------
 
 void
-Writer::putU32(std::uint32_t v)
-{
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf.push_back(static_cast<std::uint8_t>(v >> 16));
-    buf.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void
-Writer::putU64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-Writer::putBytes(const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    buf.insert(buf.end(), p, p + n);
-}
-
-void
 Writer::beginSection(std::uint32_t tag)
 {
     ZBP_ASSERT(!inSection && !finished, "ckpt writer section misuse");
-    if (buf.empty()) {
-        putBytes(kMagic, sizeof(kMagic));
-        putU32(kFormatVersion);
-    }
-    putU32(tag);
-    putU64(0); // length back-patched by endSection()
+    if (buf.empty())
+        putHeader(*this);
+    u32(tag);
+    u64(0); // length back-patched by endSection()
     payloadStart = buf.size();
     inSection = true;
 }
@@ -104,7 +88,7 @@ Writer::endSection()
     for (int i = 0; i < 8; ++i)
         buf[payloadStart - 8 + static_cast<std::size_t>(i)] =
                 static_cast<std::uint8_t>(len >> (8 * i));
-    putU32(crc32(buf.data() + payloadStart, static_cast<std::size_t>(len)));
+    u32(crc32(buf.data() + payloadStart, static_cast<std::size_t>(len)));
     inSection = false;
 }
 
@@ -112,14 +96,11 @@ void
 Writer::finish()
 {
     ZBP_ASSERT(!inSection && !finished, "ckpt writer finish misuse");
-    if (buf.empty()) {
-        putBytes(kMagic, sizeof(kMagic));
-        putU32(kFormatVersion);
-    }
-    putU32(kEndTag);
-    putU64(0);
-    const std::size_t start = buf.size();
-    putU32(crc32(buf.data() + start, 0));
+    if (buf.empty())
+        putHeader(*this);
+    u32(kEndTag);
+    u64(0);
+    u32(crc32(nullptr, 0));
     finished = true;
 }
 
@@ -132,74 +113,36 @@ Reader::Reader(const std::uint8_t *data, std::size_t n) : base(data), size(n)
     if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
         throw CkptError("checkpoint: bad magic");
     pos = sizeof(kMagic);
-    std::uint32_t ver = static_cast<std::uint32_t>(data[pos]) |
-          static_cast<std::uint32_t>(data[pos + 1]) << 8 |
-          static_cast<std::uint32_t>(data[pos + 2]) << 16 |
-          static_cast<std::uint32_t>(data[pos + 3]) << 24;
-    pos += 4;
+    const std::uint64_t ver = take(4);
     if (ver != kFormatVersion)
         throw CkptError("checkpoint: format version " + std::to_string(ver) +
                         " != supported " + std::to_string(kFormatVersion));
 }
 
 void
-Reader::need(std::size_t n) const
+Reader::truncated() const
 {
-    const std::size_t limit = inSection ? payloadEnd : size;
-    if (pos + n > limit || pos + n < pos)
-        throw CkptError("checkpoint truncated: read past " +
-                        std::string(inSection ? "section payload" : "file"));
-}
-
-std::uint8_t
-Reader::getU8()
-{
-    need(1);
-    return base[pos++];
-}
-
-std::uint32_t
-Reader::getU32()
-{
-    need(4);
-    std::uint32_t v = static_cast<std::uint32_t>(base[pos]) |
-                      static_cast<std::uint32_t>(base[pos + 1]) << 8 |
-                      static_cast<std::uint32_t>(base[pos + 2]) << 16 |
-                      static_cast<std::uint32_t>(base[pos + 3]) << 24;
-    pos += 4;
-    return v;
-}
-
-std::uint64_t
-Reader::getU64()
-{
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(base[pos + static_cast<std::size_t>(i)])
-             << (8 * i);
-    pos += 8;
-    return v;
+    throw CkptError("checkpoint truncated: read past " +
+                    std::string(inSection ? "section payload" : "file"));
 }
 
 void
-Reader::getBytes(void *out, std::size_t n)
+Reader::fail(const char *what, const char *suffix) const
 {
-    need(n);
-    std::memcpy(out, base + pos, n);
-    pos += n;
+    throw CkptError("checkpoint section " + tagName(curTag) + ": " + what +
+                    suffix);
 }
 
 void
-Reader::openSection(std::uint32_t tag)
+Reader::beginSection(std::uint32_t tag)
 {
     ZBP_ASSERT(!inSection, "ckpt reader: nested section");
-    const std::uint32_t got = getU32();
+    const std::uint64_t got = take(4);
     if (got != tag)
         throw CkptError("checkpoint: expected section tag " +
                         std::to_string(tag) + ", found " +
                         std::to_string(got));
-    const std::uint64_t len = getU64();
+    const std::uint64_t len = take(8);
     if (len > size - pos || pos + len + 4 > size)
         throw CkptError("checkpoint truncated: section payload");
     const std::uint32_t want =
@@ -211,25 +154,26 @@ Reader::openSection(std::uint32_t tag)
         throw CkptError("checkpoint: section " + std::to_string(tag) +
                         " CRC mismatch");
     payloadEnd = pos + static_cast<std::size_t>(len);
+    curTag = tag;
     inSection = true;
 }
 
 void
-Reader::closeSection()
+Reader::endSection()
 {
-    ZBP_ASSERT(inSection, "ckpt reader: closeSection without open");
+    ZBP_ASSERT(inSection, "ckpt reader: endSection without begin");
     if (pos != payloadEnd)
         throw CkptError("checkpoint: section payload not fully consumed (" +
                         std::to_string(payloadEnd - pos) + " bytes left)");
     inSection = false;
-    pos += 4; // skip the CRC already verified by openSection()
+    pos += 4; // skip the CRC already verified by beginSection()
 }
 
 void
 Reader::finish()
 {
-    openSection(kEndTag);
-    closeSection();
+    beginSection(kEndTag);
+    endSection();
     if (pos != size)
         throw CkptError("checkpoint: trailing bytes after end section");
 }

@@ -18,23 +18,42 @@
  * serializes into exactly one section with its own tag, and the reader
  * demands the same tags in the same order (a mismatch means the file
  * was written by a different configuration or version — CkptError).
- * Every scalar inside a payload is written with an explicit put/get
- * call; Reader bounds-checks every read and closeSection() insists the
+ *
+ * One field list per component: a component's persisted fields appear
+ * once, in a `template <class Self, class Io> static void
+ * state(Self &, Io &)` body that saveState(Writer &) and
+ * restoreState(Reader &) both forward to.  Writer and Reader offer the
+ * same inline field verbs — the scalars u8/u32/u64/flag, counter,
+ * enum8 (an enum with its maximum), expect (a geometry or shape value
+ * the restoring object must already have), check(cond, what), the
+ * element counts count32/count64 and the counted lists list32/list64,
+ * and part (a sub-component's own sections).  On the Writer each verb
+ * writes; on the Reader each reads and validates.  A body tests
+ * Io::kReading only for restore-side work such as calling a setter.
+ *
+ * Reader bounds-checks every read, rejects any element count larger
+ * than the bytes left in its section, and endSection() insists the
  * payload was consumed exactly, so *any* corruption is caught by the
  * CRC, the bounds checks, or a semantic validator (e.g. LRU
- * permutation checks) before partial state can leak into a run.
+ * permutation checks).  Restore reads straight into the live object:
+ * after a CkptError it is half-restored and must be discarded (the
+ * runner rebuilds the job and re-runs it).
  */
 
 #ifndef ZBP_CKPT_CKPT_HH
 #define ZBP_CKPT_CKPT_HH
 
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "zbp/common/hash.hh"
+#include "zbp/stats/stats.hh"
 
 namespace zbp::ckpt
 {
@@ -85,22 +104,38 @@ inline constexpr std::uint32_t kGang = 0x13;
 /** CRC-32 (IEEE 802.3, the zlib polynomial) over @p n bytes. */
 std::uint32_t crc32(const void *data, std::size_t n);
 
-/** Accumulates a snapshot into a byte vector, one section at a time. */
+namespace detail
+{
+
+/** The element type a counted list carries: maps travel as (key, value)
+ * pairs whose key a restore can write. */
+template <class C>
+struct ListElem
+{
+    using type =
+            std::remove_cvref_t<decltype(*std::begin(std::declval<C &>()))>;
+};
+
+template <class C>
+    requires requires { typename C::mapped_type; }
+struct ListElem<C>
+{
+    using type = std::pair<typename C::key_type, typename C::mapped_type>;
+};
+
+} // namespace detail
+
+/** Accumulates a snapshot into a byte vector, one section at a time.
+ * The field verbs mirror Reader's one for one (file comment). */
 class Writer
 {
   public:
-    void
-    putU8(std::uint8_t v)
-    {
-        buf.push_back(v);
-    }
+    /** False here, true on Reader: a state body branches on it (if
+     * constexpr) only for restore-side work such as applying a value
+     * through a setter. */
+    static constexpr bool kReading = false;
 
-    void putU32(std::uint32_t v);
-    void putU64(std::uint64_t v);
-    void putBool(bool v) { putU8(v ? 1 : 0); }
-    void putBytes(const void *data, std::size_t n);
-
-    /** Open a section; every put until endSection() lands in its
+    /** Open a section; every field until endSection() lands in its
      * payload.  Sections never nest. */
     void beginSection(std::uint32_t tag);
 
@@ -112,7 +147,76 @@ class Writer
 
     const std::vector<std::uint8_t> &bytes() const { return buf; }
 
+    // ---- field verbs ----------------------------------------------
+
+    /** A scalar field, stored in exactly 1, 4 or 8 bytes. */
+    template <class T> void u8(const T &v) { put(v, 1); }
+    template <class T> void u32(const T &v) { put(v, 4); }
+    template <class T> void u64(const T &v) { put(v, 8); }
+    void flag(bool v) { put(v ? 1u : 0u, 1); }
+
+    void counter(const stats::Counter &c) { put(c.value(), 8); }
+
+    /** An enum stored in one byte; the reader range-checks it. */
+    template <class E>
+    void
+    enum8(E v, E /*max*/, const char * /*what*/)
+    {
+        put(static_cast<std::uint8_t>(v), 1);
+    }
+
+    /** A geometry/shape value the restoring object must already have;
+     * stored in sizeof(T) bytes (bool, u8, u32 or u64). */
+    template <class T>
+    void
+    expect(T v, const char * /*what*/)
+    {
+        static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
+        put(v, sizeof(T));
+    }
+
+    /** A semantic validation; only the reader acts on it. */
+    void check(bool /*ok*/, const char * /*what*/) {}
+
+    /** An element count (u32 or u64); returns @p n. */
+    std::size_t count32(std::size_t n) { put(n, 4); return n; }
+    std::size_t count64(std::size_t n) { put(n, 8); return n; }
+
+    /** A counted list: the count, then @p field on every element in
+     * @p c's iteration order. */
+    template <class C, class F>
+    void
+    list32(const C &c, F field)
+    {
+        count32(c.size());
+        for (const auto &e : c)
+            field(e);
+    }
+
+    template <class C, class F>
+    void
+    list64(const C &c, F field)
+    {
+        count64(c.size());
+        for (const auto &e : c)
+            field(e);
+    }
+
+    /** A component that writes its own section(s). */
+    template <class T> void part(const T &c) { c.saveState(*this); }
+
   private:
+    template <class T>
+    void
+    put(T v, unsigned n)
+    {
+        const auto x = static_cast<std::uint64_t>(v);
+        const std::size_t at = buf.size();
+        buf.resize(at + n);
+        for (unsigned i = 0; i < n; ++i)
+            buf[at + i] = static_cast<std::uint8_t>(x >> (8 * i));
+    }
+
     std::vector<std::uint8_t> buf;
     std::size_t payloadStart = 0; ///< first payload byte of open section
     bool inSection = false;
@@ -120,37 +224,144 @@ class Writer
 };
 
 /** Bounds-checked, CRC-verified reader over a snapshot byte image.
- * Every failure path throws CkptError. */
+ * Every failure path throws CkptError; each field verb reads and
+ * validates what the same Writer verb wrote. */
 class Reader
 {
   public:
+    static constexpr bool kReading = true;
+
     /** @p data must outlive the reader.  Verifies magic + version. */
     Reader(const std::uint8_t *data, std::size_t n);
 
-    std::uint8_t getU8();
-    std::uint32_t getU32();
-    std::uint64_t getU64();
-    bool getBool() { return getU8() != 0; }
-    void getBytes(void *out, std::size_t n);
-
     /** Open the next section, which must carry @p tag; verifies its CRC
      * before any payload byte is handed out. */
-    void openSection(std::uint32_t tag);
+    void beginSection(std::uint32_t tag);
 
     /** Close the open section; throws unless the payload was consumed
      * exactly. */
-    void closeSection();
+    void endSection();
 
     /** Consume the terminal section; throws on trailing garbage. */
     void finish();
 
+    // ---- field verbs ----------------------------------------------
+
+    template <class T> void u8(T &v) { v = static_cast<T>(take(1)); }
+    template <class T> void u32(T &v) { v = static_cast<T>(take(4)); }
+    template <class T> void u64(T &v) { v = static_cast<T>(take(8)); }
+    void flag(bool &v) { v = take(1) != 0; }
+
+    void
+    counter(stats::Counter &c)
+    {
+        c.reset();
+        c += take(8);
+    }
+
+    template <class E>
+    void
+    enum8(E &v, E max, const char *what)
+    {
+        const std::uint64_t raw = take(1);
+        if (raw > static_cast<std::uint64_t>(max))
+            fail(what, " out of range");
+        v = static_cast<E>(raw);
+    }
+
+    template <class T>
+    void
+    expect(T v, const char *what)
+    {
+        if (take(sizeof(T)) != static_cast<std::uint64_t>(v))
+            fail(what, " mismatch");
+    }
+
+    void
+    check(bool ok, const char *what)
+    {
+        if (!ok)
+            fail(what, "");
+    }
+
+    /** Every element takes at least one byte, so a count larger than
+     * the bytes left in the section is corrupt: rejected here, before
+     * anything is sized by it. */
+    std::size_t count32(std::size_t) { return bounded(take(4)); }
+    std::size_t count64(std::size_t) { return bounded(take(8)); }
+
+    /** Replace @p c's contents with a counted list. */
+    template <class C, class F>
+    void
+    list32(C &c, F field)
+    {
+        fill(c, count32(0), field);
+    }
+
+    template <class C, class F>
+    void
+    list64(C &c, F field)
+    {
+        fill(c, count64(0), field);
+    }
+
+    template <class T> void part(T &c) { c.restoreState(*this); }
+
   private:
-    void need(std::size_t n) const;
+    void
+    need(std::size_t n) const
+    {
+        const std::size_t limit = inSection ? payloadEnd : size;
+        if (n > limit - pos)
+            truncated();
+    }
+
+    std::uint64_t
+    take(unsigned n)
+    {
+        need(n);
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < n; ++i)
+            v |= static_cast<std::uint64_t>(base[pos + i]) << (8 * i);
+        pos += n;
+        return v;
+    }
+
+    std::size_t
+    bounded(std::uint64_t n) const
+    {
+        if (n > payloadEnd - pos)
+            fail("element count", " exceeds the section");
+        return static_cast<std::size_t>(n);
+    }
+
+    template <class C, class F>
+    void
+    fill(C &c, std::size_t n, F &field)
+    {
+        c.clear();
+        if constexpr (requires { c.reserve(n); })
+            c.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            typename detail::ListElem<C>::type e{};
+            field(e);
+            if constexpr (requires { typename C::mapped_type; })
+                c.insert_or_assign(e.first, e.second);
+            else if constexpr (requires { c.push_back(e); })
+                c.push_back(e);
+            else
+                c.insert(e);
+        }
+    }
+
+    [[noreturn]] void truncated() const;
+    [[noreturn]] void fail(const char *what, const char *suffix) const;
 
     const std::uint8_t *base;
     std::size_t size;
     std::size_t pos = 0;
     std::size_t payloadEnd = 0; ///< one past the open section's payload
+    std::uint32_t curTag = 0;   ///< the open section's tag
     bool inSection = false;
 };
 

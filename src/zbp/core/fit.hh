@@ -98,64 +98,11 @@ class FastIndexTable
     }
 
     /** Serialize into one checkpoint section. */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        w.beginSection(ckpt::tag::kFit);
-        w.putU32(capacity);
-        w.putU32(count);
-        w.putU32(head);
-        w.putU32(tail);
-        for (unsigned i = 0; i < count; ++i) {
-            w.putU64(nodes[i].ia);
-            w.putU64(nodes[i].target);
-            w.putU32(nodes[i].prev);
-            w.putU32(nodes[i].next);
-        }
-        w.putU64(nHits.value());
-        w.putU64(nMismatch.value());
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section; throws CkptError on
      * geometry mismatch or out-of-range link indices. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        r.openSection(ckpt::tag::kFit);
-        if (r.getU32() != capacity)
-            throw ckpt::CkptError("FIT capacity mismatch");
-        const std::uint32_t n = r.getU32();
-        if (n > capacity)
-            throw ckpt::CkptError("FIT count out of range");
-        const auto link_ok = [n](std::uint32_t v) {
-            return v == kNone || v < n;
-        };
-        const std::uint32_t h = r.getU32();
-        const std::uint32_t t = r.getU32();
-        if (!link_ok(h) || !link_ok(t))
-            throw ckpt::CkptError("FIT list head/tail out of range");
-        std::vector<Node> fresh(capacity);
-        for (unsigned i = 0; i < n; ++i) {
-            fresh[i].ia = r.getU64();
-            fresh[i].target = r.getU64();
-            fresh[i].prev = r.getU32();
-            fresh[i].next = r.getU32();
-            if (!link_ok(fresh[i].prev) || !link_ok(fresh[i].next))
-                throw ckpt::CkptError("FIT node link out of range");
-        }
-        const std::uint64_t hits = r.getU64();
-        const std::uint64_t mism = r.getU64();
-        r.closeSection();
-        nodes = std::move(fresh);
-        count = n;
-        head = h;
-        tail = t;
-        nHits.reset();
-        nHits += hits;
-        nMismatch.reset();
-        nMismatch += mism;
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
   private:
     static constexpr unsigned kNone = ~0u;
@@ -167,6 +114,38 @@ class FastIndexTable
         unsigned prev = kNone;
         unsigned next = kNone;
     };
+
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.beginSection(ckpt::tag::kFit);
+        io.expect(static_cast<std::uint32_t>(s.capacity), "FIT capacity");
+        io.u32(s.count);
+        io.check(s.count <= s.capacity, "FIT count out of range");
+        const auto link_ok = [&s](unsigned v) {
+            return v == kNone || v < s.count;
+        };
+        io.u32(s.head);
+        io.u32(s.tail);
+        io.check(link_ok(s.head) && link_ok(s.tail),
+                 "FIT list head/tail out of range");
+        if constexpr (Io::kReading)
+            s.nodes.assign(s.capacity, Node{});
+        for (unsigned i = 0; i < s.count; ++i) {
+            auto &n = s.nodes[i];
+            io.u64(n.ia);
+            io.u64(n.target);
+            io.u32(n.prev);
+            io.u32(n.next);
+            io.check(link_ok(n.prev) && link_ok(n.next),
+                     "FIT node link out of range");
+        }
+        io.counter(s.nHits);
+        io.counter(s.nMismatch);
+        io.endSection();
+    }
 
     /** All slots below count are live, so one pass over the packed
      * array is the whole lookup. */

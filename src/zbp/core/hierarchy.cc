@@ -296,80 +296,55 @@ BranchPredictorHierarchy::reset()
 void
 BranchPredictorHierarchy::saveState(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kHierarchy);
-    w.putBool(ownsBtb2());
-    w.putU32(static_cast<std::uint32_t>(installCycle.size()));
-    installCycle.forEach([&w](Addr ia, Cycle c) {
-        w.putU64(ia);
-        w.putU64(c);
-    });
-    w.putU64(nPredictions.value());
-    w.putU64(nPromotions.value());
-    w.putU64(nVictimsToBtb2.value());
-    w.putU64(nSurpriseInstalls.value());
-    w.putU64(nPreloads.value());
-    w.putU64(nPhtOverrides.value());
-    w.putU64(nCtbOverrides.value());
-    w.endSection();
-    btb1Ptr->saveState(w);
-    btbpPtr->saveState(w);
-    if (ownsBtb2())
-        btb2Ptr->saveState(w);
-    phtTable.saveState(w);
-    ctbTable.saveState(w);
-    sbht.saveState(w);
-    fitTable.saveState(w);
-    specHist.saveState(w);
-    archHist.saveState(w);
+    state(*this, w);
 }
 
 void
 BranchPredictorHierarchy::restoreState(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kHierarchy);
-    if (r.getBool() != ownsBtb2())
-        throw ckpt::CkptError("hierarchy BTB2 ownership mismatch");
-    const std::uint32_t nic = r.getU32();
-    std::vector<std::pair<Addr, Cycle>> ic(nic);
-    for (auto &[ia, c] : ic) {
-        ia = r.getU64();
-        c = r.getU64();
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+BranchPredictorHierarchy::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kHierarchy);
+    io.expect(s.ownsBtb2(), "BTB2 ownership");
+    const auto install = [&io](auto &ia, auto &c) {
+        io.u64(ia);
+        io.u64(c);
+    };
+    const std::size_t n = io.count32(s.installCycle.size());
+    if constexpr (Io::kReading) {
+        s.installCycle.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            Addr ia = 0;
+            Cycle c = 0;
+            install(ia, c);
+            s.installCycle.assign(ia, c);
+        }
+    } else {
+        s.installCycle.forEach(install);
     }
-    const std::uint64_t preds = r.getU64();
-    const std::uint64_t promos = r.getU64();
-    const std::uint64_t victims = r.getU64();
-    const std::uint64_t surprises = r.getU64();
-    const std::uint64_t preloads = r.getU64();
-    const std::uint64_t phtOv = r.getU64();
-    const std::uint64_t ctbOv = r.getU64();
-    r.closeSection();
-    btb1Ptr->restoreState(r);
-    btbpPtr->restoreState(r);
-    if (ownsBtb2())
-        btb2Ptr->restoreState(r);
-    phtTable.restoreState(r);
-    ctbTable.restoreState(r);
-    sbht.restoreState(r);
-    fitTable.restoreState(r);
-    specHist.restoreState(r);
-    archHist.restoreState(r);
-    installCycle.clear();
-    for (const auto &[ia, c] : ic)
-        installCycle.assign(ia, c);
-    nPredictions.reset();
-    nPredictions += preds;
-    nPromotions.reset();
-    nPromotions += promos;
-    nVictimsToBtb2.reset();
-    nVictimsToBtb2 += victims;
-    nSurpriseInstalls.reset();
-    nSurpriseInstalls += surprises;
-    nPreloads.reset();
-    nPreloads += preloads;
-    nPhtOverrides.reset();
-    nPhtOverrides += phtOv;
-    nCtbOverrides.reset();
-    nCtbOverrides += ctbOv;
+    io.counter(s.nPredictions);
+    io.counter(s.nPromotions);
+    io.counter(s.nVictimsToBtb2);
+    io.counter(s.nSurpriseInstalls);
+    io.counter(s.nPreloads);
+    io.counter(s.nPhtOverrides);
+    io.counter(s.nCtbOverrides);
+    io.endSection();
+    io.part(*s.btb1Ptr);
+    io.part(*s.btbpPtr);
+    if (s.ownsBtb2())
+        io.part(*s.btb2Ptr);
+    io.part(s.phtTable);
+    io.part(s.ctbTable);
+    io.part(s.sbht);
+    io.part(s.fitTable);
+    io.part(s.specHist);
+    io.part(s.archHist);
 }
 
 void

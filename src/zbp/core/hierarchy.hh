@@ -159,9 +159,7 @@ class BranchPredictorHierarchy
     void saveState(ckpt::Writer &w) const;
 
     /** Overwrite from checkpoint sections; throws ckpt::CkptError on
-     * mismatch.  Components stage-and-commit individually, so a throw
-     * may leave earlier components restored — the caller discards the
-     * whole model on failure. */
+     * mismatch, after which the model must be discarded (ckpt.hh). */
     void restoreState(ckpt::Reader &r);
 
     void registerStats(stats::Group &g) const;
@@ -169,6 +167,9 @@ class BranchPredictorHierarchy
     const MachineParams &params() const { return prm; }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     /** Fold @p h into the PHT/CTB index+tag hashes (the per-table
      * geometry lives in the tables, hence a hierarchy-level helper). */
     dir::HistoryHashes

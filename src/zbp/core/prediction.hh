@@ -40,6 +40,25 @@ struct Prediction
      * hashes travel — a full HistoryState snapshot made every queued
      * prediction ~150 bytes heavier and forced resolve to re-fold. */
     dir::HistoryHashes hist;
+
+    /** The checkpointed fields (ckpt.hh field verbs), shared by the
+     * search queue and the core's resolve events. */
+    template <class Self, class Io>
+    static void
+    state(Self &p, Io &io)
+    {
+        io.u64(p.seq);
+        io.u64(p.ia);
+        io.flag(p.taken);
+        io.u64(p.target);
+        io.u64(p.availableAt);
+        io.enum8(p.source, PredictionSource::kBtbp, "prediction source");
+        io.flag(p.usedPht);
+        io.flag(p.usedCtb);
+        io.u64(p.hist.phtIndex);
+        io.u64(p.hist.phtTagHash);
+        io.u64(p.hist.ctbIndex);
+    }
 };
 
 } // namespace zbp::core

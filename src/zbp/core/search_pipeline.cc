@@ -142,99 +142,36 @@ SearchPipeline::doSearch(Cycle now)
 void
 SearchPipeline::saveState(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kSearchPipe);
-    w.putU32(static_cast<std::uint32_t>(preds.size()));
-    for (const Prediction &p : preds) {
-        w.putU64(p.seq);
-        w.putU64(p.ia);
-        w.putBool(p.taken);
-        w.putU64(p.target);
-        w.putU64(p.availableAt);
-        w.putU8(static_cast<std::uint8_t>(p.source));
-        w.putBool(p.usedPht);
-        w.putBool(p.usedCtb);
-        w.putU64(p.hist.phtIndex);
-        w.putU64(p.hist.phtTagHash);
-        w.putU64(p.hist.ctbIndex);
-    }
-    w.putU64(nextSeq);
-    w.putBool(searching);
-    w.putU64(searchAddr);
-    w.putU64(nextSearchAt);
-    w.putU32(seqBurstCount);
-    w.putU32(fruitlessRun);
-    w.putU64(runStartAddr);
-    w.putU64(nSearches.value());
-    w.putU64(nFruitless.value());
-    w.putU64(nTaken.value());
-    w.putU64(nNotTaken.value());
-    w.putU64(nMissReports.value());
-    w.putU64(nFitAccel.value());
-    w.putU64(nQueueFull.value());
-    w.endSection();
+    state(*this, w);
 }
 
 void
 SearchPipeline::restoreState(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kSearchPipe);
-    const std::uint32_t nq = r.getU32();
-    std::vector<Prediction> q(nq);
-    for (Prediction &p : q) {
-        p.seq = r.getU64();
-        p.ia = r.getU64();
-        p.taken = r.getBool();
-        p.target = r.getU64();
-        p.availableAt = r.getU64();
-        const std::uint8_t src = r.getU8();
-        if (src > static_cast<std::uint8_t>(PredictionSource::kBtbp))
-            throw ckpt::CkptError("prediction source out of range");
-        p.source = static_cast<PredictionSource>(src);
-        p.usedPht = r.getBool();
-        p.usedCtb = r.getBool();
-        p.hist.phtIndex = r.getU64();
-        p.hist.phtTagHash = r.getU64();
-        p.hist.ctbIndex = r.getU64();
-    }
-    const std::uint64_t seq = r.getU64();
-    const bool srch = r.getBool();
-    const Addr sa = r.getU64();
-    const Cycle nsa = r.getU64();
-    const std::uint32_t burst = r.getU32();
-    const std::uint32_t fr = r.getU32();
-    const Addr rsa = r.getU64();
-    const std::uint64_t searches = r.getU64();
-    const std::uint64_t fruitless = r.getU64();
-    const std::uint64_t taken = r.getU64();
-    const std::uint64_t notTaken = r.getU64();
-    const std::uint64_t missReports = r.getU64();
-    const std::uint64_t fitAccel = r.getU64();
-    const std::uint64_t queueFull = r.getU64();
-    r.closeSection();
-    preds.clear();
-    for (Prediction &p : q)
-        preds.push_back(p);
-    nextSeq = seq;
-    searching = srch;
-    searchAddr = sa;
-    nextSearchAt = nsa;
-    seqBurstCount = burst;
-    fruitlessRun = fr;
-    runStartAddr = rsa;
-    nSearches.reset();
-    nSearches += searches;
-    nFruitless.reset();
-    nFruitless += fruitless;
-    nTaken.reset();
-    nTaken += taken;
-    nNotTaken.reset();
-    nNotTaken += notTaken;
-    nMissReports.reset();
-    nMissReports += missReports;
-    nFitAccel.reset();
-    nFitAccel += fitAccel;
-    nQueueFull.reset();
-    nQueueFull += queueFull;
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+SearchPipeline::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kSearchPipe);
+    io.list32(s.preds, [&io](auto &p) { Prediction::state(p, io); });
+    io.u64(s.nextSeq);
+    io.flag(s.searching);
+    io.u64(s.searchAddr);
+    io.u64(s.nextSearchAt);
+    io.u32(s.seqBurstCount);
+    io.u32(s.fruitlessRun);
+    io.u64(s.runStartAddr);
+    io.counter(s.nSearches);
+    io.counter(s.nFruitless);
+    io.counter(s.nTaken);
+    io.counter(s.nNotTaken);
+    io.counter(s.nMissReports);
+    io.counter(s.nFitAccel);
+    io.counter(s.nQueueFull);
+    io.endSection();
 }
 
 } // namespace zbp::core

@@ -101,6 +101,9 @@ class SearchPipeline
     }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     void doSearch(Cycle now);
 
     SearchParams prm;

@@ -1202,190 +1202,79 @@ CoreModel::finishRun()
     return r;
 }
 
-namespace
-{
-
-void
-savePrediction(ckpt::Writer &w, const core::Prediction &p)
-{
-    w.putU64(p.seq);
-    w.putU64(p.ia);
-    w.putBool(p.taken);
-    w.putU64(p.target);
-    w.putU64(p.availableAt);
-    w.putU8(static_cast<std::uint8_t>(p.source));
-    w.putBool(p.usedPht);
-    w.putBool(p.usedCtb);
-    w.putU64(p.hist.phtIndex);
-    w.putU64(p.hist.phtTagHash);
-    w.putU64(p.hist.ctbIndex);
-}
-
-core::Prediction
-loadPrediction(ckpt::Reader &r)
-{
-    core::Prediction p;
-    p.seq = r.getU64();
-    p.ia = r.getU64();
-    p.taken = r.getBool();
-    p.target = r.getU64();
-    p.availableAt = r.getU64();
-    const std::uint8_t src = r.getU8();
-    if (src > static_cast<std::uint8_t>(core::PredictionSource::kBtbp))
-        throw ckpt::CkptError("prediction source out of range");
-    p.source = static_cast<core::PredictionSource>(src);
-    p.usedPht = r.getBool();
-    p.usedCtb = r.getBool();
-    p.hist.phtIndex = r.getU64();
-    p.hist.phtTagHash = r.getU64();
-    p.hist.ctbIndex = r.getU64();
-    return p;
-}
-
-} // namespace
-
 void
 CoreModel::saveState(ckpt::Writer &w) const
 {
-    ZBP_ASSERT(runActive, "saveState() without an armed run");
-    w.beginSection(ckpt::tag::kCore);
-    w.putU64(ckpt::nameHash(tr->name()));
-    w.putU64(tr->size());
-    w.putBool(l1d != nullptr);
-    w.putBool(eng != nullptr);
-    w.putBool(inj != nullptr);
-    w.putU64(fetchIdx);
-    w.putU64(decodeIdx);
-    w.putU32(static_cast<std::uint32_t>(fetchBuf.size()));
-    for (const FetchedInst &fi : fetchBuf) {
-        w.putU64(fi.idx);
-        w.putU64(fi.ready);
-    }
-    w.putU8(static_cast<std::uint8_t>(fetchStall));
-    w.putU64(fetchResumeAt);
-    w.putU64(fetchBlockedUntil);
-    w.putU64(lastFetchLine);
-    w.putU64(fetchSeqCursor);
-    w.putU64(decodeBlockedUntil);
-    w.putU64(lastRestartCycle);
-    w.putU32(static_cast<std::uint32_t>(events.size()));
-    for (const ResolveEvent &ev : events) {
-        w.putU64(ev.at);
-        w.putU8(static_cast<std::uint8_t>(ev.kind));
-        savePrediction(w, ev.pred);
-        w.putU64(ev.ia);
-        w.putU8(static_cast<std::uint8_t>(ev.ikind));
-        w.putBool(ev.taken);
-        w.putU64(ev.target);
-        w.putU64(ev.restartAddr);
-    }
-    w.putU64(nTaken);
-    w.putU64(nBranches);
-    w.putU64(nDataAccesses);
-    w.putU64(nWatchdogResets);
-    w.putU64(nResolves);
-    w.putU64(cycle);
-    w.putU64(maxCycles);
-    w.putU64(lastProgressAt);
-    w.putU64(lastDecodeIdx);
-    w.putU64(cancelPoll);
-    w.putU64(curNextIa);
-    w.endSection();
-    bp->saveState(w);
-    l1i->saveState(w);
-    if (l1d)
-        l1d->saveState(w);
-    sotTable->saveState(w);
-    if (eng)
-        eng->saveState(w);
-    pipe->saveState(w);
-    if (inj)
-        inj->saveState(w);
-    outcomes.saveState(w);
+    state(*this, w);
 }
 
 void
 CoreModel::restoreState(ckpt::Reader &r)
 {
-    ZBP_ASSERT(runActive, "restoreState() without an armed run");
-    r.openSection(ckpt::tag::kCore);
-    if (r.getU64() != ckpt::nameHash(tr->name()) ||
-        r.getU64() != tr->size())
-        throw ckpt::CkptError("checkpoint was taken over a different "
-                              "trace");
-    if (r.getBool() != (l1d != nullptr) ||
-        r.getBool() != (eng != nullptr) ||
-        r.getBool() != (inj != nullptr))
-        throw ckpt::CkptError("checkpoint machine configuration "
-                              "mismatch");
-    // Read straight into the members: a corrupt checkpoint throws and
-    // leaves the model half-restored, to be discarded (see the header).
-    fetchIdx = static_cast<std::size_t>(r.getU64());
-    decodeIdx = static_cast<std::size_t>(r.getU64());
-    if (fetchIdx > tr->size() || decodeIdx > tr->size())
-        throw ckpt::CkptError("checkpoint cursor beyond trace end");
-    fetchBuf.clear();
-    for (std::uint32_t n = r.getU32(); n > 0; --n) {
-        FetchedInst fi;
-        fi.idx = r.getU64();
-        fi.ready = r.getU64();
-        if (fi.idx >= tr->size())
-            throw ckpt::CkptError("fetch buffer index beyond trace end");
-        fetchBuf.push_back(fi);
-    }
-    const std::uint8_t fs = r.getU8();
-    if (fs > static_cast<std::uint8_t>(FetchStall::kWaitResume))
-        throw ckpt::CkptError("fetch stall state out of range");
-    fetchStall = static_cast<FetchStall>(fs);
-    fetchResumeAt = r.getU64();
-    fetchBlockedUntil = r.getU64();
-    lastFetchLine = r.getU64();
-    fetchSeqCursor = r.getU64();
-    decodeBlockedUntil = r.getU64();
-    lastRestartCycle = r.getU64();
-    events.clear();
-    for (std::uint32_t n = r.getU32(); n > 0; --n) {
-        ResolveEvent ev;
-        ev.at = r.getU64();
-        const std::uint8_t k = r.getU8();
-        if (k > static_cast<std::uint8_t>(ResolveEvent::Kind::kRestart))
-            throw ckpt::CkptError("resolve event kind out of range");
-        ev.kind = static_cast<ResolveEvent::Kind>(k);
-        ev.pred = loadPrediction(r);
-        ev.ia = r.getU64();
-        const std::uint8_t ik = r.getU8();
-        if (ik > static_cast<std::uint8_t>(trace::InstKind::kIndirect))
-            throw ckpt::CkptError("instruction kind out of range");
-        ev.ikind = static_cast<trace::InstKind>(ik);
-        ev.taken = r.getBool();
-        ev.target = r.getU64();
-        ev.restartAddr = r.getU64();
-        events.push_back(ev);
-    }
-    nTaken = r.getU64();
-    nBranches = r.getU64();
-    nDataAccesses = r.getU64();
-    nWatchdogResets = r.getU64();
-    nResolves = r.getU64();
-    cycle = r.getU64();
-    maxCycles = r.getU64();
-    lastProgressAt = r.getU64();
-    lastDecodeIdx = static_cast<std::size_t>(r.getU64());
-    cancelPoll = r.getU64();
-    curNextIa = r.getU64();
-    r.closeSection();
+    state(*this, r);
+}
 
-    bp->restoreState(r);
-    l1i->restoreState(r);
-    if (l1d)
-        l1d->restoreState(r);
-    sotTable->restoreState(r);
-    if (eng)
-        eng->restoreState(r);
-    pipe->restoreState(r);
-    if (inj)
-        inj->restoreState(r);
-    outcomes.restoreState(r);
+template <class Self, class Io>
+void
+CoreModel::state(Self &s, Io &io)
+{
+    ZBP_ASSERT(s.runActive, "checkpoint without an armed run");
+    io.beginSection(ckpt::tag::kCore);
+    io.expect(ckpt::nameHash(s.tr->name()), "trace fingerprint");
+    io.expect(static_cast<std::uint64_t>(s.tr->size()), "trace length");
+    io.expect(s.l1d != nullptr, "D-cache presence");
+    io.expect(s.eng != nullptr, "BTB2 engine presence");
+    io.expect(s.inj != nullptr, "fault injector presence");
+    const std::size_t len = s.tr->size();
+    io.u64(s.fetchIdx);
+    io.u64(s.decodeIdx);
+    io.check(s.fetchIdx <= len && s.decodeIdx <= len,
+             "cursor beyond trace end");
+    io.list32(s.fetchBuf, [&io, len](auto &fi) {
+        io.u64(fi.idx);
+        io.u64(fi.ready);
+        io.check(fi.idx < len, "fetch buffer index beyond trace end");
+    });
+    io.enum8(s.fetchStall, FetchStall::kWaitResume, "fetch stall state");
+    io.u64(s.fetchResumeAt);
+    io.u64(s.fetchBlockedUntil);
+    io.u64(s.lastFetchLine);
+    io.u64(s.fetchSeqCursor);
+    io.u64(s.decodeBlockedUntil);
+    io.u64(s.lastRestartCycle);
+    io.list32(s.events, [&io](auto &ev) {
+        io.u64(ev.at);
+        io.enum8(ev.kind, ResolveEvent::Kind::kRestart, "resolve event kind");
+        core::Prediction::state(ev.pred, io);
+        io.u64(ev.ia);
+        io.enum8(ev.ikind, trace::InstKind::kIndirect, "instruction kind");
+        io.flag(ev.taken);
+        io.u64(ev.target);
+        io.u64(ev.restartAddr);
+    });
+    io.u64(s.nTaken);
+    io.u64(s.nBranches);
+    io.u64(s.nDataAccesses);
+    io.u64(s.nWatchdogResets);
+    io.u64(s.nResolves);
+    io.u64(s.cycle);
+    io.u64(s.maxCycles);
+    io.u64(s.lastProgressAt);
+    io.u64(s.lastDecodeIdx);
+    io.u64(s.cancelPoll);
+    io.u64(s.curNextIa);
+    io.endSection();
+    io.part(*s.bp);
+    io.part(*s.l1i);
+    if (s.l1d)
+        io.part(*s.l1d);
+    io.part(*s.sotTable);
+    if (s.eng)
+        io.part(*s.eng);
+    io.part(*s.pipe);
+    if (s.inj)
+        io.part(*s.inj);
+    io.part(s.outcomes);
 }
 
 } // namespace zbp::cpu

@@ -367,6 +367,9 @@ class CoreModel
     preload::SectorOrderTable &sot() { return *sotTable; }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     struct FetchedInst
     {
         std::size_t idx;

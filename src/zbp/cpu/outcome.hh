@@ -120,44 +120,25 @@ class OutcomeTracker
     /** Serialize into one checkpoint section.  The seen-set iteration
      * order is unspecified but irrelevant: membership is the only
      * observable property. */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        w.beginSection(ckpt::tag::kOutcomes);
-        for (const auto &c : counts)
-            w.putU64(c.value());
-        w.putU64(total.value());
-        w.putU64(seen.size());
-        for (const Addr a : seen)
-            w.putU64(a);
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        r.openSection(ckpt::tag::kOutcomes);
-        std::uint64_t cs[kNumOutcomes];
-        for (auto &c : cs)
-            c = r.getU64();
-        const std::uint64_t tot = r.getU64();
-        const std::uint64_t n = r.getU64();
-        std::unordered_set<Addr> fresh;
-        fresh.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-            fresh.insert(r.getU64());
-        r.closeSection();
-        for (std::size_t i = 0; i < kNumOutcomes; ++i) {
-            counts[i].reset();
-            counts[i] += cs[i];
-        }
-        total.reset();
-        total += tot;
-        seen = std::move(fresh);
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.beginSection(ckpt::tag::kOutcomes);
+        for (auto &c : s.counts)
+            io.counter(c);
+        io.counter(s.total);
+        io.list64(s.seen, [&io](auto &a) { io.u64(a); });
+        io.endSection();
+    }
+
     static constexpr std::size_t kNumOutcomes = 8;
     stats::Counter counts[kNumOutcomes];
     stats::Counter total;

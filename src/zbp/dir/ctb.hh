@@ -100,35 +100,11 @@ class Ctb
     std::size_t size() const { return table.size(); }
 
     /** Serialize into one checkpoint section. */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        w.beginSection(ckpt::tag::kCtb);
-        w.putU32(static_cast<std::uint32_t>(table.size()));
-        w.putU32(tagBits);
-        for (const Entry &e : table) {
-            w.putBool(e.valid);
-            w.putU32(e.tag);
-            w.putU64(e.target);
-        }
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section; throws CkptError on a
      * geometry mismatch. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        r.openSection(ckpt::tag::kCtb);
-        if (r.getU32() != table.size() || r.getU32() != tagBits)
-            throw ckpt::CkptError("CTB geometry mismatch");
-        for (Entry &e : table) {
-            e.valid = r.getBool();
-            e.tag = static_cast<std::uint16_t>(r.getU32());
-            e.target = r.getU64();
-        }
-        r.closeSection();
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
     /** Wire this table into @p inj: each lookup is an injection
      * opportunity on the indexed entry. */
@@ -165,6 +141,22 @@ class Ctb
         std::uint16_t tag = 0;
         Addr target = 0;
     };
+
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.beginSection(ckpt::tag::kCtb);
+        io.expect(static_cast<std::uint32_t>(s.table.size()), "CTB size");
+        io.expect(static_cast<std::uint32_t>(s.tagBits), "CTB tag width");
+        for (auto &e : s.table) {
+            io.flag(e.valid);
+            io.u32(e.tag);
+            io.u64(e.target);
+        }
+        io.endSection();
+    }
 
     std::uint16_t
     tagOf(Addr ia) const

@@ -161,37 +161,33 @@ class HistoryState
     /** Serialize into one checkpoint section.  The hash-cache
      * configuration is construction-time state and not stored; restore
      * refolds any registered accumulators from the restored ring. */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        w.beginSection(ckpt::tag::kHistory);
-        w.putU64(dirs.value());
-        const PathHistory::Snapshot s = path.snapshot();
-        for (const Addr a : s.ring)
-            w.putU64(a);
-        w.putU32(s.head);
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section; throws CkptError when the
      * stored ring head is out of range. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        r.openSection(ckpt::tag::kHistory);
-        const std::uint64_t d = r.getU64();
-        PathHistory::Snapshot s;
-        for (Addr &a : s.ring)
-            a = r.getU64();
-        s.head = r.getU32();
-        if (s.head >= path.depth())
-            throw ckpt::CkptError("history ring head out of range");
-        r.closeSection();
-        dirs.set(d);
-        path.restore(s);
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.beginSection(ckpt::tag::kHistory);
+        std::uint64_t d = s.dirs.value();
+        PathHistory::Snapshot p = s.path.snapshot();
+        io.u64(d);
+        for (Addr &a : p.ring)
+            io.u64(a);
+        io.u32(p.head);
+        io.check(p.head < s.path.depth(), "ring head out of range");
+        io.endSection();
+        if constexpr (Io::kReading) {
+            s.dirs.set(d);
+            s.path.restore(p);
+        }
+    }
+
     DirectionHistory dirs;
     PathHistory path;
     unsigned cachePhtSlot = 0;

@@ -129,38 +129,11 @@ class Pht
     std::size_t size() const { return table.size(); }
 
     /** Serialize into one checkpoint section (ckpt.hh format notes). */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        w.beginSection(ckpt::tag::kPht);
-        w.putU32(static_cast<std::uint32_t>(table.size()));
-        w.putU32(tagBits);
-        for (const Entry &e : table) {
-            w.putBool(e.valid);
-            w.putU32(e.tag);
-            w.putU8(e.dir.raw());
-        }
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section; throws CkptError on any
      * geometry mismatch or out-of-range stored state. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        r.openSection(ckpt::tag::kPht);
-        if (r.getU32() != table.size() || r.getU32() != tagBits)
-            throw ckpt::CkptError("PHT geometry mismatch");
-        for (Entry &e : table) {
-            e.valid = r.getBool();
-            e.tag = static_cast<std::uint16_t>(r.getU32());
-            const std::uint8_t d = r.getU8();
-            if (d > Bimodal2::kMax)
-                throw ckpt::CkptError("PHT direction state out of range");
-            e.dir.set(d);
-        }
-        r.closeSection();
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
     /** Wire this table into @p inj: each lookup is an injection
      * opportunity on the indexed entry. */
@@ -200,6 +173,22 @@ class Pht
         std::uint16_t tag = 0;
         Bimodal2 dir{};
     };
+
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.beginSection(ckpt::tag::kPht);
+        io.expect(static_cast<std::uint32_t>(s.table.size()), "PHT size");
+        io.expect(static_cast<std::uint32_t>(s.tagBits), "PHT tag width");
+        for (auto &e : s.table) {
+            io.flag(e.valid);
+            io.u32(e.tag);
+            Bimodal2::state(e.dir, io);
+        }
+        io.endSection();
+    }
 
     std::uint16_t
     tagOf(Addr ia, std::uint64_t tag_hash) const

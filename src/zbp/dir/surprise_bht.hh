@@ -65,41 +65,33 @@ class SurpriseBht
     std::size_t size() const { return bits.size(); }
 
     /** Serialize into one checkpoint section (8 bits per byte). */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        w.beginSection(ckpt::tag::kSurpriseBht);
-        w.putU32(static_cast<std::uint32_t>(bits.size()));
-        std::uint8_t acc = 0;
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-            if (bits[i])
-                acc |= static_cast<std::uint8_t>(1u << (i & 7));
-            if ((i & 7) == 7 || i + 1 == bits.size()) {
-                w.putU8(acc);
-                acc = 0;
-            }
-        }
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section; throws CkptError on a size
      * mismatch. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        r.openSection(ckpt::tag::kSurpriseBht);
-        if (r.getU32() != bits.size())
-            throw ckpt::CkptError("surprise BHT size mismatch");
-        std::uint8_t acc = 0;
-        for (std::size_t i = 0; i < bits.size(); ++i) {
-            if ((i & 7) == 0)
-                acc = r.getU8();
-            bits[i] = (acc & (1u << (i & 7))) != 0;
-        }
-        r.closeSection();
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.beginSection(ckpt::tag::kSurpriseBht);
+        const std::size_t n = s.bits.size();
+        io.expect(static_cast<std::uint32_t>(n), "surprise BHT size");
+        for (std::size_t i = 0; i < n; i += 8) {
+            std::uint8_t acc = 0;
+            for (std::size_t b = 0; b < 8 && i + b < n; ++b)
+                acc |= static_cast<std::uint8_t>(s.bits[i + b] << b);
+            io.u8(acc);
+            if constexpr (Io::kReading)
+                for (std::size_t b = 0; b < 8 && i + b < n; ++b)
+                    s.bits[i + b] = ((acc >> b) & 1u) != 0;
+        }
+        io.endSection();
+    }
+
     std::size_t
     index(Addr ia) const
     {

@@ -174,41 +174,11 @@ class FaultInjector
 
     /** Serialize the Rng stream position, schedule cursor and counters
      * (the schedule itself is construction state). */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        w.beginSection(ckpt::tag::kFault);
-        w.putU64(rng.rawState());
-        w.putU64(static_cast<std::uint64_t>(nextTargeted));
-        w.putU64(nInjected);
-        for (const std::uint64_t c : perSite)
-            w.putU64(c);
-        w.putU64(nowCycle);
-        w.endSection();
-    }
+    void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section; throws ckpt::CkptError when
      * the stored schedule cursor exceeds this run's schedule. */
-    void
-    restoreState(ckpt::Reader &r)
-    {
-        r.openSection(ckpt::tag::kFault);
-        const std::uint64_t raw = r.getU64();
-        const std::uint64_t nt = r.getU64();
-        if (nt > schedule.size())
-            throw ckpt::CkptError("fault schedule cursor out of range");
-        const std::uint64_t inj = r.getU64();
-        std::array<std::uint64_t, kSiteCount> ps{};
-        for (std::uint64_t &c : ps)
-            c = r.getU64();
-        const Cycle now = r.getU64();
-        r.closeSection();
-        rng.seed(raw);
-        nextTargeted = static_cast<std::size_t>(nt);
-        nInjected = inj;
-        perSite = ps;
-        nowCycle = now;
-    }
+    void restoreState(ckpt::Reader &r) { state(*this, r); }
 
     /** Attach the obs timeline: each applied fault is emitted as an
      * instant on lane @p lane of the microarch track.  Injection
@@ -241,6 +211,26 @@ class FaultInjector
     obs::TraceWriter *tracer = nullptr;
     std::uint32_t laneId = 0;
     Cycle nowCycle = 0;
+
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.beginSection(ckpt::tag::kFault);
+        std::uint64_t raw = s.rng.rawState();
+        io.u64(raw);
+        if constexpr (Io::kReading)
+            s.rng.seed(raw);
+        io.u64(s.nextTargeted);
+        io.check(s.nextTargeted <= s.schedule.size(),
+                 "schedule cursor out of range");
+        io.u64(s.nInjected);
+        for (auto &c : s.perSite)
+            io.u64(c);
+        io.u64(s.nowCycle);
+        io.endSection();
+    }
 };
 
 } // namespace zbp::fault

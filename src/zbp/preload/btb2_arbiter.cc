@@ -104,68 +104,38 @@ Btb2Arbiter::attachFaultInjector(fault::FaultInjector &inj)
 void
 Btb2Arbiter::saveState(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kArbiter);
-    w.putU32(prm.cores);
-    w.putU32(prm.banks);
-    for (const Cycle c : freeAt)
-        w.putU64(c);
-    w.putU32(faultBank);
-    w.putU64(nRequests.value());
-    w.putU64(nGrants.value());
-    w.putU64(nConflicts.value());
-    w.putU64(nWaitCycles.value());
-    w.putU64(nRejects.value());
-    for (std::size_t c = 0; c < grantsByCore.size(); ++c) {
-        w.putU64(grantsByCore[c]);
-        w.putU64(waitByCore[c]);
-    }
-    for (const std::uint64_t g : grantsByBank)
-        w.putU64(g);
-    w.endSection();
+    state(*this, w);
 }
 
 void
 Btb2Arbiter::restoreState(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kArbiter);
-    if (r.getU32() != prm.cores || r.getU32() != prm.banks)
-        throw ckpt::CkptError("arbiter geometry mismatch");
-    std::vector<Cycle> fa(freeAt.size());
-    for (Cycle &c : fa)
-        c = r.getU64();
-    const std::uint32_t fb = r.getU32();
-    if (fb >= prm.banks)
-        throw ckpt::CkptError("arbiter fault bank out of range");
-    const std::uint64_t reqs = r.getU64();
-    const std::uint64_t grants = r.getU64();
-    const std::uint64_t conflicts = r.getU64();
-    const std::uint64_t waits = r.getU64();
-    const std::uint64_t rejects = r.getU64();
-    std::vector<std::uint64_t> gc(grantsByCore.size());
-    std::vector<std::uint64_t> wc(waitByCore.size());
-    for (std::size_t c = 0; c < gc.size(); ++c) {
-        gc[c] = r.getU64();
-        wc[c] = r.getU64();
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+Btb2Arbiter::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kArbiter);
+    io.expect(s.prm.cores, "arbiter cores");
+    io.expect(s.prm.banks, "arbiter banks");
+    for (auto &c : s.freeAt)
+        io.u64(c);
+    io.u32(s.faultBank);
+    io.check(s.faultBank < s.prm.banks, "fault bank out of range");
+    io.counter(s.nRequests);
+    io.counter(s.nGrants);
+    io.counter(s.nConflicts);
+    io.counter(s.nWaitCycles);
+    io.counter(s.nRejects);
+    for (std::size_t c = 0; c < s.grantsByCore.size(); ++c) {
+        io.u64(s.grantsByCore[c]);
+        io.u64(s.waitByCore[c]);
     }
-    std::vector<std::uint64_t> gb(grantsByBank.size());
-    for (std::uint64_t &g : gb)
-        g = r.getU64();
-    r.closeSection();
-    freeAt = std::move(fa);
-    faultBank = fb;
-    grantsByCore = std::move(gc);
-    waitByCore = std::move(wc);
-    grantsByBank = std::move(gb);
-    nRequests.reset();
-    nRequests += reqs;
-    nGrants.reset();
-    nGrants += grants;
-    nConflicts.reset();
-    nConflicts += conflicts;
-    nWaitCycles.reset();
-    nWaitCycles += waits;
-    nRejects.reset();
-    nRejects += rejects;
+    for (auto &g : s.grantsByBank)
+        io.u64(g);
+    io.endSection();
 }
 
 void

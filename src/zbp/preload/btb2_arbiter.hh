@@ -144,6 +144,9 @@ class Btb2Arbiter
     }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     Btb2ArbiterParams prm;
     unsigned rowShift; ///< log2(btb2 rowBytes)
     std::vector<Cycle> freeAt; ///< per bank: first unreserved slot

@@ -470,141 +470,67 @@ unpackEntryMeta(std::uint8_t m, btb::BtbEntry &e)
 void
 Btb2Engine::saveState(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kBtb2Engine);
-    w.putU32(static_cast<std::uint32_t>(trk.size()));
-    for (const Tracker &t : trk) {
-        w.putU8(static_cast<std::uint8_t>(t.phase));
-        w.putU64(t.block);
-        w.putU64(t.missAddr);
-        w.putBool(t.btb1MissValid);
-        w.putBool(t.icMissValid);
-        w.putU64(t.startableAt);
-        w.putU64(t.searchStartAt);
-        w.putU32(static_cast<std::uint32_t>(t.schedule.size()));
-        for (std::size_t i = 0; i < t.schedule.size(); ++i)
-            w.putU64(t.schedule.at(i));
-        w.putU32(t.rowsDone);
-        w.putU32(t.chainDepth);
-        w.putU32(static_cast<std::uint32_t>(t.targetBlocks.size()));
-        for (const auto &[blk, votes] : t.targetBlocks) {
-            w.putU64(blk);
-            w.putU32(votes);
-        }
-    }
-    w.putU32(static_cast<std::uint32_t>(pipe.size()));
-    for (const PendingWrite &pw : pipe) {
-        w.putU64(pw.due);
-        w.putU32(pw.n);
-        for (unsigned i = 0; i < pw.n; ++i) {
-            w.putU64(pw.entries[i].ia);
-            w.putU64(pw.entries[i].target);
-            w.putU8(packEntryMeta(pw.entries[i]));
-        }
-    }
-    w.putU32(rrNext);
-    w.putU64(nextReadAt);
-    w.putU64(nMissReports.value());
-    w.putU64(nIcReports.value());
-    w.putU64(nAlloc.value());
-    w.putU64(nDropBusy.value());
-    w.putU64(nFull.value());
-    w.putU64(nPartial.value());
-    w.putU64(nPartialAbandoned.value());
-    w.putU64(nPartialUpgraded.value());
-    w.putU64(nRowReads.value());
-    w.putU64(nHits.value());
-    w.putU64(nChained.value());
-    w.endSection();
+    state(*this, w);
 }
 
 void
 Btb2Engine::restoreState(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kBtb2Engine);
-    if (r.getU32() != trk.size())
-        throw ckpt::CkptError("BTB2 engine tracker count mismatch");
-    std::vector<Tracker> fresh(trk.size());
-    for (Tracker &t : fresh) {
-        const std::uint8_t ph = r.getU8();
-        if (ph > static_cast<std::uint8_t>(Tracker::Phase::kFull))
-            throw ckpt::CkptError("BTB2 engine tracker phase out of range");
-        t.phase = static_cast<Tracker::Phase>(ph);
-        t.block = r.getU64();
-        t.missAddr = r.getU64();
-        t.btb1MissValid = r.getBool();
-        t.icMissValid = r.getBool();
-        t.startableAt = r.getU64();
-        t.searchStartAt = r.getU64();
-        const std::uint32_t nrows = r.getU32();
-        if (nrows > RowSchedule::kCapacity)
-            throw ckpt::CkptError("BTB2 engine row schedule too long");
-        t.schedule.clear();
-        for (std::uint32_t i = 0; i < nrows; ++i)
-            t.schedule.push_back(r.getU64());
-        t.rowsDone = r.getU32();
-        t.chainDepth = r.getU32();
-        const std::uint32_t ntb = r.getU32();
-        for (std::uint32_t i = 0; i < ntb; ++i) {
-            const Addr blk = r.getU64();
-            t.targetBlocks[blk] = r.getU32();
-        }
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+Btb2Engine::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kBtb2Engine);
+    io.expect(static_cast<std::uint32_t>(s.trk.size()), "tracker count");
+    for (auto &t : s.trk) {
+        io.enum8(t.phase, Tracker::Phase::kFull, "tracker phase");
+        io.u64(t.block);
+        io.u64(t.missAddr);
+        io.flag(t.btb1MissValid);
+        io.flag(t.icMissValid);
+        io.u64(t.startableAt);
+        io.u64(t.searchStartAt);
+        RowSchedule::state(t.schedule, io);
+        io.u32(t.rowsDone);
+        io.u32(t.chainDepth);
+        io.list32(t.targetBlocks, [&io](auto &tb) {
+            io.u64(tb.first);
+            io.u32(tb.second);
+        });
     }
-    const std::uint32_t npw = r.getU32();
-    std::vector<PendingWrite> fpipe(npw);
-    for (PendingWrite &pw : fpipe) {
-        pw.due = r.getU64();
-        pw.n = r.getU32();
-        if (pw.n > btb::kMaxBtbWays)
-            throw ckpt::CkptError("BTB2 engine pending write too wide");
+    io.list32(s.pipe, [&io](auto &pw) {
+        io.u64(pw.due);
+        io.u32(pw.n);
+        io.check(pw.n <= btb::kMaxBtbWays, "pending write too wide");
         for (unsigned i = 0; i < pw.n; ++i) {
-            pw.entries[i].ia = r.getU64();
-            pw.entries[i].target = r.getU64();
-            unpackEntryMeta(r.getU8(), pw.entries[i]);
+            auto &e = pw.entries[i];
+            io.u64(e.ia);
+            io.u64(e.target);
+            std::uint8_t m = packEntryMeta(e);
+            io.u8(m);
+            if constexpr (Io::kReading)
+                unpackEntryMeta(m, e);
         }
-    }
-    const std::uint32_t rr = r.getU32();
-    const Cycle nra = r.getU64();
-    const std::uint64_t miss = r.getU64();
-    const std::uint64_t ic = r.getU64();
-    const std::uint64_t alloc = r.getU64();
-    const std::uint64_t drop = r.getU64();
-    const std::uint64_t full = r.getU64();
-    const std::uint64_t part = r.getU64();
-    const std::uint64_t abnd = r.getU64();
-    const std::uint64_t upgr = r.getU64();
-    const std::uint64_t reads = r.getU64();
-    const std::uint64_t hits = r.getU64();
-    const std::uint64_t chained = r.getU64();
-    r.closeSection();
-    trk = std::move(fresh);
-    pipe.clear();
-    for (PendingWrite &pw : fpipe)
-        pipe.push_back(std::move(pw));
-    rrNext = rr;
-    nextReadAt = nra;
-    nMissReports.reset();
-    nMissReports += miss;
-    nIcReports.reset();
-    nIcReports += ic;
-    nAlloc.reset();
-    nAlloc += alloc;
-    nDropBusy.reset();
-    nDropBusy += drop;
-    nFull.reset();
-    nFull += full;
-    nPartial.reset();
-    nPartial += part;
-    nPartialAbandoned.reset();
-    nPartialAbandoned += abnd;
-    nPartialUpgraded.reset();
-    nPartialUpgraded += upgr;
-    nRowReads.reset();
-    nRowReads += reads;
-    nHits.reset();
-    nHits += hits;
-    nChained.reset();
-    nChained += chained;
-    nextEventStale = true;
+    });
+    io.u32(s.rrNext);
+    io.u64(s.nextReadAt);
+    io.counter(s.nMissReports);
+    io.counter(s.nIcReports);
+    io.counter(s.nAlloc);
+    io.counter(s.nDropBusy);
+    io.counter(s.nFull);
+    io.counter(s.nPartial);
+    io.counter(s.nPartialAbandoned);
+    io.counter(s.nPartialUpgraded);
+    io.counter(s.nRowReads);
+    io.counter(s.nHits);
+    io.counter(s.nChained);
+    io.endSection();
+    if constexpr (Io::kReading)
+        s.nextEventStale = true;
 }
 
 } // namespace zbp::preload

@@ -76,14 +76,6 @@ class RowSchedule
     Addr front() const { return rows[head]; }
     void pop_front() { ++head; }
 
-    /** The @p i-th remaining row (0 = front), for serialization. */
-    Addr
-    at(std::size_t i) const
-    {
-        ZBP_ASSERT(i < size(), "row schedule index out of range");
-        return rows[head + i];
-    }
-
     void
     push_back(Addr a)
     {
@@ -96,6 +88,22 @@ class RowSchedule
     {
         head = 0;
         n = 0;
+    }
+
+    /** Checkpoint the remaining rows (ckpt.hh field verbs): a count
+     * within the capacity, then each row from the front. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        const std::size_t rows = io.count32(s.size());
+        io.check(rows <= kCapacity, "row schedule too long");
+        if constexpr (Io::kReading) {
+            s.head = 0;
+            s.n = static_cast<unsigned>(rows);
+        }
+        for (std::size_t i = 0; i < rows; ++i)
+            io.u64(s.rows[s.head + i]);
     }
 
   private:
@@ -264,6 +272,9 @@ class Btb2Engine : public MissSink
     std::uint64_t missReportsSeen() const { return nMissReports.value(); }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     Tracker *findTracker(Addr block);
     Tracker *allocTracker(Addr block);
     Cycle computeNextEventAt() const;

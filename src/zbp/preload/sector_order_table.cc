@@ -227,22 +227,13 @@ SectorOrderTable::reset()
 namespace
 {
 
+template <class Self, class Io>
 void
-savePattern(ckpt::Writer &w, const BlockPattern &p)
+patternState(Self &p, Io &io)
 {
-    w.putU32(p.sectorBits);
-    for (const std::uint8_t q : p.quartileRefs)
-        w.putU8(q);
-}
-
-BlockPattern
-loadPattern(ckpt::Reader &r)
-{
-    BlockPattern p;
-    p.sectorBits = r.getU32();
-    for (std::uint8_t &q : p.quartileRefs)
-        q = r.getU8();
-    return p;
+    io.u32(p.sectorBits);
+    for (auto &q : p.quartileRefs)
+        io.u8(q);
 }
 
 } // namespace
@@ -250,69 +241,38 @@ loadPattern(ckpt::Reader &r)
 void
 SectorOrderTable::saveState(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kSot);
-    w.putU32(numSets);
-    w.putU32(prm.ways);
-    for (const Entry &e : table) {
-        w.putBool(e.valid);
-        w.putU64(e.block);
-        savePattern(w, e.pattern);
-    }
-    for (const LruState &s : lru)
-        for (unsigned i = 0; i < prm.ways; ++i)
-            w.putU8(static_cast<std::uint8_t>(s.orderAt(i)));
-    w.putBool(tracking);
-    w.putU64(curBlock);
-    w.putU32(demandQuartile);
-    savePattern(w, working);
-    w.putU64(nWriteback.value());
-    w.putU64(nHits.value());
-    w.putU64(nMisses.value());
-    w.endSection();
+    state(*this, w);
 }
 
 void
 SectorOrderTable::restoreState(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kSot);
-    if (r.getU32() != numSets || r.getU32() != prm.ways)
-        throw ckpt::CkptError("SOT geometry mismatch");
-    std::vector<Entry> fresh(table.size());
-    for (Entry &e : fresh) {
-        e.valid = r.getBool();
-        e.block = r.getU64();
-        e.pattern = loadPattern(r);
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+SectorOrderTable::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kSot);
+    io.expect(s.numSets, "SOT sets");
+    io.expect(s.prm.ways, "SOT ways");
+    for (auto &e : s.table) {
+        io.flag(e.valid);
+        io.u64(e.block);
+        patternState(e.pattern, io);
     }
-    std::vector<LruState> lr(lru);
-    for (LruState &s : lr) {
-        std::uint8_t order[LruState::kMaxWays];
-        for (unsigned i = 0; i < prm.ways; ++i)
-            order[i] = r.getU8();
-        if (!s.setOrder(order, prm.ways))
-            throw ckpt::CkptError("SOT LRU state is not a permutation");
-    }
-    const bool trk = r.getBool();
-    const Addr cur = r.getU64();
-    const std::uint32_t dq = r.getU32();
-    if (dq >= kQuartiles)
-        throw ckpt::CkptError("SOT demand quartile out of range");
-    const BlockPattern wrk = loadPattern(r);
-    const std::uint64_t wb = r.getU64();
-    const std::uint64_t hits = r.getU64();
-    const std::uint64_t misses = r.getU64();
-    r.closeSection();
-    table = std::move(fresh);
-    lru = std::move(lr);
-    tracking = trk;
-    curBlock = cur;
-    demandQuartile = dq;
-    working = wrk;
-    nWriteback.reset();
-    nWriteback += wb;
-    nHits.reset();
-    nHits += hits;
-    nMisses.reset();
-    nMisses += misses;
+    for (auto &l : s.lru)
+        LruState::state(l, io);
+    io.flag(s.tracking);
+    io.u64(s.curBlock);
+    io.u32(s.demandQuartile);
+    io.check(s.demandQuartile < kQuartiles, "demand quartile out of range");
+    patternState(s.working, io);
+    io.counter(s.nWriteback);
+    io.counter(s.nHits);
+    io.counter(s.nMisses);
+    io.endSection();
 }
 
 } // namespace zbp::preload

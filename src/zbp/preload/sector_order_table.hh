@@ -167,6 +167,9 @@ class SectorOrderTable
     std::uint64_t missCount() const { return nMisses.value(); }
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     struct Entry
     {
         bool valid = false;

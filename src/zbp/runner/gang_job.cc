@@ -154,48 +154,41 @@ GangJob::save(ckpt::Writer &w) const
     for (std::size_t i = 0; i < cfgs.size(); ++i)
         if (!members[i].model && !res[i].resumed)
             return false;
-    // One snapshot per gang: the members advance in lockstep, so it
-    // holds the frontier, each member's presence/done flags, and every
-    // live member's full machine state.
-    w.beginSection(ckpt::tag::kGang);
-    w.putU32(static_cast<std::uint32_t>(cfgs.size()));
-    w.putU64(frontier);
-    for (const Member &m : members)
-        w.putU8(static_cast<std::uint8_t>((m.model ? 1u : 0u) |
-                                          (m.done ? 2u : 0u)));
-    w.endSection();
-    for (const Member &m : members)
-        if (m.model)
-            m.model->saveState(w);
+    state(*this, w);
     return true;
 }
 
 void
 GangJob::restore(ckpt::Reader &r)
 {
-    // The member set must match exactly: a snapshot taken with another
-    // composition (e.g. a member since satisfied from the resume JSONL)
-    // is unusable.
-    r.openSection(ckpt::tag::kGang);
-    if (r.getU32() != cfgs.size())
-        throw ckpt::CkptError("gang member count mismatch");
-    const std::uint64_t saved = r.getU64();
-    if (saved > tr->size())
-        throw ckpt::CkptError("gang frontier out of range");
-    std::vector<std::uint8_t> flags(cfgs.size());
-    for (std::uint8_t &fl : flags)
-        fl = r.getU8();
-    r.closeSection();
-    for (std::size_t i = 0; i < cfgs.size(); ++i)
-        if (((flags[i] & 1u) != 0) != (members[i].model != nullptr))
-            throw ckpt::CkptError("gang member set mismatch");
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        if (!members[i].model)
-            continue;
-        members[i].model->restoreState(r);
-        members[i].done = (flags[i] & 2u) != 0;
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+GangJob::state(Self &s, Io &io)
+{
+    // One snapshot per gang: the members advance in lockstep, so it
+    // holds the frontier, each member's presence/done flags, and every
+    // live member's full machine state.  The member set must match
+    // exactly: a snapshot taken with another composition (e.g. a member
+    // since satisfied from the resume JSONL) is unusable.
+    io.beginSection(ckpt::tag::kGang);
+    io.expect(static_cast<std::uint32_t>(s.cfgs.size()), "gang member count");
+    io.u64(s.frontier);
+    io.check(s.frontier <= s.tr->size(), "gang frontier out of range");
+    for (auto &m : s.members) {
+        std::uint8_t flags = (m.model ? 1u : 0u) | (m.done ? 2u : 0u);
+        io.u8(flags);
+        io.check(((flags & 1u) != 0) == (m.model != nullptr),
+                 "gang member set mismatch");
+        if constexpr (Io::kReading)
+            m.done = (flags & 2u) != 0;
     }
-    frontier = static_cast<std::size_t>(saved);
+    io.endSection();
+    for (auto &m : s.members)
+        if (m.model)
+            io.part(*m.model);
 }
 
 void

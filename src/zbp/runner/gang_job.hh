@@ -77,6 +77,9 @@ class GangJob final : public Job
     std::vector<JobRecord> close(const JobOutcome &o) override;
 
   private:
+    /** The checkpointed fields, for save and restore. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     /** One config's in-flight state while the gang walks its trace. */
     struct Member
     {

@@ -108,24 +108,26 @@ IntervalJob::advance(std::size_t target)
 bool
 IntervalJob::save(ckpt::Writer &w) const
 {
-    w.beginSection(ckpt::tag::kJob);
-    w.putBool(measuring);
-    for (const cpu::SimCounter &c : cpu::kSimCounters)
-        w.putU64(start.*c.member);
-    w.endSection();
-    model->saveState(w);
+    state(*this, w);
     return true;
 }
 
 void
 IntervalJob::restore(ckpt::Reader &r)
 {
-    r.openSection(ckpt::tag::kJob);
-    measuring = r.getBool();
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+IntervalJob::state(Self &s, Io &io)
+{
+    io.beginSection(ckpt::tag::kJob);
+    io.flag(s.measuring);
     for (const cpu::SimCounter &c : cpu::kSimCounters)
-        start.*c.member = r.getU64();
-    r.closeSection();
-    model->restoreState(r);
+        io.u64(s.start.*c.member);
+    io.endSection();
+    io.part(*s.model);
 }
 
 void

@@ -99,6 +99,9 @@ class IntervalJob final : public runner::Job
     close(const runner::JobOutcome &o) override;
 
   private:
+    /** The checkpointed fields, for save and restore. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     const core::MachineParams &cfg;
     const trace::Trace &tr;
     const trace::TraceIndex *tidx;

@@ -248,62 +248,45 @@ CmpModel::run(const std::vector<const trace::Trace *> &traces)
 void
 CmpModel::saveState(ckpt::Writer &w) const
 {
-    ZBP_ASSERT(runActive, "saveState() without an armed CMP run");
-    w.beginSection(ckpt::tag::kCmp);
-    w.putU32(cores());
-    w.putU64(window);
-    w.putU64(maxLen);
-    w.putU32(rot);
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-        w.putU64(len[i]);
-        w.putBool(coreDone[i]);
-    }
-    w.endSection();
-    if (btb2)
-        btb2->saveState(w);
-    if (arb)
-        arb->saveState(w);
-    if (l2i)
-        l2i->saveState(w);
-    if (inj)
-        inj->saveState(w);
-    for (const auto &c : cs)
-        c->saveState(w);
+    state(*this, w);
 }
 
 void
 CmpModel::restoreState(ckpt::Reader &r)
 {
-    ZBP_ASSERT(runActive, "restoreState() without an armed CMP run");
-    r.openSection(ckpt::tag::kCmp);
-    if (r.getU32() != cores())
-        throw ckpt::CkptError("CMP core count mismatch");
-    const std::uint64_t win = r.getU64();
-    if (r.getU64() != maxLen)
-        throw ckpt::CkptError("CMP trace length mismatch");
-    const std::uint32_t ro = r.getU32();
-    if (ro >= cores())
-        throw ckpt::CkptError("CMP rotation cursor out of range");
-    std::vector<bool> done(cs.size());
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-        if (r.getU64() != len[i])
-            throw ckpt::CkptError("CMP per-core trace length mismatch");
-        done[i] = r.getBool();
+    state(*this, r);
+}
+
+template <class Self, class Io>
+void
+CmpModel::state(Self &s, Io &io)
+{
+    ZBP_ASSERT(s.runActive, "checkpoint without an armed CMP run");
+    io.beginSection(ckpt::tag::kCmp);
+    io.expect(s.cores(), "CMP core count");
+    io.u64(s.window);
+    io.expect(static_cast<std::uint64_t>(s.maxLen), "CMP trace length");
+    io.u32(s.rot);
+    io.check(s.rot < s.cores(), "rotation cursor out of range");
+    for (std::size_t i = 0; i < s.cs.size(); ++i) {
+        io.expect(static_cast<std::uint64_t>(s.len[i]),
+                  "CMP per-core trace length");
+        bool done = s.coreDone[i];
+        io.flag(done);
+        if constexpr (Io::kReading)
+            s.coreDone[i] = done;
     }
-    r.closeSection();
-    window = static_cast<std::size_t>(win);
-    rot = ro;
-    coreDone = std::move(done);
-    if (btb2)
-        btb2->restoreState(r);
-    if (arb)
-        arb->restoreState(r);
-    if (l2i)
-        l2i->restoreState(r);
-    if (inj)
-        inj->restoreState(r);
-    for (auto &c : cs)
-        c->restoreState(r);
+    io.endSection();
+    if (s.btb2)
+        io.part(*s.btb2);
+    if (s.arb)
+        io.part(*s.arb);
+    if (s.l2i)
+        io.part(*s.l2i);
+    if (s.inj)
+        io.part(*s.inj);
+    for (auto &c : s.cs)
+        io.part(*c);
 }
 
 } // namespace zbp::sim

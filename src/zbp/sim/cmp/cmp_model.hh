@@ -241,6 +241,9 @@ class CmpModel
     void attachTracer(obs::TraceWriter *t);
 
   private:
+    /** The checkpointed fields, for saveState and restoreState. */
+    template <class Self, class Io> static void state(Self &s, Io &io);
+
     core::MachineParams prm;
     std::unique_ptr<btb::SetAssocBtb> btb2; ///< the shared second level
     std::unique_ptr<preload::Btb2Arbiter> arb;

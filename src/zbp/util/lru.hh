@@ -72,12 +72,19 @@ class LruState
             order[w] = static_cast<std::uint8_t>(w);
     }
 
-    /** The way at recency position @p i (0 = LRU), for serialization. */
-    unsigned
-    orderAt(unsigned i) const
+    /** Checkpoint the recency order, one byte per way from LRU to MRU
+     * (ckpt.hh field verbs); a restored order must be a permutation. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
     {
-        ZBP_ASSERT(i < nWays, "LruState::orderAt out of range");
-        return order[i];
+        std::uint8_t o[kMaxWays];
+        std::memcpy(o, s.order, s.nWays);
+        for (unsigned i = 0; i < s.nWays; ++i)
+            io.u8(o[i]);
+        if constexpr (Io::kReading)
+            io.check(s.setOrder(o, s.nWays),
+                     "LRU state is not a permutation");
     }
 
     /**

@@ -69,6 +69,16 @@ class SaturatingCounter
         return val == o.val;
     }
 
+    /** Checkpoint the raw state in one byte (ckpt.hh field verbs); a
+     * restored state must be in range. */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
+    {
+        io.u8(s.val);
+        io.check(s.val <= kMax, "direction counter out of range");
+    }
+
   private:
     std::uint8_t val = kWeakNotTaken;
 };

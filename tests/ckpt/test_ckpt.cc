@@ -57,15 +57,13 @@ sampleSnapshot()
 {
     Writer w;
     w.beginSection(tag::kBtb);
-    w.putU8(0x5A);
-    w.putU32(0xDEADBEEFu);
-    w.putU64(0x0123456789ABCDEFull);
-    w.putBool(true);
+    w.u8(0x5A);
+    w.u32(0xDEADBEEFu);
+    w.u64(0x0123456789ABCDEFull);
+    w.flag(true);
     w.endSection();
     w.beginSection(tag::kCore);
-    const char payload[] = "machine state bytes";
-    w.putU64(sizeof(payload));
-    w.putBytes(payload, sizeof(payload));
+    w.u64(42);
     w.endSection();
     w.finish();
     return w.bytes();
@@ -76,16 +74,23 @@ void
 readSample(const std::vector<std::uint8_t> &bytes)
 {
     Reader r(bytes.data(), bytes.size());
-    r.openSection(tag::kBtb);
-    if (r.getU8() != 0x5A || r.getU32() != 0xDEADBEEFu ||
-        r.getU64() != 0x0123456789ABCDEFull || !r.getBool())
+    std::uint8_t a = 0;
+    std::uint32_t b = 0;
+    std::uint64_t c = 0;
+    bool d = false;
+    r.beginSection(tag::kBtb);
+    r.u8(a);
+    r.u32(b);
+    r.u64(c);
+    r.flag(d);
+    if (a != 0x5A || b != 0xDEADBEEFu || c != 0x0123456789ABCDEFull || !d)
         throw CkptError("sample payload mismatch");
-    r.closeSection();
-    r.openSection(tag::kCore);
-    const std::uint64_t n = r.getU64();
-    std::vector<char> buf(static_cast<std::size_t>(n));
-    r.getBytes(buf.data(), buf.size());
-    r.closeSection();
+    r.endSection();
+    r.beginSection(tag::kCore);
+    r.u64(c);
+    if (c != 42)
+        throw CkptError("sample payload mismatch");
+    r.endSection();
     r.finish();
 }
 
@@ -98,26 +103,28 @@ TEST(CkptFormat, WrongTagRejected)
 {
     const auto bytes = sampleSnapshot();
     Reader r(bytes.data(), bytes.size());
-    EXPECT_THROW(r.openSection(tag::kPht), CkptError);
+    EXPECT_THROW(r.beginSection(tag::kPht), CkptError);
 }
 
 TEST(CkptFormat, UnderAndOverReadRejected)
 {
     const auto bytes = sampleSnapshot();
     {
-        // Under-consume: closeSection must insist on exact consumption.
+        // Under-consume: endSection must insist on exact consumption.
         Reader r(bytes.data(), bytes.size());
-        r.openSection(tag::kBtb);
-        r.getU8();
-        EXPECT_THROW(r.closeSection(), CkptError);
+        std::uint8_t a = 0;
+        r.beginSection(tag::kBtb);
+        r.u8(a);
+        EXPECT_THROW(r.endSection(), CkptError);
     }
     {
         // Over-read: the payload bound stops a runaway read.  The
         // section payload is 14 bytes, so the second u64 crosses it.
         Reader r(bytes.data(), bytes.size());
-        r.openSection(tag::kBtb);
-        r.getU64();
-        EXPECT_THROW(r.getU64(), CkptError);
+        std::uint64_t v = 0;
+        r.beginSection(tag::kBtb);
+        r.u64(v);
+        EXPECT_THROW(r.u64(v), CkptError);
     }
 }
 
@@ -173,7 +180,7 @@ TEST(CkptFile, SaveLoadRoundTripAndRemoval)
 
     Writer w;
     w.beginSection(tag::kJob);
-    w.putU64(42);
+    w.u64(42);
     w.endSection();
     w.finish();
     ASSERT_TRUE(saveCkptFile(path, w));

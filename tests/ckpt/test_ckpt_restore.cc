@@ -5,11 +5,15 @@
  * bit-identical to the uninterrupted run — across single-core configs,
  * a 4-core CMP, and arbitrary snapshot points — and a corrupted
  * snapshot must either restore bit-identically (benign damage) or
- * throw CkptError, never finish with different counters.
+ * throw CkptError, never finish with different counters.  A restored
+ * model re-saves to the image it was restored from, and a snapshot
+ * whose CRCs are valid but whose element counts are absurd is rejected
+ * with CkptError before anything is sized by them.
  */
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,16 +74,51 @@ snapshotAt(const core::MachineParams &cfg, const trace::Trace &t,
     return w.bytes();
 }
 
-/** Restore @p bytes into a fresh model and run it to completion. */
+/**
+ * Re-save @p m straight after it restored @p bytes.  Every section must
+ * come back byte-identical, except the three that iterate a hashed
+ * container (hierarchy installCycle, icache blockMiss, outcomes seen):
+ * their element order may change, their length may not.  This catches
+ * a field restored into the wrong member, or not restored at all, when
+ * no counter shows it.
+ */
+template <typename Model>
+void
+expectResaveMatches(const std::vector<std::uint8_t> &bytes, const Model &m)
+{
+    ckpt::Writer w;
+    m.saveState(w);
+    w.finish();
+    const auto diffs = ckpt::diffSnapshots(ckpt::SnapshotBuffer(bytes),
+                                           ckpt::SnapshotBuffer::capture(w));
+    for (const ckpt::SectionDiff &d : diffs) {
+        const std::string where =
+                ckpt::tagName(d.tagA) + " section " + std::to_string(d.index);
+        if (d.tagA == ckpt::tag::kHierarchy || d.tagA == ckpt::tag::kICache ||
+            d.tagA == ckpt::tag::kOutcomes) {
+            EXPECT_EQ(d.tagA, d.tagB) << where;
+            EXPECT_EQ(d.lenA, d.lenB) << where;
+        } else {
+            EXPECT_EQ(d.kind, ckpt::SectionDiff::Kind::kMatch) << where;
+        }
+    }
+}
+
+/** Restore @p bytes into a fresh model and run it to completion;
+ * with @p resave, first check the restored model re-saves to @p bytes
+ * (expectResaveMatches). */
 SimResult
 finishFromSnapshot(const core::MachineParams &cfg, const trace::Trace &t,
-                   const std::vector<std::uint8_t> &bytes)
+                   const std::vector<std::uint8_t> &bytes,
+                   bool resave = false)
 {
     CoreModel m(cfg);
     m.beginRun(t);
     ckpt::Reader r(bytes.data(), bytes.size());
     m.restoreState(r);
     r.finish();
+    if (resave)
+        expectResaveMatches(bytes, m);
     m.advance(t.size());
     return m.finishRun();
 }
@@ -107,8 +146,8 @@ TEST(CkptRestore, CoreBitIdenticalAcrossTracesAndConfigs)
                   t.size() - 1}) {
                 SCOPED_TRACE(at);
                 const auto bytes = snapshotAt(c.cfg, t, at);
-                EXPECT_EQ(counterMismatch(
-                                  full, finishFromSnapshot(c.cfg, t, bytes)),
+                EXPECT_EQ(counterMismatch(full, finishFromSnapshot(
+                                                        c.cfg, t, bytes, true)),
                           "");
             }
         }
@@ -183,6 +222,74 @@ TEST(CkptRestore, CorruptSnapshotNeverYieldsWrongCounters)
     }
 }
 
+/** Payload offset of the first section tagged @p tag in @p bytes. */
+std::size_t
+payloadOf(const std::vector<std::uint8_t> &bytes, std::uint32_t tag)
+{
+    std::size_t pos = 8; // magic + format version
+    while (pos + 12 <= bytes.size()) {
+        std::uint32_t t = 0;
+        std::uint64_t len = 0;
+        std::memcpy(&t, &bytes[pos], 4);
+        std::memcpy(&len, &bytes[pos + 4], 8);
+        if (t == tag)
+            return pos + 12;
+        pos += 12 + static_cast<std::size_t>(len) + 4;
+    }
+    ADD_FAILURE() << "no section " << ckpt::tagName(tag);
+    return 0;
+}
+
+/** Overwrite @p width bytes at @p at inside the section whose payload
+ * starts at @p payload, then recompute that section's CRC so only the
+ * semantic checks can catch the damage. */
+void
+patchSection(std::vector<std::uint8_t> &bytes, std::size_t payload,
+             std::size_t at, std::uint64_t value, std::size_t width)
+{
+    std::uint64_t len = 0;
+    std::memcpy(&len, &bytes[payload - 8], 8);
+    ASSERT_LE(at + width, len);
+    std::memcpy(&bytes[payload + at], &value, width);
+    const std::uint32_t crc =
+            ckpt::crc32(&bytes[payload], static_cast<std::size_t>(len));
+    std::memcpy(&bytes[payload + static_cast<std::size_t>(len)], &crc, 4);
+}
+
+TEST(CkptRestore, HugeElementCountRejectedAsCorruption)
+{
+    // A CRC-valid image whose element count is huge must be rejected
+    // as corrupt (CkptError, which the runner discards and recovers
+    // from), not sized into a std::bad_alloc.
+    const trace::Trace t = makeTrace("ckpt-small");
+    const core::MachineParams cfg = sim::configBtb2();
+    const auto bytes = snapshotAt(cfg, t, t.size() / 2);
+
+    // outcomes: 8 outcome counters and the total, then the seen count.
+    auto bad = bytes;
+    patchSection(bad, payloadOf(bad, ckpt::tag::kOutcomes), 9 * 8,
+                 std::uint64_t{1} << 60, 8);
+    EXPECT_THROW(finishFromSnapshot(cfg, t, bad), ckpt::CkptError);
+
+    // search-pipe: the prediction queue count leads the payload.
+    bad = bytes;
+    patchSection(bad, payloadOf(bad, ckpt::tag::kSearchPipe), 0,
+                 0xFFFFFFFFu, 4);
+    EXPECT_THROW(finishFromSnapshot(cfg, t, bad), ckpt::CkptError);
+
+    // icache (the L1I, first of its tag): geometry, 9 bytes per line,
+    // one LRU byte per line, then the blockMiss count.
+    bad = bytes;
+    const std::size_t ic = payloadOf(bad, ckpt::tag::kICache);
+    std::uint32_t sets = 0;
+    std::uint32_t ways = 0;
+    std::memcpy(&sets, &bad[ic], 4);
+    std::memcpy(&ways, &bad[ic + 4], 4);
+    patchSection(bad, ic, 12 + std::size_t{sets} * ways * 10,
+                 std::uint64_t{1} << 60, 8);
+    EXPECT_THROW(finishFromSnapshot(cfg, t, bad), ckpt::CkptError);
+}
+
 TEST(CkptRestore, CmpFourCoreBitIdentical)
 {
     const trace::Trace t = makeTrace("ckpt-caps");
@@ -207,6 +314,7 @@ TEST(CkptRestore, CmpFourCoreBitIdentical)
     ckpt::Reader r(w.bytes().data(), w.bytes().size());
     restored.restoreState(r);
     r.finish();
+    expectResaveMatches(w.bytes(), restored);
     restored.advance(restored.maxInsts());
     const sim::CmpResult got = restored.finishRun();
 

@@ -184,10 +184,10 @@ TEST(CkptRunner, GangRunnerResumesFromPlantedGangCheckpoint)
     dmaps.reserve(gang.size()); // members hold pointers into it
     ckpt::Writer w;
     w.beginSection(ckpt::tag::kGang);
-    w.putU32(static_cast<std::uint32_t>(gang.size()));
-    w.putU64(frontier);
+    w.u32(gang.size());
+    w.u64(frontier);
     for (std::size_t ci = 0; ci < gang.size(); ++ci)
-        w.putU8(1); // every member modelled, none done
+        w.u8(1); // every member modelled, none done
     w.endSection();
     for (const auto &gc : gang) {
         auto m = std::make_unique<cpu::CoreModel>(gc.cfg);
