@@ -30,7 +30,7 @@ main()
     const double rates[] = {0.0, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2};
 
     // All 6 fault rates as one gang over the single trace (the gang
-    // shares the trace bytes and one TraceIndex across the rates).
+    // shares the trace bytes across the rates).
     std::vector<sim::GangConfig> gang;
     for (const double rate : rates) {
         core::MachineParams prm = sim::configBtb2();

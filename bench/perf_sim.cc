@@ -24,7 +24,6 @@
 #include "zbp/preload/sector_order_table.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
 #include "zbp/sim/configs.hh"
-#include "zbp/trace/trace_index.hh"
 #include "zbp/workload/generator.hh"
 #include "zbp/workload/program_builder.hh"
 
@@ -307,17 +306,6 @@ sweepConfigs()
 }
 
 void
-BM_TraceIndexBuild(benchmark::State &state)
-{
-    const auto trace = benchTrace();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(trace::TraceIndex(trace));
-    state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations() * trace.size()));
-}
-BENCHMARK(BM_TraceIndexBuild)->Unit(benchmark::kMillisecond);
-
-void
 BM_SweepSerial3Configs(benchmark::State &state)
 {
     // Job-per-config reference: each config streams the whole trace
@@ -339,17 +327,15 @@ void
 BM_SweepFused3Configs(benchmark::State &state)
 {
     // Gang-chunked: all configs advance through the same trace chunk
-    // before the gang moves on, sharing the trace bytes and one
-    // TraceIndex sidecar (one logical pass over the trace stream).
+    // before the gang moves on, sharing the trace bytes (one logical
+    // pass over the trace stream).
     const auto cfgs = sweepConfigs();
     const auto trace = benchTrace();
-    const trace::TraceIndex index(trace);
     constexpr std::size_t kChunk = 65536;
     for (auto _ : state) {
         std::vector<std::unique_ptr<cpu::CoreModel>> models;
         for (const auto &cfg : cfgs) {
             models.push_back(std::make_unique<cpu::CoreModel>(cfg));
-            models.back()->setTraceIndex(&index);
             models.back()->beginRun(trace);
         }
         for (std::size_t target = kChunk;; target += kChunk) {
@@ -385,13 +371,10 @@ BM_CmpStep(benchmark::State &state)
     cfg.cmp.btb2Banks = 4;
     cfg.cmp.sharedL2i = true;
     const auto trace = benchTrace();
-    const trace::TraceIndex index(trace);
     const std::vector<const trace::Trace *> traces(n, &trace);
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         sim::CmpModel model(cfg);
-        for (unsigned i = 0; i < n; ++i)
-            model.setTraceIndex(i, &index);
         const auto r = model.run(traces);
         for (const auto &c : r.core)
             cycles += c.cycles;

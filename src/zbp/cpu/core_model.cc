@@ -627,14 +627,10 @@ CoreModel::wedgedMessage() const
 void
 CoreModel::decodeOne(const trace::Instruction &inst)
 {
-    curNextIa = tidx ? tidx->nextIa(decodeIdx) : inst.nextIa();
+    curNextIa = inst.nextIa();
     // Completion-time pattern tracking for the Sector Order Table
-    // (approximated at decode; the model retires in order).  The packed
-    // overload is bit-identical; the sidecar only skips the id math.
-    if (tidx != nullptr)
-        sotTable->instructionCompletedPacked(tidx->blockSector(decodeIdx));
-    else
-        sotTable->instructionCompleted(inst.ia);
+    // (approximated at decode; the model retires in order).
+    sotTable->instructionCompleted(inst.ia);
     ++decodeIdx;
 
     core::Prediction p;
@@ -967,11 +963,6 @@ CoreModel::beginRun(const trace::Trace &t)
 {
     if (t.empty())
         throw std::invalid_argument("cannot simulate an empty trace");
-    if (tidx != nullptr && tidx->size() != t.size())
-        throw std::invalid_argument(
-                "attached TraceIndex does not match the trace (" +
-                std::to_string(tidx->size()) + " vs " +
-                std::to_string(t.size()) + " instructions)");
     if (dmiss != nullptr && dmiss->size() != t.size())
         throw std::invalid_argument(
                 "attached data-miss map does not match the trace (" +

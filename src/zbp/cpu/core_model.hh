@@ -37,8 +37,12 @@
 #include "zbp/preload/btb2_engine.hh"
 #include "zbp/preload/sector_order_table.hh"
 #include "zbp/trace/trace.hh"
-#include "zbp/trace/trace_index.hh"
 #include "zbp/util/ring_buffer.hh"
+
+namespace zbp::trace
+{
+class TraceIndex;
+}
 
 namespace zbp::obs
 {
@@ -305,13 +309,9 @@ class CoreModel
      */
     void restoreState(ckpt::Reader &r);
 
-    /**
-     * Attach a precomputed read-only sidecar for subsequent runs
-     * (nullptr to detach).  The index must describe exactly the trace
-     * passed to run()/beginRun(); it is a pure accelerator — results
-     * are bit-identical with and without it.
-     */
-    void setTraceIndex(const trace::TraceIndex *idx) { tidx = idx; }
+    /** Does nothing: kept only for the benchmark harness's calls (see
+     * zbp/trace/trace_index.hh). */
+    void setTraceIndex(const trace::TraceIndex *) {}
 
     /**
      * Attach a precomputed L1 D-cache outcome map (cache::
@@ -527,7 +527,6 @@ class CoreModel
 
     // Chunked-run loop state (the former run() locals; valid between
     // beginRun and finishRun so advance() can resume mid-trace).
-    const trace::TraceIndex *tidx = nullptr;
     const std::vector<std::uint8_t> *dmiss = nullptr;
     Cycle cycle = 0;
     Cycle maxCycles = 0;
@@ -535,8 +534,7 @@ class CoreModel
     std::size_t lastDecodeIdx = 0;
     std::uint64_t cancelPoll = 0;
     bool runActive = false;
-    /** Control-flow successor of the instruction being decoded (from
-     * the sidecar when attached, else computed). */
+    /** Control-flow successor of the instruction being decoded. */
     Addr curNextIa = 0;
     /** Inside advanceFunctional(): the decode step takes its
      * predictions from a first-level search, trains at once, and

@@ -59,18 +59,11 @@ SectorOrderTable::writeBack()
 void
 SectorOrderTable::instructionCompleted(Addr ia)
 {
-    instructionCompletedPacked(blockSectorOf(ia));
-}
-
-void
-SectorOrderTable::instructionCompletedPacked(std::uint64_t block_sector)
-{
     if (!prm.enabled)
         return;
 
-    const Addr block = block_sector >> 5;
-    const unsigned sector =
-            static_cast<unsigned>(block_sector & (kSectorsPerBlock - 1));
+    const Addr block = blockOf(ia);
+    const unsigned sector = sectorOf(ia);
     const unsigned q = sector / kSectorsPerQuartile;
     if (!tracking || block != curBlock) {
         // Entering a different 4 KB block: store the pattern gathered

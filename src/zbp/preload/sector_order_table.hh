@@ -55,11 +55,6 @@ constexpr unsigned quartileOf(Addr ia)
     return static_cast<unsigned>((ia >> 10) & (kQuartiles - 1));
 }
 
-/** Packed (block, sector) id of @p ia: bits [63:5] are the 4 KB block
- * number, bits [4:0] the 128 B sector — the form the TraceIndex
- * sidecar precomputes once per trace and shares across configs. */
-constexpr std::uint64_t blockSectorOf(Addr ia) { return ia >> 7; }
-
 /** Reference pattern for one 4 KB block. */
 struct BlockPattern
 {
@@ -122,11 +117,6 @@ class SectorOrderTable
      * write-back of the accumulated pattern on block change.
      */
     void instructionCompleted(Addr ia);
-
-    /** Same, taking the precomputed blockSectorOf(ia) id (the two
-     * overloads are bit-identical; this one skips the address math when
-     * a TraceIndex sidecar already carries it). */
-    void instructionCompletedPacked(std::uint64_t block_sector);
 
     /**
      * Produce the BTB2 search order for @p miss_addr's block.

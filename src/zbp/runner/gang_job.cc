@@ -79,7 +79,6 @@ GangJob::build(std::size_t i)
             }
         }
         auto m = std::make_unique<cpu::CoreModel>(cfg);
-        m->setTraceIndex(&*index);
         m->setDataMissMap(dmiss);
         if (obs::IntervalWriter *iw = obs::globalIntervalWriter())
             m->attachObs(iw, obs::globalIntervalInsts(), cfgs[i].name);
@@ -100,7 +99,6 @@ GangJob::begin(const std::atomic<bool> *cancel)
     members.clear();
     members.resize(cfgs.size());
     frontier = 0;
-    index.reset();
     dmaps.clear();
     dmaps.reserve(cfgs.size()); // members hold pointers into it
     loaded.reset();
@@ -112,9 +110,6 @@ GangJob::begin(const std::atomic<bool> *cancel)
         loaded.emplace(trace::loadTraceFile(path));
         tr = &*loaded;
     }
-    // The shared read-only sidecars: computed once, consumed by every
-    // model of the gang.
-    index.emplace(*tr);
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         if (res[i].resumed)
             continue;
@@ -230,7 +225,6 @@ GangJob::close(const JobOutcome &o)
                 {jobRecord(identity().records[i], r), !r.ok, r.error});
     }
     members.clear();
-    index.reset();
     dmaps.clear();
     loaded.reset();
     return records;

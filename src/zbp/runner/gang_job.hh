@@ -9,12 +9,12 @@
  * hold a trace, each pass starts cold.  A gang instead walks the sweep
  * trace-major: the engine advances all its members over the same
  * instruction window ([0, C), then [C, 2C), ...) before the window
- * moves, so a chunk of trace (and its TraceIndex sidecar) is pulled
- * into cache once and consumed by every model while hot.
+ * moves, so a chunk of trace is pulled into cache once and consumed by
+ * every model while hot.
  *
  * Determinism: CoreModel::advance cuts the run loop only at decode
  * boundaries and the models share nothing but immutable inputs (the
- * trace and its sidecars), so per-member results are bit-identical to
+ * trace and its D-miss maps), so per-member results are bit-identical to
  * serial runs — the golden-counter tests and the gang tests pin this,
  * across chunk sizes.
  *
@@ -37,7 +37,6 @@
 
 #include "zbp/cache/dmiss_map.hh"
 #include "zbp/runner/job_runner.hh"
-#include "zbp/trace/trace_index.hh"
 
 namespace zbp::runner
 {
@@ -98,7 +97,6 @@ class GangJob final : public Job
     // Per attempt.
     std::optional<trace::Trace> loaded;
     const trace::Trace *tr = nullptr;
-    std::optional<trace::TraceIndex> index;
     std::vector<std::pair<cache::ICacheParams, std::vector<std::uint8_t>>>
             dmaps;
     const std::atomic<bool> *cancelFlag = nullptr;

@@ -486,13 +486,20 @@ JobRunner::run(const std::vector<Job *> &jobs)
 
         JobTelemetry &tel = out.telemetry;
         tel.collected = true;
+        bool ready = true;
+        try {
+            job.await();
+        } catch (const std::exception &e) {
+            out.error = e.what();
+            ready = false;
+        }
         tel.queueDepth = jobs.size() - (nStarted.fetch_add(1) + 1);
         const auto t0 = SteadyClock::now();
         tel.queueSeconds =
                 std::chrono::duration<double>(t0 - submit_at).count();
         const double job_ts = tw != nullptr ? tw->nowUs() : 0.0;
         const std::string ckpt_path = id.ckptPath(pol.ckptDir);
-        for (out.attempts = 1;; ++out.attempts) {
+        for (out.attempts = 1; ready; ++out.attempts) {
             bool retryable = false;
             try {
                 const Deadline deadline(pol.timeout);

@@ -190,11 +190,12 @@ struct JobRecord
 };
 
 /**
- * One schedulable unit of work.  The engine calls resume(); then per
- * attempt begin(), maybe restore(), advance() over increasing targets
- * until it returns true (save() at checkpoint points), finish(); and
- * close() once.  A throw fails the attempt: cpu::SimCancelled is a
- * timeout, RetryableError and trace::TraceOpenError are retried.
+ * One schedulable unit of work.  The engine calls resume(), then
+ * await() unless resumed; then per attempt begin(), maybe restore(),
+ * advance() over increasing targets until it returns true (save() at
+ * checkpoint points), finish(); and close() once.  A throw fails the
+ * attempt: cpu::SimCancelled is a timeout, RetryableError and
+ * trace::TraceOpenError are retried.
  */
 class Job
 {
@@ -206,6 +207,12 @@ class Job
     /** Take whatever @p prior already holds; true when nothing is
      * left to run. */
     virtual bool resume(const ResumeIndex &prior) = 0;
+
+    /** Block until the job's inputs exist (a producer beside the
+     * engine may still be making them).  The wait is queue time: it
+     * precedes every attempt and its timeout.  A throw fails the job
+     * with no attempt. */
+    virtual void await() {}
 
     /** Start an attempt from scratch, discarding any earlier one.
      * @p cancel, set only under a timeout, must reach every model. */

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <future>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,10 +54,8 @@ subtractResult(const cpu::SimResult &end, const cpu::SimResult &start)
 
 IntervalJob::IntervalJob(const std::string &config,
                          const core::MachineParams &cfg_,
-                         const trace::Trace &t,
-                         const trace::TraceIndex *tidx_,
-                         const IntervalPlan &iv_,
-                         const ckpt::SnapshotBuffer &snapshot,
+                         const trace::Trace &t, const IntervalPlan &iv_,
+                         std::shared_future<ckpt::SnapshotBuffer> snapshot,
                          bool closes_run)
     : Job(runner::jobIdentity(
               "interval",
@@ -61,7 +63,7 @@ IntervalJob::IntervalJob(const std::string &config,
                       t.name(),
               {{SampleRunner::intervalConfigName(config, iv_.index),
                 t.name(), 0}})),
-      cfg(cfg_), tr(t), tidx(tidx_), iv(iv_), snap(snapshot),
+      cfg(cfg_), tr(t), iv(iv_), snap(std::move(snapshot)),
       closesRun(closes_run)
 {}
 
@@ -80,11 +82,10 @@ IntervalJob::begin(const std::atomic<bool> *cancel)
     res = runner::SimJobResult();
     measuring = false;
     model = std::make_unique<cpu::CoreModel>(cfg);
-    model->setTraceIndex(tidx);
     model->setCancelFlag(cancel);
     model->beginRun(tr);
     if (iv.snapshotAt > 0) {
-        ckpt::Reader r = snap.reader();
+        ckpt::Reader r = snap.get().reader();
         model->restoreState(r);
         r.finish();
     }
@@ -173,38 +174,63 @@ SampleRunner::run(const std::string &config_name,
 
     obs::TraceWriter *tw = obs::globalTraceWriter();
 
-    // Serial half: one front-to-back warm-up pass over the trace,
-    // snapshotting at every interval boundary.
-    const trace::TraceIndex tidx(t);
+    // Serial half, on its own thread: one front-to-back warm-up pass
+    // over the trace, handing over a snapshot at every boundary.
+    std::vector<std::promise<ckpt::SnapshotBuffer>> snaps(plan.size());
+    std::size_t published = 0;
     FanoutResult fan;
-    {
+    std::exception_ptr warm_error;
+    std::jthread warmup([&] {
         const double ts = tw != nullptr ? tw->nowUs() : 0.0;
-        cpu::CoreModel warm(cfg);
-        warm.setTraceIndex(&tidx);
-        fan = runWarmupFanout(warm, t, plan, prm.mode);
+        std::string why;
+        try {
+            cpu::CoreModel warm(cfg);
+            fan = runWarmupFanout(warm, t, plan, prm.mode,
+                                  [&](std::size_t i,
+                                      ckpt::SnapshotBuffer snap) {
+                                      snaps[i].set_value(std::move(snap));
+                                      published = i + 1;
+                                  });
+        } catch (const std::exception &e) {
+            warm_error = std::current_exception();
+            why = e.what();
+        } catch (...) {
+            warm_error = std::current_exception();
+            why = "unknown error";
+        }
+        if (warm_error) {
+            const auto failed = std::make_exception_ptr(
+                    std::runtime_error("sample: warm-up failed: " + why));
+            for (std::size_t i = published; i < snaps.size(); ++i)
+                snaps[i].set_exception(failed);
+        }
         if (tw != nullptr)
-            tw->span(obs::TraceWriter::kPidRunner, runner::workerLane(tw),
+            tw->span(obs::TraceWriter::kPidRunner,
+                     tw->newLane(obs::TraceWriter::kPidRunner, "warm-up"),
                      "sample",
                      "warm-up:" + std::string(to_string(prm.mode)), ts,
                      tw->nowUs() - ts,
                      {{"instructions",
                        obs::jsonNum(std::uint64_t{fan.instructions})},
                       {"snapshots",
-                       obs::jsonNum(std::uint64_t{plan.size()})}});
-    }
+                       obs::jsonNum(std::uint64_t{plan.size()})},
+                      {"ok", warm_error ? "false" : "true"}});
+    });
 
-    // Parallel half: every measurement interval is an independent
-    // detailed job (restore, re-warm in fast mode, measure a window).
+    // Parallel half, beside it: every measurement interval is an
+    // independent detailed job (await its snapshot, restore, re-warm
+    // in fast mode, measure a window).
     std::vector<std::unique_ptr<IntervalJob>> ivs;
     for (std::size_t i = 0; i < plan.size(); ++i) {
         const bool closes_run = prm.mode == SampleMode::kExact &&
                                 plan[i].measureEnd == t.size();
         ivs.push_back(std::make_unique<IntervalJob>(
-                config_name, cfg, t, &tidx, plan[i], fan.snapshots[i],
+                config_name, cfg, t, plan[i], snaps[i].get_future().share(),
                 closes_run));
     }
     const double iv_ts = tw != nullptr ? tw->nowUs() : 0.0;
     const auto outcomes = runner::JobRunner(pol).run(ivs);
+    warmup.join();
     std::size_t failed = 0;
     std::size_t first_failed = 0;
     for (std::size_t i = 0; i < outcomes.size(); ++i)
@@ -215,6 +241,8 @@ SampleRunner::run(const std::string &config_name,
                  "sample", "intervals", iv_ts, tw->nowUs() - iv_ts,
                  {{"intervals", obs::jsonNum(std::uint64_t{plan.size()})},
                   {"failures", obs::jsonNum(std::uint64_t{failed})}});
+    if (warm_error)
+        std::rethrow_exception(warm_error);
     if (failed != 0)
         throw std::runtime_error(
                 "sample: interval " +

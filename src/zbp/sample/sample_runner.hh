@@ -1,9 +1,16 @@
 /**
  * @file
  * Temporal-parallel sampled simulation: one (functional or detailed)
- * warm-up pass fans out in-memory restore points, then the measurement
- * intervals run as independent detailed jobs across a worker pool and
+ * warm-up pass fans out in-memory restore points, the measurement
+ * intervals run as independent detailed jobs across a worker pool, and
  * their counter deltas are stitched into a whole-run aggregate.
+ *
+ * The warm-up is the run's only serial work: it walks on its own
+ * thread, and interval k starts once snapshot k lands, beside the rest
+ * of the walk.  The wait is queue time (runner::Job::await), outside
+ * the interval's attempts, timeout and seconds; a resumed interval
+ * never waits; a failed warm-up fails every interval still waiting,
+ * and run() rethrows the warm-up's own error.
  *
  * Stitching contract: every SimResult counter is monotone over a run
  * and part of the saved machine state, so the fieldwise difference of
@@ -25,6 +32,7 @@
 #define ZBP_SAMPLE_SAMPLE_RUNNER_HH
 
 #include <cstddef>
+#include <future>
 #include <memory>
 #include <string>
 
@@ -34,7 +42,6 @@
 #include "zbp/sample/sample_params.hh"
 #include "zbp/sample/snapshot_fanout.hh"
 #include "zbp/trace/trace.hh"
-#include "zbp/trace/trace_index.hh"
 
 namespace zbp::sample
 {
@@ -60,31 +67,34 @@ struct SampleReport
     std::size_t warmupInstructions = 0; ///< insts walked by the warm-up
     double warmupSeconds = 0.0;
     double warmupInstsPerSec = 0.0;
-    double detailedSeconds = 0.0; ///< summed per-interval wall clock
+    /** Summed per-interval wall clock, snapshot waits excluded. */
+    double detailedSeconds = 0.0;
     double wallSeconds = 0.0;     ///< end-to-end wall clock of run()
 };
 
 /**
- * One measurement interval as an engine job: restore the warm-up's
- * snapshot for the interval, re-warm in detail up to the window (fast
- * mode), then measure the window's counter delta.
+ * One measurement interval as an engine job: wait for the warm-up's
+ * snapshot for the interval, restore it, re-warm in detail up to the
+ * window (fast mode), then measure the window's counter delta.
  */
 class IntervalJob final : public runner::Job
 {
   public:
-    /** Interval @p iv of config @p config over @p t.  Everything
-     * passed by reference must outlive the job; @p tidx may be null.
-     * @p closes_run finishes the run at the window's end (exact mode's
-     * last interval), so the delta includes post-run accounting. */
+    /** Interval @p iv of config @p config over @p t, restored from
+     * @p snapshot once it is ready.  Everything passed by reference
+     * must outlive the job.  @p closes_run finishes the run at the
+     * window's end (exact mode's last interval), so the delta includes
+     * post-run accounting. */
     IntervalJob(const std::string &config, const core::MachineParams &cfg,
-                const trace::Trace &t, const trace::TraceIndex *tidx,
-                const IntervalPlan &iv, const ckpt::SnapshotBuffer &snapshot,
+                const trace::Trace &t, const IntervalPlan &iv,
+                std::shared_future<ckpt::SnapshotBuffer> snapshot,
                 bool closes_run);
 
     /** The measured delta (run or resumed) after the engine ran it. */
     const runner::SimJobResult &result() const { return res; }
 
     bool resume(const runner::ResumeIndex &prior) override;
+    void await() override { snap.get(); }
     void begin(const std::atomic<bool> *cancel) override;
     std::size_t position() const override
     {
@@ -104,9 +114,8 @@ class IntervalJob final : public runner::Job
 
     const core::MachineParams &cfg;
     const trace::Trace &tr;
-    const trace::TraceIndex *tidx;
     IntervalPlan iv;
-    const ckpt::SnapshotBuffer &snap;
+    std::shared_future<ckpt::SnapshotBuffer> snap;
     bool closesRun;
     runner::SimJobResult res;
     // Per attempt.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace zbp::sample
 {
@@ -34,27 +35,28 @@ planIntervals(std::size_t trace_len, const SampleParams &p)
 
 FanoutResult
 runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
-                const std::vector<IntervalPlan> &plan, SampleMode mode)
+                const std::vector<IntervalPlan> &plan, SampleMode mode,
+                const SnapshotSink &sink)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
-    FanoutResult out;
-    out.snapshots.resize(plan.size());
-
     m.beginRun(t);
     for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (plan[i].snapshotAt == 0)
-            continue; // interval 0 starts from beginRun state
         if (mode == SampleMode::kExact)
             m.advance(plan[i].snapshotAt);
         else
             m.advanceFunctional(plan[i].snapshotAt);
-        ckpt::Writer w;
-        m.saveState(w);
-        w.finish();
-        out.snapshots[i] = ckpt::SnapshotBuffer::capture(w);
+        ckpt::SnapshotBuffer snap;
+        if (plan[i].snapshotAt > 0) { // interval 0 starts from beginRun
+            ckpt::Writer w;
+            m.saveState(w);
+            w.finish();
+            snap = ckpt::SnapshotBuffer::capture(w);
+        }
+        sink(i, std::move(snap));
     }
 
+    FanoutResult out;
     out.instructions = m.decodedInstructions();
     out.seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)

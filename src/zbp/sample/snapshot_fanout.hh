@@ -12,12 +12,17 @@
  * CoreModel::advanceFunctional, trading per-cycle fidelity for an
  * order-of-magnitude higher instruction rate (the per-interval detailed
  * warm-up downstream re-fills the timing-only state).
+ *
+ * The pass hands each snapshot over the moment it is captured, so a
+ * consumer need not wait for the whole walk: SampleRunner starts
+ * interval k as soon as snapshot k lands, while the walk goes on.
  */
 
 #ifndef ZBP_SAMPLE_SNAPSHOT_FANOUT_HH
 #define ZBP_SAMPLE_SNAPSHOT_FANOUT_HH
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "zbp/ckpt/ckpt.hh"
@@ -51,27 +56,31 @@ struct IntervalPlan
 std::vector<IntervalPlan> planIntervals(std::size_t trace_len,
                                         const SampleParams &p);
 
-/** What the warm-up pass produced. */
+/** What the warm-up pass walked. */
 struct FanoutResult
 {
-    /** snapshots[i] restores plan[i]; index 0 is an empty buffer
-     * (interval 0 starts from beginRun, no restore needed). */
-    std::vector<ckpt::SnapshotBuffer> snapshots;
     std::size_t instructions = 0; ///< instructions walked by the pass
     double seconds = 0.0;
     double instsPerSec = 0.0;
 };
 
+/** Receives (i, the snapshot restoring plan[i]) during the pass; index
+ * 0's is an empty buffer (interval 0 starts from beginRun, no restore
+ * needed). */
+using SnapshotSink = std::function<void(std::size_t, ckpt::SnapshotBuffer)>;
+
 /**
- * Walk @p m (already constructed, not yet armed) over @p t up to the
- * last restore point in @p plan, capturing a saveState snapshot into
- * memory at each boundary.  @p mode selects detailed (kExact) or
- * functional (kFast) execution between boundaries.  The model is left
- * armed mid-run and should be discarded by the caller.
+ * Walk @p m (already constructed, not yet armed) over @p t to every
+ * restore point in @p plan in order, handing @p sink each boundary's
+ * saveState snapshot as soon as it is captured.  @p mode selects
+ * detailed (kExact) or functional (kFast) execution between
+ * boundaries; the walk to plan[0] (instruction 0) runs too, so a model
+ * that cannot walk in @p mode throws before any snapshot is handed
+ * over.  The model is left armed mid-run and should be discarded.
  */
 FanoutResult runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
                              const std::vector<IntervalPlan> &plan,
-                             SampleMode mode);
+                             SampleMode mode, const SnapshotSink &sink);
 
 } // namespace zbp::sample
 

@@ -208,12 +208,12 @@ class CmpModel
     /** The injector covering the shared structures, or nullptr. */
     fault::FaultInjector *sharedFaultInjector() { return inj.get(); }
 
-    /** Attach per-core read-only sidecars (see CoreModel). */
-    void
-    setTraceIndex(unsigned i, const trace::TraceIndex *idx)
-    {
-        cs.at(i)->setTraceIndex(idx);
-    }
+    /** Does nothing: kept only for the benchmark harness's calls (see
+     * zbp/trace/trace_index.hh). */
+    void setTraceIndex(unsigned, const trace::TraceIndex *) {}
+
+    /** Attach core @p i's read-only D-cache outcome map (see
+     * CoreModel). */
     void
     setDataMissMap(unsigned i, const std::vector<std::uint8_t> *map)
     {

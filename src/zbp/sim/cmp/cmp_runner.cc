@@ -184,12 +184,10 @@ void
 CmpChipJob::begin(const std::atomic<bool> *cancel)
 {
     model.reset();
-    indexes.clear();
     dmaps.clear();
-    // Shared read-only sidecars, deduplicated by trace: a homogeneous
-    // mix indexes its one trace once, not once per core.  The job's
-    // cores share one machine configuration, so one D-cache outcome
-    // map per distinct trace suffices.
+    // The job's cores share one machine configuration, so one D-cache
+    // outcome map per distinct trace suffices: a homogeneous mix maps
+    // its one trace once, not once per core.
     const unsigned n = static_cast<unsigned>(spec.traces.size());
     std::vector<const trace::Trace *> tps(n);
     for (unsigned i = 0; i < n; ++i) {
@@ -198,9 +196,6 @@ CmpChipJob::begin(const std::atomic<bool> *cancel)
             throw std::runtime_error("CMP core " + std::to_string(i) +
                                      " has no trace (null trace handle)");
         tps[i] = tp;
-        auto &idx = indexes[tp];
-        if (!idx)
-            idx = std::make_unique<trace::TraceIndex>(*tp);
         if (spec.cfg.dcacheEnabled) {
             auto &map = dmaps[tp];
             if (map.empty())
@@ -212,11 +207,9 @@ CmpChipJob::begin(const std::atomic<bool> *cancel)
         model->attachObs(iw, obs::globalIntervalInsts(), spec.name);
     if (obs::TraceWriter *tw = obs::globalTraceWriter())
         model->attachTracer(tw);
-    for (unsigned i = 0; i < n; ++i) {
-        model->setTraceIndex(i, indexes[tps[i]].get());
-        if (spec.cfg.dcacheEnabled)
+    if (spec.cfg.dcacheEnabled)
+        for (unsigned i = 0; i < n; ++i)
             model->setDataMissMap(i, &dmaps[tps[i]]);
-    }
     model->setCancelFlag(cancel);
     model->beginRun(tps);
 }
@@ -226,7 +219,6 @@ CmpChipJob::close(const runner::JobOutcome &o)
 {
     static_cast<runner::JobOutcome &>(res) = o;
     model.reset();
-    indexes.clear();
     dmaps.clear();
     const auto &ids = identity().records;
     const std::size_t n = spec.traces.size();

@@ -31,7 +31,6 @@
 
 #include "zbp/runner/job_runner.hh"
 #include "zbp/sim/cmp/cmp_model.hh"
-#include "zbp/trace/trace_index.hh"
 
 namespace zbp::sim
 {
@@ -51,8 +50,8 @@ struct CmpJobResult : runner::JobOutcome
     CmpResult result; ///< valid when ok
 };
 
-/** One CmpJob as an engine job.  Cores share read-only sidecars,
- * deduplicated by trace. */
+/** One CmpJob as an engine job.  Cores share read-only D-cache outcome
+ * maps, deduplicated by trace. */
 class CmpChipJob final : public runner::Job
 {
   public:
@@ -84,8 +83,6 @@ class CmpChipJob final : public runner::Job
     const CmpJob &spec;
     CmpJobResult res;
     // Per attempt.
-    std::unordered_map<const trace::Trace *,
-                       std::unique_ptr<trace::TraceIndex>> indexes;
     std::unordered_map<const trace::Trace *, std::vector<std::uint8_t>>
             dmaps;
     std::unique_ptr<CmpModel> model;

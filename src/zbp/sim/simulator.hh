@@ -48,7 +48,7 @@ cpu::SimResult runOne(const core::MachineParams &cfg,
  * Run the Figure 2 comparison for every trace, sharding across worker
  * threads (@p jobs 0 = ZBP_JOBS / auto).  Row order matches @p traces.
  * The 3 configurations run as one gang per trace (runner::GangJob),
- * chunk-interleaved over shared trace bytes and one TraceIndex.
+ * chunk-interleaved over shared trace bytes.
  */
 std::vector<Fig2Row>
 runFig2Rows(const std::vector<trace::TraceHandle> &traces,

@@ -3,18 +3,10 @@
 namespace zbp::trace
 {
 
-TraceIndex::TraceIndex(const Trace &t)
+TraceIndex::TraceIndex(const Trace &t) : n(t.size())
 {
-    const std::size_t n = t.size();
-    nextIa_.resize(n);
-    bs_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Instruction &inst = t[i];
-        nextIa_[i] = inst.nextIa();
-        bs_[i] = inst.ia >> 7; // preload::blockSectorOf
-        if (inst.branch())
-            branchPos_.push_back(static_cast<std::uint32_t>(i));
-    }
+    for (const Instruction &inst : t)
+        nBranches += inst.branch() ? 1 : 0;
 }
 
 } // namespace zbp::trace

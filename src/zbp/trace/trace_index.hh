@@ -1,65 +1,35 @@
 /**
  * @file
- * Immutable per-trace sidecar: derived per-instruction data that every
- * configuration of a sweep would otherwise recompute per run.
- *
- * A TraceIndex is computed once per trace and then shared read-only
- * across all configs and jobs (the gang-chunked executor hands the same
- * instance to every model in a gang).  It carries:
- *
- *  - nextIa: the address execution continues at after instruction i
- *    (the control-flow successor CoreModel derives on every branch
- *    handling path);
- *  - blockSector: the packed 4 KB-block / 128 B-sector id the Sector
- *    Order Table derives per completed instruction (preload geometry,
- *    paper §3.7);
- *  - branchPositions: indices of all branch instructions, so per-trace
- *    branch statistics and sweep bookkeeping need no full rescan.
- *
- * Consumers must treat the index as an accelerator, never a semantic
- * input: every value equals what the raw trace yields, so runs with and
- * without an index are bit-identical (pinned by the gang-runner tests).
+ * The former per-trace sidecar, under its old names, for the benchmark
+ * harness (perfbench/) only: it builds one per trace, reads size() and
+ * branches(), and hands it to CoreModel::setTraceIndex and
+ * CmpModel::setTraceIndex, which ignore it.  It stores no
+ * per-instruction data; every library path decodes from the trace
+ * itself.  Delete it with those calls.
  */
 
 #ifndef ZBP_TRACE_TRACE_INDEX_HH
 #define ZBP_TRACE_TRACE_INDEX_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "zbp/trace/trace.hh"
 
 namespace zbp::trace
 {
 
-/** Read-only derived view over one trace (see file comment). */
 class TraceIndex
 {
   public:
-    /** Compute the sidecar for @p t (one linear pass). */
     explicit TraceIndex(const Trace &t);
 
-    std::size_t size() const { return nextIa_.size(); }
-
-    /** Control-flow successor of instruction @p i. */
-    Addr nextIa(std::size_t i) const { return nextIa_[i]; }
-
-    /** Packed (4 KB block, 128 B sector) id of instruction @p i, in the
-     * preload::blockSectorOf encoding (ia >> 7). */
-    std::uint64_t blockSector(std::size_t i) const { return bs_[i]; }
-
-    /** Indices of the branch instructions, ascending. */
-    const std::vector<std::uint32_t> &branchPositions() const
-    {
-        return branchPos_;
-    }
-
-    std::uint64_t branches() const { return branchPos_.size(); }
+    std::size_t size() const { return n; }
+    std::uint64_t branches() const { return nBranches; }
 
   private:
-    std::vector<Addr> nextIa_;
-    std::vector<std::uint64_t> bs_;
-    std::vector<std::uint32_t> branchPos_;
+    std::size_t n;
+    std::uint64_t nBranches = 0;
 };
 
 } // namespace zbp::trace

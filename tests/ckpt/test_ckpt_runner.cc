@@ -26,7 +26,6 @@
 #include "zbp/sim/cmp/cmp_runner.hh"
 #include "zbp/sim/configs.hh"
 #include "zbp/sim/gang_runner.hh"
-#include "zbp/trace/trace_index.hh"
 #include "zbp/workload/generator.hh"
 #include "zbp/workload/program_builder.hh"
 #include "zbp/workload/suites.hh"
@@ -176,9 +175,8 @@ TEST(CkptRunner, GangRunnerResumesFromPlantedGangCheckpoint)
     ASSERT_TRUE(golden[1][0].ok);
 
     // Plant a gang snapshot with members advanced to a shared frontier,
-    // built with the same sidecars the gang attaches.
+    // built with the same D-miss maps the gang attaches.
     const std::size_t frontier = t.size() / 3;
-    const trace::TraceIndex index(t);
     std::vector<std::unique_ptr<cpu::CoreModel>> members;
     std::vector<std::vector<std::uint8_t>> dmaps;
     dmaps.reserve(gang.size()); // members hold pointers into it
@@ -191,7 +189,6 @@ TEST(CkptRunner, GangRunnerResumesFromPlantedGangCheckpoint)
     w.endSection();
     for (const auto &gc : gang) {
         auto m = std::make_unique<cpu::CoreModel>(gc.cfg);
-        m->setTraceIndex(&index);
         if (gc.cfg.dcacheEnabled) {
             dmaps.push_back(cache::computeDataMissMap(t, gc.cfg.dcache));
             m->setDataMissMap(&dmaps.back());
@@ -234,12 +231,9 @@ TEST(CkptRunner, CmpRunnerResumesFromPlantedCheckpoint)
     const auto golden = plain.run({job});
     ASSERT_TRUE(golden[0].ok) << golden[0].error;
 
-    // Plant a mid-run CMP snapshot with the runner's own sidecars.
-    const trace::TraceIndex ia(ta), ib(tb);
+    // Plant a mid-run CMP snapshot with the runner's own D-miss maps.
     std::vector<std::uint8_t> da, db;
     sim::CmpModel m(job.cfg);
-    m.setTraceIndex(0, &ia);
-    m.setTraceIndex(1, &ib);
     if (job.cfg.dcacheEnabled) {
         da = cache::computeDataMissMap(ta, job.cfg.dcache);
         db = cache::computeDataMissMap(tb, job.cfg.dcache);

@@ -24,6 +24,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <iterator>
 #include <map>
 #include <set>
@@ -350,12 +351,13 @@ snapshotImages()
                      imageOf([&](ckpt::Writer &w) { gang.save(w); }));
 
     const core::MachineParams btb2 = sim::configBtb2();
-    const ckpt::SnapshotBuffer none;
+    std::promise<ckpt::SnapshotBuffer> none;
+    none.set_value({});
     sample::IntervalPlan iv;
     iv.measureBegin = small.size() / 4;
     iv.measureEnd = small.size();
-    sample::IntervalJob interval("btb2", btb2, small, nullptr, iv, none,
-                                 false);
+    sample::IntervalJob interval("btb2", btb2, small, iv,
+                                 none.get_future().share(), false);
     interval.begin(nullptr);
     interval.advance(small.size() / 2);
     out.emplace_back("interval/golden-small/btb2",

@@ -20,6 +20,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <regex>
 #include <memory>
 #include <string>
@@ -235,16 +236,18 @@ class Batch
             // at its midpoint (a corrupt role gets a damaged one).
             const trace::Trace &tt = t != nullptr ? *t : in.empty;
             const std::size_t mid = r == Role::kHanging ? 0 : tt.size() / 2;
-            snaps.push_back(mid > 0 ? snapshotAt(cfg, tt, mid)
-                                    : ckpt::SnapshotBuffer());
+            ckpt::SnapshotBuffer snap = mid > 0 ? snapshotAt(cfg, tt, mid)
+                                                : ckpt::SnapshotBuffer();
             if (r == Role::kCorrupt && !repaired) {
-                auto bytes = snaps.back().bytes();
+                auto bytes = snap.bytes();
                 bytes[bytes.size() / 2] ^= 0x40;
-                snaps.back() = ckpt::SnapshotBuffer(std::move(bytes));
+                snap = ckpt::SnapshotBuffer(std::move(bytes));
             }
             const sample::IntervalPlan iv{1, mid, mid, tt.size()};
+            std::promise<ckpt::SnapshotBuffer> ready;
+            ready.set_value(std::move(snap));
             owned.push_back(std::make_unique<sample::IntervalJob>(
-                    name, cfg, tt, nullptr, iv, snaps.back(), true));
+                    name, cfg, tt, iv, ready.get_future().share(), true));
             break;
         }
         }
@@ -256,7 +259,6 @@ class Batch
     bool repaired;
     const core::MachineParams cfg = sim::configBtb2();
     std::deque<sim::CmpJob> cmp; ///< CmpChipJobs borrow these
-    std::deque<ckpt::SnapshotBuffer> snaps;
     std::vector<std::unique_ptr<Job>> owned;
 };
 

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,20 +117,24 @@ TEST(FunctionalMode, ExactFanoutSnapshotsBitIdenticalToDetailedRuns)
             ASSERT_GE(plan.size(), 4u);
 
             cpu::CoreModel warm(c.cfg);
-            const FanoutResult fan =
-                    runWarmupFanout(warm, t, plan, SampleMode::kExact);
-            ASSERT_EQ(fan.snapshots.size(), plan.size());
-            EXPECT_TRUE(fan.snapshots[0].empty());
+            std::vector<ckpt::SnapshotBuffer> snaps;
+            runWarmupFanout(warm, t, plan, SampleMode::kExact,
+                            [&](std::size_t i, ckpt::SnapshotBuffer s) {
+                                EXPECT_EQ(i, snaps.size());
+                                snaps.push_back(std::move(s));
+                            });
+            ASSERT_EQ(snaps.size(), plan.size());
+            EXPECT_TRUE(snaps[0].empty());
 
             for (std::size_t i = 1; i < plan.size(); ++i) {
                 SCOPED_TRACE(plan[i].snapshotAt);
                 const ckpt::SnapshotBuffer ref = detailedSnapshotAt(
                         c.cfg, t, plan[i].snapshotAt);
-                if (!(fan.snapshots[i] == ref))
+                if (!(snaps[i] == ref))
                     FAIL() << "fan-out snapshot at "
                            << plan[i].snapshotAt
                            << " diverges from the detailed run:\n"
-                           << ckpt::diffSummary(fan.snapshots[i], ref);
+                           << ckpt::diffSummary(snaps[i], ref);
             }
         }
     }

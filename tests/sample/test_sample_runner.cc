@@ -9,6 +9,7 @@
  * ZBP_RESULTS_JSONL / ZBP_RESUME_JSONL contract.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -21,10 +22,12 @@
 #include <gtest/gtest.h>
 
 #include "zbp/cpu/core_model.hh"
+#include "zbp/runner/job_runner.hh"
 #include "zbp/sample/sample_params.hh"
 #include "zbp/sample/sample_runner.hh"
 #include "zbp/sample/snapshot_fanout.hh"
 #include "zbp/sim/configs.hh"
+#include "zbp/util/json.hh"
 #include "zbp/workload/generator.hh"
 #include "zbp/workload/program_builder.hh"
 
@@ -267,6 +270,100 @@ TEST(SampleRunnerTest, ResumeSatisfiesIntervalsFromPriorResults)
 
     std::remove(first.c_str());
     std::remove(second.c_str());
+}
+
+TEST(SampleRunnerTest, WarmupFailureReleasesWaitingIntervals)
+{
+    // advanceFunctional rejects fault injection, so a fast-mode warm-up
+    // throws at its first step, before any snapshot is published: every
+    // interval is still waiting and must fail, and run() must return
+    // with the warm-up's own error instead of hanging.
+    const trace::Trace t = makeTrace(55, 12'000);
+    core::MachineParams cfg = sim::configBtb2();
+    cfg.faults.enabled = true;
+    SampleParams p;
+    p.mode = SampleMode::kFast;
+    p.intervalInsts = 3'000;
+    p.warmupInsts = 500;
+    p.measureInsts = 500;
+    const std::size_t n = planIntervals(t.size(), p).size();
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        const std::string sink = tempPath("warmup_failure");
+        std::remove(sink.c_str());
+        SampleRunner sr(p, runner::RunPolicy{.workers = jobs,
+                                             .sinkPath = sink});
+        try {
+            sr.run("faulty", cfg, t);
+            ADD_FAILURE() << "a failed warm-up must fail the run";
+        } catch (const std::logic_error &e) {
+            EXPECT_NE(std::string(e.what()).find("fault injection"),
+                      std::string::npos)
+                    << e.what();
+        }
+        const auto records = runner::readRecords(sink);
+        EXPECT_EQ(records.size(), n);
+        for (const json::Value &r : records) {
+            EXPECT_EQ(r["ok"].boolean(), false);
+            ASSERT_NE(r["error"].str(), nullptr);
+            EXPECT_NE(r["error"].str()->find("warm-up failed"),
+                      std::string::npos)
+                    << *r["error"].str();
+        }
+        std::remove(sink.c_str());
+    }
+}
+
+TEST(SampleRunnerTest, SnapshotWaitIsOutsideTheDeadline)
+{
+    // Short windows over a long trace, one worker per interval: every
+    // interval starts at once, and interval k waits about k/32 of the
+    // serial warm-up for its snapshot.  A timeout below the warm-up's
+    // duration (but, as in the chaos tests, at least 20x an interval's
+    // own run) must not see that wait.  Each window spans enough
+    // cycles that the model polls its cancel flag.
+    const trace::Trace t = makeTrace(56, 4'000'000);
+    const core::MachineParams cfg = sim::configBtb2();
+    SampleParams p;
+    p.mode = SampleMode::kFast;
+    p.intervalInsts = t.size() / 32;
+    p.warmupInsts = 2'000;
+    p.measureInsts = 2'000;
+    const auto workers =
+            static_cast<unsigned>(planIntervals(t.size(), p).size());
+
+    const std::string sink = tempPath("deadline_untimed");
+    std::remove(sink.c_str());
+    const SampleReport untimed =
+            SampleRunner(p, runner::RunPolicy{.workers = workers,
+                                              .sinkPath = sink})
+                    .run("btb2", cfg, t);
+    double interval_s = 0.0;
+    for (const json::Value &r : runner::readRecords(sink))
+        interval_s = std::max(interval_s, r["seconds"].num().value_or(0.0));
+    std::remove(sink.c_str());
+    const double budget = std::max(0.1, 20.0 * interval_s);
+    ASSERT_LT(budget, 0.75 * untimed.warmupSeconds)
+            << "the late intervals' waits must outlast the budget for "
+               "the test to bite";
+
+    const std::string timed_sink = tempPath("deadline_timed");
+    std::remove(timed_sink.c_str());
+    const SampleReport timed =
+            SampleRunner(p, runner::RunPolicy{.workers = workers,
+                                              .sinkPath = timed_sink,
+                                              .timeout = budget})
+                    .run("btb2", cfg, t);
+    const auto records = runner::readRecords(timed_sink);
+    EXPECT_EQ(records.size(), timed.intervals);
+    for (const json::Value &r : records)
+        EXPECT_EQ(r["ok"].boolean(), true);
+    EXPECT_EQ(cpu::counterMismatch(timed.stitched, untimed.stitched), "");
+    EXPECT_EQ(timed.cpiErrorBar, untimed.cpiErrorBar);
+    // Nor is the wait part of the intervals' own time.
+    EXPECT_LT(timed.detailedSeconds, timed.warmupSeconds);
+    std::remove(timed_sink.c_str());
 }
 
 TEST(SampleRunnerTest, EmptyTraceRejected)
