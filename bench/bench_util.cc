@@ -1,7 +1,5 @@
 #include "bench_util.hh"
 
-#include <cstdlib>
-
 #include "zbp/common/log.hh"
 #include "zbp/runner/executor.hh"
 #include "zbp/runner/jsonl_sink.hh"
@@ -51,17 +49,15 @@ suiteTraces(double scale, const std::vector<std::string> &names)
     for (const auto &f : failures)
         fatal("suite '", specs[f.index]->name, "' failed to load: ",
               f.message);
-    if (const char *dir = std::getenv("ZBP_TRACE_CACHE");
-        dir != nullptr && *dir != '\0') {
-        const auto after = workload::traceCacheStats();
+    // Only a ZBP_TRACE_CACHE run counts hits or generations.
+    const auto after = workload::traceCacheStats();
+    const auto hits = after.hits - before.hits;
+    const auto generated = after.generated() - before.generated();
+    if (hits + generated != 0)
         std::printf("[zbp] suite traces: %llu cache hits, %llu generated "
-                    "(ZBP_TRACE_CACHE=%s)\n",
-                    static_cast<unsigned long long>(
-                            after.hits - before.hits),
-                    static_cast<unsigned long long>(
-                            after.generated() - before.generated()),
-                    dir);
-    }
+                    "(ZBP_TRACE_CACHE)\n",
+                    static_cast<unsigned long long>(hits),
+                    static_cast<unsigned long long>(generated));
     return out;
 }
 

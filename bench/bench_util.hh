@@ -43,8 +43,8 @@ void banner();
  * the workload trace cache (ZBP_TRACE_CACHE) and the in-process handle
  * registry.  @p names selects a subset (empty = all 13 suites, in
  * paperSuites() order).  Prints a one-line cache summary ("N cache
- * hits, M generated") when caching is active.  fatal() if any suite
- * fails to load.
+ * hits, M generated") when the cache served or generated any of them.
+ * fatal() if any suite fails to load.
  */
 std::vector<trace::TraceHandle>
 suiteTraces(double scale, const std::vector<std::string> &names = {});

@@ -13,11 +13,10 @@
  * and the cost shows up as bank conflicts, arbiter queueing, and
  * per-core CPI spread.
  *
- * Environment (besides the usual ZBP_LEN_SCALE / ZBP_JOBS /
- * ZBP_RESULTS_JSONL / ZBP_RESUME_JSONL):
- *   ZBP_CMP_CORES   restrict the sweep to one core count
- *   ZBP_BTB2_BANKS  restrict the sweep to one bank count
- *   ZBP_CMP_ARB     arbitration policy, "fcfs" (default) or "tdm"
+ * The grid is fixed: both mixes at 1, 2 and 4 cores over 1 and 4
+ * banks under first-come (fcfs) arbitration, and the 4-core points
+ * again under per-core time-division (tdm) slots, where the two
+ * policies can differ most.
  */
 
 #include "bench_util.hh"
@@ -59,15 +58,6 @@ main()
     const auto homog = bench::suiteTraces(scale, {"cicsdb2"});
     const auto hetero = bench::suiteTraces(scale, heteroNames);
 
-    std::vector<unsigned> coreCounts = {1, 2, 4};
-    std::vector<unsigned> bankCounts = {1, 4};
-    if (const unsigned c = sim::cmpCoresFromEnv())
-        coreCounts = {c};
-    if (const unsigned b = sim::cmpBanksFromEnv())
-        bankCounts = {b};
-    const preload::ArbPolicy pol =
-            sim::cmpArbPolicyFromEnv(preload::ArbPolicy::kFcfs);
-
     struct MixSpec
     {
         const char *tag;
@@ -76,27 +66,30 @@ main()
     const MixSpec mixes[] = {{"homog", &homog}, {"hetero", &hetero}};
 
     std::vector<sim::CmpJob> jobs;
+    const auto addJob = [&](const MixSpec &mix, unsigned cores,
+                            unsigned banks, preload::ArbPolicy arb) {
+        sim::CmpJob job;
+        job.name = std::string("cmp-") + mix.tag + "-c" +
+                   std::to_string(cores) + "-b" + std::to_string(banks);
+        if (arb == preload::ArbPolicy::kTdm)
+            job.name += "-tdm";
+        job.cfg = sim::configBtb2();
+        job.cfg.cmp.cores = cores;
+        job.cfg.cmp.btb2Banks = banks;
+        job.cfg.cmp.arbPolicy = arb;
+        job.cfg.cmp.sharedL2i = true;
+        // Core i runs pool[i % pool size]: homogeneous pools replicate
+        // their one trace, heterogeneous pools wrap.
+        for (unsigned i = 0; i < cores; ++i)
+            job.traces.push_back((*mix.pool)[i % mix.pool->size()]);
+        jobs.push_back(std::move(job));
+    };
     for (const auto &mix : mixes) {
-        for (const unsigned cores : coreCounts) {
-            for (const unsigned banks : bankCounts) {
-                core::MachineParams cfg = sim::configBtb2();
-                cfg.cmp.cores = cores;
-                cfg.cmp.btb2Banks = banks;
-                cfg.cmp.arbPolicy = pol;
-                cfg.cmp.sharedL2i = true;
-                sim::CmpJob job;
-                job.name = std::string("cmp-") + mix.tag + "-c" +
-                           std::to_string(cores) + "-b" +
-                           std::to_string(banks);
-                job.cfg = cfg;
-                // Core i runs pool[i % pool size]: homogeneous pools
-                // replicate their one trace, heterogeneous pools wrap.
-                for (unsigned i = 0; i < cores; ++i)
-                    job.traces.push_back(
-                            (*mix.pool)[i % mix.pool->size()]);
-                jobs.push_back(std::move(job));
-            }
-        }
+        for (const unsigned cores : {1u, 2u, 4u})
+            for (const unsigned banks : {1u, 4u})
+                addJob(mix, cores, banks, preload::ArbPolicy::kFcfs);
+        for (const unsigned banks : {1u, 4u})
+            addJob(mix, 4, banks, preload::ArbPolicy::kTdm);
     }
 
     runner::RunPolicy policy = runner::RunPolicy::fromEnv();
@@ -107,12 +100,10 @@ main()
             fatal("CMP job ", jobs[i].name, " failed: ", res[i].error);
     bench::progressDone();
 
-    stats::TextTable t(
-            "CMP sharing sweep: shared banked BTB2 + shared L2I (" +
-            std::string(pol == preload::ArbPolicy::kTdm ? "tdm" : "fcfs") +
-            " arbitration, per-core trace " +
-            std::to_string(homog[0]->size()) + " insts)");
-    t.setHeader({"mix", "cores", "banks", "CPI/core", "avg CPI",
+    stats::TextTable t("CMP sharing sweep: shared banked BTB2 + shared L2I "
+                       "(per-core trace " +
+                       std::to_string(homog[0]->size()) + " insts)");
+    t.setHeader({"mix", "cores", "banks", "arb", "CPI/core", "avg CPI",
                  "conflict %", "wait cyc", "q-full", "L2I miss %"});
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const sim::CmpResult &r = res[i].result;
@@ -123,7 +114,11 @@ main()
         const auto &job = jobs[i];
         t.addRow({job.name.substr(4, job.name.find("-c") - 4),
                   std::to_string(job.cfg.cmp.cores),
-                  std::to_string(job.cfg.cmp.btb2Banks), perCoreCpi(r),
+                  std::to_string(job.cfg.cmp.btb2Banks),
+                  job.cfg.cmp.arbPolicy == preload::ArbPolicy::kTdm
+                          ? "tdm"
+                          : "fcfs",
+                  perCoreCpi(r),
                   stats::TextTable::num(
                           cpiSum / static_cast<double>(r.core.size()), 4),
                   stats::TextTable::pct(r.conflictFraction() * 100.0, 2),
@@ -141,6 +136,8 @@ main()
               "hetero = distinct suites per core (destructive)");
     t.addNote("conflict % = granted BTB2 row reads that waited on a busy "
               "bank; wait cyc = total cycles those grants waited");
+    t.addNote("arb = shared-BTB2 arbitration: fcfs = first-come "
+              "reservation, tdm = per-core time-division slots");
     t.print();
     return 0;
 }

@@ -1,30 +1,22 @@
 /**
  * @file
- * Sampled-simulation benchmark: one long trace, three legs.
+ * Sampled-simulation benchmark: tpf, two legs.
  *
  *  1. fast sampled run — functional warm-up fan-out, parallel detailed
  *     measurement intervals, stitched CPI estimate;
  *  2. exact monolithic reference — one detailed CoreModel::run, the
- *     ground truth for wall clock and CPI;
- *  3. (ZBP_SAMPLE_CHECK_EXACT=1) exact-tiling sampled run — stitched
- *     counters must be bit-identical to leg 2, else exit non-zero.
+ *     ground truth for wall clock and CPI.
  *
  * Prints a human table plus one machine-readable "sampled-summary:
  * {...}" JSON line with the same figures.  The judged long-trace
  * numbers come from perfbench/'s sampled_long workload, which drives
- * the same SampleRunner path at full scale.
- *
- * Environment (on top of the standard bench contract):
- *   ZBP_SAMPLE_TRACE     suite to run (default tpf)
- *   ZBP_SAMPLE_MODE/INTERVAL/WARMUP/MEASURE   sampling geometry; when
- *     ZBP_SAMPLE_INTERVAL is unset a trace-relative default is used
- *     (interval = len/32, warm-up = interval/20, window = interval/10)
- *   ZBP_SAMPLE_CHECK_EXACT=1   enable leg 3 (doubles the detailed work)
+ * the same SampleRunner path at full scale.  The exact-tiling stitch
+ * is pinned bit-identical to a monolithic run by
+ * SampleRunnerTest.ExactStitchBitIdenticalToMonolithicRun.
  */
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "bench_util.hh"
@@ -39,23 +31,17 @@ main()
     using namespace zbp;
     const double scale = bench::scaleFromEnv();
 
-    const char *trace_env = std::getenv("ZBP_SAMPLE_TRACE");
-    const std::string trace_name =
-            trace_env != nullptr && *trace_env != '\0' ? trace_env
-                                                       : "tpf";
+    const std::string trace_name = "tpf";
     const auto traces = bench::suiteTraces(scale, {trace_name});
     const trace::Trace &t = *traces.front();
     const core::MachineParams cfg = sim::configBtb2();
 
-    sample::SampleParams prm = sample::sampleParamsFromEnv();
-    if (std::getenv("ZBP_SAMPLE_INTERVAL") == nullptr) {
-        // Trace-relative geometry: 32 intervals, 5% warm-up, 10%
-        // measured — roughly SMARTS-shaped at any length scale.
-        prm.intervalInsts =
-                std::max<std::uint64_t>(t.size() / 32, 1'000);
-        prm.warmupInsts = prm.intervalInsts / 20;
-        prm.measureInsts = prm.intervalInsts / 10;
-    }
+    // Trace-relative fast-mode geometry: 32 intervals, 5% warm-up,
+    // 10% measured — roughly SMARTS-shaped at any length scale.
+    sample::SampleParams prm;
+    prm.intervalInsts = std::max<std::uint64_t>(t.size() / 32, 1'000);
+    prm.warmupInsts = prm.intervalInsts / 20;
+    prm.measureInsts = prm.intervalInsts / 10;
 
     // Leg 1: fast sampled run.
     bench::progressLine("sampled run (" +
@@ -121,25 +107,6 @@ main()
                 stats::TextTable::num(rep.cpiErrorBar, 4)});
     tbl.print();
 
-    // Leg 3: exact-tiling cross-check (opt-in, detailed-work heavy).
-    const char *check = std::getenv("ZBP_SAMPLE_CHECK_EXACT");
-    bool check_ok = true;
-    if (check != nullptr && std::string(check) == "1") {
-        sample::SampleParams ep = prm;
-        ep.mode = sample::SampleMode::kExact;
-        sample::SampleRunner esr(ep);
-        const sample::SampleReport er = esr.run("sampled-exact", cfg, t);
-        const std::string mismatch =
-                cpu::counterMismatch(er.stitched, exact);
-        check_ok = mismatch.empty();
-        std::printf("exact-tiling cross-check: %s (stitched %llu "
-                    "cycles vs monolithic %llu)\n",
-                    check_ok ? "bit-identical"
-                             : ("MISMATCH " + mismatch).c_str(),
-                    static_cast<unsigned long long>(er.stitched.cycles),
-                    static_cast<unsigned long long>(exact.cycles));
-    }
-
     std::printf("sampled-summary: {\"trace\":\"%s\",\"instructions\":%llu,"
                 "\"mode\":\"%s\",\"intervals\":%llu,\"jobs\":%u,"
                 "\"warmup_insts_per_sec\":%.0f,"
@@ -161,5 +128,5 @@ main()
                                       : 0.0,
                 exact.cpi, rep.estimatedCpi, cpi_err_pct,
                 rep.cpiErrorBar);
-    return check_ok ? 0 : 1;
+    return 0;
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * Snapshot byte-stream implementation: CRC table, sectioned writer and
- * reader, durable file publish, and the ZBP_CKPT_* environment
- * contract.
+ * reader and durable file publish.
  */
 
 #include "zbp/ckpt/ckpt.hh"
@@ -10,7 +9,6 @@
 #include <array>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "zbp/common/log.hh"
@@ -376,30 +374,6 @@ loadCkptFile(const std::string &path)
     if (readError)
         throw CkptError("checkpoint: read error on " + path);
     return buf;
-}
-
-// ---- runner environment contract ------------------------------------
-
-std::uint64_t
-ckptIntervalFromEnv()
-{
-    const char *v = std::getenv("ZBP_CKPT_INTERVAL");
-    if (v == nullptr || *v == '\0')
-        return 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-        warn("ignoring unparseable ZBP_CKPT_INTERVAL='", v, "'");
-        return 0;
-    }
-    return static_cast<std::uint64_t>(n);
-}
-
-std::string
-ckptDirFromEnv()
-{
-    const char *v = std::getenv("ZBP_CKPT_DIR");
-    return v == nullptr ? std::string() : std::string(v);
 }
 
 bool

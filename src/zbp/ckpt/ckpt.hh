@@ -474,15 +474,6 @@ bool ckptFileExists(const std::string &path);
  * is stale and must not satisfy a future resume). */
 void removeCkptFile(const std::string &path);
 
-// ---- runner environment contract ------------------------------------
-
-/** ZBP_CKPT_INTERVAL: instructions between snapshots; 0 = checkpointing
- * off (the default — no checkpoint object is ever constructed). */
-std::uint64_t ckptIntervalFromEnv();
-
-/** ZBP_CKPT_DIR: directory for snapshot files; empty = off. */
-std::string ckptDirFromEnv();
-
 /** Stable hash of a name inside the checkpoint contract (snapshot file
  * names, the trace fingerprint of a core section): FNV-1a from the
  * basis these were first written with, the standard one missing its

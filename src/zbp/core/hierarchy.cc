@@ -155,7 +155,6 @@ BranchPredictorHierarchy::makePrediction(const Candidate &c,
 
 void
 BranchPredictorHierarchy::trainAfterResolve(btb::BtbEntry &entry,
-                                            const Prediction *pred,
                                             const dir::HistoryHashes &hashes,
                                             trace::InstKind kind,
                                             bool taken, Addr target)
@@ -217,8 +216,7 @@ BranchPredictorHierarchy::resolvePredicted(const Prediction &pred,
         return; // evicted in flight; nothing to train
 
     btb::BtbEntry entry = home->entryAt(h->row, h->way);
-    trainAfterResolve(entry, &pred, pred.hist, kind, actual_taken,
-                      actual_target);
+    trainAfterResolve(entry, pred.hist, kind, actual_taken, actual_target);
     home->update(h->row, h->way, entry);
 }
 
@@ -236,15 +234,15 @@ BranchPredictorHierarchy::resolveSurprise(Addr ia, trace::InstKind kind,
     // behaviour of passing the live architectural history.
     if (auto h = btb1Ptr->lookup(ia)) {
         btb::BtbEntry entry = btb1Ptr->entryAt(h->row, h->way);
-        trainAfterResolve(entry, nullptr, hashesOf(archHist), kind,
-                          taken, target);
+        trainAfterResolve(entry, hashesOf(archHist), kind, taken,
+                          target);
         btb1Ptr->update(h->row, h->way, entry);
         return;
     }
     if (auto h = btbpPtr->lookup(ia)) {
         btb::BtbEntry entry = btbpPtr->entryAt(h->row, h->way);
-        trainAfterResolve(entry, nullptr, hashesOf(archHist), kind,
-                          taken, target);
+        trainAfterResolve(entry, hashesOf(archHist), kind, taken,
+                          target);
         btbpPtr->update(h->row, h->way, entry);
         return;
     }

@@ -1,41 +1,14 @@
 #include "zbp/obs/obs_config.hh"
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <mutex>
 
-#include "zbp/common/log.hh"
+#include "zbp/common/env.hh"
 
 namespace zbp::obs
 {
 
 namespace
 {
-
-std::uint64_t
-u64FromEnv(const char *var, std::uint64_t dflt)
-{
-    const char *s = std::getenv(var);
-    if (s == nullptr || *s == '\0')
-        return dflt;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ", var, " '", s, "'");
-        return dflt;
-    }
-    return v;
-}
-
-std::string
-strFromEnv(const char *var)
-{
-    const char *s = std::getenv(var);
-    return s == nullptr ? std::string() : std::string(s);
-}
 
 /** Owns the global writers so one static destructor closes both (the
  * trace footer lands on normal exit). */
@@ -68,11 +41,14 @@ ObsConfig
 obsConfigFromEnv()
 {
     ObsConfig c;
-    c.intervalInsts = u64FromEnv("ZBP_OBS_INTERVAL", 0);
-    c.intervalPath = strFromEnv("ZBP_OBS_OUT");
+    c.intervalInsts = envSetting("ZBP_OBS_INTERVAL", std::uint64_t{0},
+                                 [](const char *s, std::uint64_t &v) {
+        return parseNumber(s, v) && v >= 1;
+    });
+    c.intervalPath = envString("ZBP_OBS_OUT");
     if (c.intervalInsts > 0 && c.intervalPath.empty())
         c.intervalPath = "obs_intervals.jsonl";
-    c.tracePath = strFromEnv("ZBP_OBS_TRACE");
+    c.tracePath = envString("ZBP_OBS_TRACE");
     return c;
 }
 

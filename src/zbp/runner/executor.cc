@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
+#include "zbp/common/env.hh"
 #include "zbp/common/log.hh"
 
 namespace zbp::runner
@@ -15,23 +15,10 @@ namespace zbp::runner
 unsigned
 jobsFromEnv()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    const char *s = std::getenv("ZBP_JOBS");
-    if (s == nullptr || *s == '\0')
-        return hw;
-    char *end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1) {
-        // Resolution happens once per batch; warn only once per value
-        // so a sweep of many batches does not repeat itself.
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ZBP_JOBS '", s, "'");
-        return hw;
-    }
-    return static_cast<unsigned>(v);
+    const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+    return envSetting("ZBP_JOBS", hw, [](const char *s, unsigned &v) {
+        return parseNumber(s, v) && v >= 1;
+    });
 }
 
 unsigned

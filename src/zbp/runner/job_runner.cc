@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -11,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "zbp/common/env.hh"
 #include "zbp/common/hash.hh"
 #include "zbp/common/log.hh"
 #include "zbp/obs/obs_config.hh"
@@ -31,47 +31,6 @@ double
 secondsSince(SteadyClock::time_point t0)
 {
     return std::chrono::duration<double>(SteadyClock::now() - t0).count();
-}
-
-/** The value of env var @p var parsed by @p parse, or @p dflt when
- * unset or rejected (warning once: each caller's lambda instantiates
- * its own flag). */
-template <typename T, typename ParseFn>
-T
-envSetting(const char *var, T dflt, ParseFn &&parse)
-{
-    const char *s = std::getenv(var);
-    if (s == nullptr || *s == '\0')
-        return dflt;
-    T v = dflt;
-    if (!parse(s, v)) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ", var, " '", s, "'");
-        return dflt;
-    }
-    return v;
-}
-
-double
-timeoutFromEnv()
-{
-    return envSetting("ZBP_JOB_TIMEOUT", 0.0, [](const char *s, double &v) {
-        char *end = nullptr;
-        v = std::strtod(s, &end);
-        return end != s && *end == '\0' && v >= 0.0;
-    });
-}
-
-unsigned
-retriesFromEnv()
-{
-    return envSetting("ZBP_JOB_RETRIES", 0u, [](const char *s, unsigned &v) {
-        char *end = nullptr;
-        const long n = std::strtol(s, &end, 10);
-        v = static_cast<unsigned>(n);
-        return end != s && *end == '\0' && n >= 0 && n <= 100;
-    });
 }
 
 /**
@@ -229,18 +188,6 @@ walk(Job &job, const RunPolicy &pol, const std::string &ckpt_path,
 }
 
 } // namespace
-
-std::size_t
-gangChunkFromEnv()
-{
-    return envSetting("ZBP_GANG_CHUNK", std::size_t{262144},
-                      [](const char *s, std::size_t &v) {
-        char *end = nullptr;
-        const long long n = std::strtoll(s, &end, 10);
-        v = static_cast<std::size_t>(n);
-        return end != s && *end == '\0' && n >= 1;
-    });
-}
 
 std::uint32_t
 workerLane(obs::TraceWriter *tw)
@@ -427,13 +374,20 @@ RunPolicy::fromEnv(unsigned workers)
     RunPolicy p;
     p.workers = resolveJobs(workers);
     p.sinkPath = JsonlSink::envPath();
-    const char *resume = std::getenv("ZBP_RESUME_JSONL");
-    p.resumePath = resume != nullptr ? resume : "";
-    p.timeout = timeoutFromEnv();
-    p.retries = retriesFromEnv();
-    p.ckptDir = ckpt::ckptDirFromEnv();
-    p.ckptInterval = ckpt::ckptIntervalFromEnv();
-    p.chunk = gangChunkFromEnv();
+    p.resumePath = envString("ZBP_RESUME_JSONL");
+    p.timeout = envSetting("ZBP_JOB_TIMEOUT", 0.0,
+                           [](const char *s, double &v) {
+        return parseNumber(s, v) && v >= 0.0;
+    });
+    p.retries = envSetting("ZBP_JOB_RETRIES", 0u,
+                           [](const char *s, unsigned &v) {
+        return parseNumber(s, v) && v <= 100;
+    });
+    p.ckptDir = envString("ZBP_CKPT_DIR");
+    p.ckptInterval = envSetting("ZBP_CKPT_INTERVAL", std::uint64_t{0},
+                                [](const char *s, std::uint64_t &v) {
+        return parseNumber(s, v);
+    });
     return p;
 }
 

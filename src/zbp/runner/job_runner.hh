@@ -249,11 +249,6 @@ class Job
 
 // ---- the engine --------------------------------------------------------
 
-/** ZBP_GANG_CHUNK if set and valid (>= 1), else 262144: large enough
- * that a gang's member switches stop costing, small enough that a
- * chunk of trace plus its sidecars stays LLC-resident. */
-std::size_t gangChunkFromEnv();
-
 /** Every setting of a run.  A default policy runs on ZBP_JOBS workers
  * with no export, resume, timeout, retries or checkpoints. */
 struct RunPolicy
@@ -265,13 +260,15 @@ struct RunPolicy
     unsigned retries = 0;   ///< extra attempts for transient failures
     std::string ckptDir{};          ///< snapshot directory; empty = off
     std::uint64_t ckptInterval = 0; ///< decoded insts between snapshots
-    std::size_t chunk = 262144;     ///< walk window (decoded insts)
+    /** Walk window (decoded insts): large enough that a gang's member
+     * switches stop costing, small enough that a chunk of trace plus
+     * its sidecars stays LLC-resident. */
+    std::size_t chunk = 262144;
     ProgressMeter::Callback progress{}; ///< one event per record
 
     /** ZBP_RESULTS_JSONL, ZBP_RESUME_JSONL, ZBP_JOB_TIMEOUT,
-     * ZBP_JOB_RETRIES, ZBP_CKPT_DIR, ZBP_CKPT_INTERVAL and
-     * ZBP_GANG_CHUNK, each read once; @p workers 0 resolves via
-     * ZBP_JOBS. */
+     * ZBP_JOB_RETRIES, ZBP_CKPT_DIR and ZBP_CKPT_INTERVAL, each read
+     * once; @p workers 0 resolves via ZBP_JOBS. */
     static RunPolicy fromEnv(unsigned workers = 0);
 };
 

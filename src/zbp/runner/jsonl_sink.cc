@@ -1,9 +1,8 @@
 #include "zbp/runner/jsonl_sink.hh"
 
-#include <cstdlib>
-
 #include <unistd.h>
 
+#include "zbp/common/env.hh"
 #include "zbp/common/log.hh"
 
 namespace zbp::runner
@@ -89,8 +88,7 @@ JsonlSink::~JsonlSink()
 std::string
 JsonlSink::envPath()
 {
-    const char *s = std::getenv("ZBP_RESULTS_JSONL");
-    return s == nullptr ? std::string() : std::string(s);
+    return envString("ZBP_RESULTS_JSONL");
 }
 
 std::size_t

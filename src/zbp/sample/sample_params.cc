@@ -1,40 +1,10 @@
 #include "zbp/sample/sample_params.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
-#include "zbp/common/log.hh"
-
 namespace zbp::sample
 {
-
-namespace
-{
-
-/** Parse a positive-integer ZBP_SAMPLE_* variable; @p fallback on
- * unset or (with a once-per-process warning) malformed input.  @p
- * allow_zero admits 0 as an explicit "use the default" value. */
-std::uint64_t
-u64FromEnv(const char *name, std::uint64_t fallback, bool allow_zero,
-           std::atomic<bool> &warned)
-{
-    const char *s = std::getenv(name);
-    if (s == nullptr || *s == '\0')
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || (v == 0 && !allow_zero)) {
-        if (!warned.exchange(true))
-            warn("ignoring bad ", name, " '", s, "'");
-        return fallback;
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-} // namespace
 
 const char *
 to_string(SampleMode m)
@@ -66,35 +36,6 @@ SampleParams::validate() const
                 std::to_string(measured()) +
                 ") must fit inside one interval (" +
                 std::to_string(intervalInsts) + ")");
-}
-
-SampleParams
-sampleParamsFromEnv()
-{
-    SampleParams p;
-    const char *m = std::getenv("ZBP_SAMPLE_MODE");
-    if (m != nullptr && *m != '\0') {
-        if (std::strcmp(m, "exact") == 0) {
-            p.mode = SampleMode::kExact;
-        } else if (std::strcmp(m, "fast") == 0) {
-            p.mode = SampleMode::kFast;
-        } else {
-            static std::atomic<bool> warnedMode{false};
-            if (!warnedMode.exchange(true))
-                warn("ignoring bad ZBP_SAMPLE_MODE '", m,
-                     "' (want exact|fast)");
-        }
-    }
-    static std::atomic<bool> warnedInterval{false};
-    static std::atomic<bool> warnedWarmup{false};
-    static std::atomic<bool> warnedMeasure{false};
-    p.intervalInsts = u64FromEnv("ZBP_SAMPLE_INTERVAL", p.intervalInsts,
-                                 false, warnedInterval);
-    p.warmupInsts = u64FromEnv("ZBP_SAMPLE_WARMUP", p.warmupInsts, true,
-                               warnedWarmup);
-    p.measureInsts = u64FromEnv("ZBP_SAMPLE_MEASURE", p.measureInsts,
-                                true, warnedMeasure);
-    return p;
 }
 
 } // namespace zbp::sample

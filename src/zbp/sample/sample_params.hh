@@ -2,26 +2,17 @@
  * @file
  * Sampled-simulation parameters (temporal sampling: one warm-up pass
  * fans out restore points, detailed measurement intervals run in
- * parallel — see DESIGN.md §13) and their ZBP_SAMPLE_* environment
- * contract:
- *
- *  - ZBP_SAMPLE_MODE=exact|fast  warm-up fidelity (default fast)
- *  - ZBP_SAMPLE_INTERVAL=N       instructions between restore points
- *  - ZBP_SAMPLE_WARMUP=N         detailed warm-up instructions per
- *                                interval, excluded from measurement
- *                                (fast mode only)
- *  - ZBP_SAMPLE_MEASURE=N        measured instructions per interval
- *                                (fast mode only; 0 = INTERVAL/10)
+ * parallel — see DESIGN.md §13).
  *
  * `exact` runs the warm-up pass with the detailed model and tiles the
  * whole trace with measurement windows: the stitched counters are
  * bit-identical to a monolithic CoreModel::run (pinned by tests) and
  * the speedup comes only from running intervals in parallel.  `fast`
  * runs the warm-up functionally (CoreModel::advanceFunctional), then
- * each interval re-warms the timing pipeline over ZBP_SAMPLE_WARMUP
- * detailed instructions before measuring a window of
- * ZBP_SAMPLE_MEASURE; the stitched CPI is a sampled estimate with a
- * coverage ratio and an error bar.
+ * each interval re-warms the timing pipeline over warmupInsts
+ * detailed instructions before measuring a window of measureInsts;
+ * the stitched CPI is a sampled estimate with a coverage ratio and an
+ * error bar.
  */
 
 #ifndef ZBP_SAMPLE_SAMPLE_PARAMS_HH
@@ -69,10 +60,6 @@ struct SampleParams
      * not fit inside one interval). */
     void validate() const;
 };
-
-/** Parse the ZBP_SAMPLE_* environment on top of the defaults above
- * (one warning per malformed value, which is then ignored). */
-SampleParams sampleParamsFromEnv();
 
 } // namespace zbp::sample
 

@@ -1,7 +1,5 @@
 #include "zbp/sim/cmp/cmp_runner.hh"
 
-#include <atomic>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 
@@ -77,23 +75,6 @@ cmpIdentity(const CmpJob &job)
     return runner::jobIdentity("cmp", job.name, std::move(records));
 }
 
-unsigned
-positiveFromEnv(const char *var)
-{
-    const char *s = std::getenv(var);
-    if (s == nullptr || *s == '\0')
-        return 0;
-    char *end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn("ignoring bad ", var, " '", s, "'");
-        return 0;
-    }
-    return static_cast<unsigned>(v);
-}
-
 } // namespace
 
 std::string
@@ -118,35 +99,6 @@ cmpTraceMixId(const std::vector<trace::TraceHandle> &traces)
         mix += runner::traceId(t.get());
     }
     return mix;
-}
-
-unsigned
-cmpCoresFromEnv()
-{
-    return positiveFromEnv("ZBP_CMP_CORES");
-}
-
-unsigned
-cmpBanksFromEnv()
-{
-    return positiveFromEnv("ZBP_BTB2_BANKS");
-}
-
-preload::ArbPolicy
-cmpArbPolicyFromEnv(preload::ArbPolicy dflt)
-{
-    const char *s = std::getenv("ZBP_CMP_ARB");
-    if (s == nullptr || *s == '\0')
-        return dflt;
-    const std::string v(s);
-    if (v == "fcfs")
-        return preload::ArbPolicy::kFcfs;
-    if (v == "tdm")
-        return preload::ArbPolicy::kTdm;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-        warn("ignoring bad ZBP_CMP_ARB '", v, "' (want fcfs or tdm)");
-    return dflt;
 }
 
 CmpChipJob::CmpChipJob(const CmpJob &spec_)

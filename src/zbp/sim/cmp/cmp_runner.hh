@@ -115,19 +115,6 @@ std::string cmpSharedConfigName(const std::string &name);
  * with '+' ("cicsdb2+tpf+..."). */
 std::string cmpTraceMixId(const std::vector<trace::TraceHandle> &traces);
 
-// ---- environment knobs ----------------------------------------------
-
-/** ZBP_CMP_CORES as a positive integer, or 0 when unset (callers treat
- * 0 as "no override"); warns once on junk. */
-unsigned cmpCoresFromEnv();
-
-/** ZBP_BTB2_BANKS as a positive integer, or 0 when unset. */
-unsigned cmpBanksFromEnv();
-
-/** ZBP_CMP_ARB ("fcfs" or "tdm"), or @p dflt when unset; warns once on
- * junk. */
-preload::ArbPolicy cmpArbPolicyFromEnv(preload::ArbPolicy dflt);
-
 } // namespace zbp::sim
 
 #endif // ZBP_SIM_CMP_CMP_RUNNER_HH

@@ -15,8 +15,14 @@ namespace zbp::sim
 {
 
 using GangConfig = runner::GangConfig;
-using runner::gangChunkFromEnv;
 using runner::runGangs;
+
+/** The engine's walk window, for perfbench's re-driven gang walk. */
+inline std::size_t
+gangChunkFromEnv()
+{
+    return runner::RunPolicy{}.chunk;
+}
 
 } // namespace zbp::sim
 

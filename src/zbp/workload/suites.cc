@@ -4,13 +4,13 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 
+#include "zbp/common/env.hh"
 #include "zbp/common/log.hh"
 #include "zbp/obs/obs_config.hh"
 #include "zbp/trace/trace_io.hh"
@@ -210,13 +210,13 @@ generateSuiteTrace(const SuiteSpec &spec, double length_scale)
 }
 
 std::string
-cachePathFor(const char *dir, const SuiteSpec &spec, double scale)
+cachePathFor(const std::string &dir, const SuiteSpec &spec, double scale)
 {
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(
                           suiteTraceKey(spec, scale)));
-    return std::string(dir) + "/" + spec.name + "-" + hex + ".zbpt";
+    return dir + "/" + spec.name + "-" + hex + ".zbpt";
 }
 
 /** Publish @p t at @p path atomically and durably: write a
@@ -333,8 +333,8 @@ trace::Trace
 makeSuiteTrace(const SuiteSpec &spec, double length_scale)
 {
     ZBP_ASSERT(length_scale > 0.0, "length_scale must be positive");
-    const char *dir = std::getenv("ZBP_TRACE_CACHE");
-    if (dir == nullptr || *dir == '\0')
+    const std::string dir = envString("ZBP_TRACE_CACHE");
+    if (dir.empty())
         return generateSuiteTrace(spec, length_scale);
 
     const std::string path = cachePathFor(dir, spec, length_scale);
@@ -398,15 +398,9 @@ traceCacheStats()
 double
 envLengthScale()
 {
-    const char *s = std::getenv("ZBP_LEN_SCALE");
-    if (s == nullptr)
-        return 1.0;
-    const double v = std::atof(s);
-    if (v <= 0.0) {
-        warn("ignoring bad ZBP_LEN_SCALE '", s, "'");
-        return 1.0;
-    }
-    return v;
+    return envSetting("ZBP_LEN_SCALE", 1.0, [](const char *s, double &v) {
+        return parseNumber(s, v) && v > 0.0;
+    });
 }
 
 } // namespace zbp::workload

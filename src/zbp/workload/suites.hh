@@ -89,7 +89,8 @@ TraceCacheStats traceCacheStats();
 
 /**
  * Honour the ZBP_LEN_SCALE environment variable (default 1.0) so every
- * bench binary can be globally shortened or lengthened.
+ * bench binary can be globally shortened or lengthened.  A value that
+ * is not wholly a finite number > 0 warns once and reads as 1.0.
  */
 double envLengthScale();
 

@@ -3,11 +3,10 @@
  * Format-level tests for the checkpoint snapshot container: writer/
  * reader round-trips, CRC + bounds enforcement on every corruption
  * class (truncation, bit flips, wrong tags, trailing garbage), the
- * atomic file helpers, and the ZBP_CKPT_* environment contract.
+ * atomic file helpers, and the snapshot path contract.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,37 +18,6 @@ namespace zbp::ckpt
 {
 namespace
 {
-
-/** Scoped setenv/unsetenv so env-contract tests cannot leak state. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *var, const char *value) : name(var)
-    {
-        const char *old = std::getenv(var);
-        if (old != nullptr) {
-            hadOld = true;
-            oldValue = old;
-        }
-        if (value != nullptr)
-            ::setenv(var, value, 1);
-        else
-            ::unsetenv(var);
-    }
-
-    ~ScopedEnv()
-    {
-        if (hadOld)
-            ::setenv(name.c_str(), oldValue.c_str(), 1);
-        else
-            ::unsetenv(name.c_str());
-    }
-
-  private:
-    std::string name;
-    std::string oldValue;
-    bool hadOld = false;
-};
 
 /** A small two-section snapshot exercising every scalar width. */
 std::vector<std::uint8_t>
@@ -191,26 +159,6 @@ TEST(CkptFile, SaveLoadRoundTripAndRemoval)
 
     removeCkptFile(path);
     EXPECT_FALSE(ckptFileExists(path));
-}
-
-TEST(CkptEnv, IntervalAndDirContract)
-{
-    {
-        ScopedEnv i("ZBP_CKPT_INTERVAL", nullptr);
-        ScopedEnv d("ZBP_CKPT_DIR", nullptr);
-        EXPECT_EQ(ckptIntervalFromEnv(), 0u);
-        EXPECT_TRUE(ckptDirFromEnv().empty());
-    }
-    {
-        ScopedEnv i("ZBP_CKPT_INTERVAL", "250000");
-        ScopedEnv d("ZBP_CKPT_DIR", "/tmp/ckpts");
-        EXPECT_EQ(ckptIntervalFromEnv(), 250000u);
-        EXPECT_EQ(ckptDirFromEnv(), "/tmp/ckpts");
-    }
-    {
-        ScopedEnv i("ZBP_CKPT_INTERVAL", "not-a-number");
-        EXPECT_EQ(ckptIntervalFromEnv(), 0u);
-    }
 }
 
 TEST(CkptEnv, PathForIsStableAndDistinguishesKeys)

@@ -124,7 +124,8 @@ TEST(FetchBehavior, DcacheMissesStallAndAreCounted)
     Trace t("data");
     for (int i = 0; i < 200; ++i) {
         auto inst = plain(0x1000 + 4 * i);
-        inst.dataAddr = 0x100000 + Addr{i} * 4096; // every access misses
+        // Every access misses.
+        inst.dataAddr = 0x100000 + static_cast<Addr>(i) * 4096;
         t.push(inst);
     }
     CoreModel with(p);

@@ -146,8 +146,9 @@ TEST(Btb2Arbiter, ArbiterFaultStretchesBankBusyTime)
     // The grant reserved slot 100 and this request's fault stretches
     // the bank beyond it, so a widely-spaced follow-up read waits.
     const auto second = arb.requestRead(0, 0, 102);
-    if (second.granted)
+    if (second.granted) {
         EXPECT_GT(second.at, 102u);
+    }
     EXPECT_GT(arb.conflicts() + arb.queueFullRejects(), 0u);
 }
 

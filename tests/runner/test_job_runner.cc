@@ -2,10 +2,12 @@
  * @file
  * Tests for the simulation job runner: the parallel-equals-serial
  * determinism guarantee, exception isolation within a sweep, seed
- * derivation, and progress accounting.
+ * derivation, progress accounting, and RunPolicy's environment
+ * contract.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <regex>
 
@@ -42,6 +44,59 @@ crossJobs(const std::vector<trace::Trace> &traces)
         jobs.push_back(SimJob("large-btb1", sim::configLargeBtb1(), &t));
     }
     return jobs;
+}
+
+/** Scoped setenv/unsetenv so env-contract tests cannot leak state. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *var, const char *value) : name(var)
+    {
+        const char *old = std::getenv(var);
+        if (old != nullptr) {
+            hadOld = true;
+            oldValue = old;
+        }
+        if (value != nullptr)
+            ::setenv(var, value, 1);
+        else
+            ::unsetenv(var);
+    }
+
+    ~ScopedEnv()
+    {
+        if (hadOld)
+            ::setenv(name.c_str(), oldValue.c_str(), 1);
+        else
+            ::unsetenv(name.c_str());
+    }
+
+  private:
+    std::string name;
+    std::string oldValue;
+    bool hadOld = false;
+};
+
+TEST(RunPolicy, FromEnvReadsCheckpointIntervalAndDir)
+{
+    {
+        ScopedEnv i("ZBP_CKPT_INTERVAL", nullptr);
+        ScopedEnv d("ZBP_CKPT_DIR", nullptr);
+        const RunPolicy p = RunPolicy::fromEnv(1);
+        EXPECT_EQ(p.ckptInterval, 0u);
+        EXPECT_TRUE(p.ckptDir.empty());
+    }
+    {
+        ScopedEnv i("ZBP_CKPT_INTERVAL", "250000");
+        ScopedEnv d("ZBP_CKPT_DIR", "/tmp/ckpts");
+        const RunPolicy p = RunPolicy::fromEnv(1);
+        EXPECT_EQ(p.ckptInterval, 250000u);
+        EXPECT_EQ(p.ckptDir, "/tmp/ckpts");
+    }
+    {
+        ScopedEnv i("ZBP_CKPT_INTERVAL", "not-a-number");
+        EXPECT_EQ(RunPolicy::fromEnv(1).ckptInterval, 0u);
+    }
 }
 
 TEST(JobRunner, ParallelIsBitIdenticalToSerial)

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -65,23 +64,6 @@ TEST(CmpRunner, NamingHelpers)
     const auto traces = smallTraces();
     EXPECT_EQ(cmpTraceMixId(traces),
               traces[0]->name() + "+" + traces[1]->name());
-}
-
-TEST(CmpRunner, EnvKnobs)
-{
-    ::unsetenv("ZBP_CMP_CORES");
-    EXPECT_EQ(cmpCoresFromEnv(), 0u);
-    ::setenv("ZBP_CMP_CORES", "4", 1);
-    EXPECT_EQ(cmpCoresFromEnv(), 4u);
-    ::unsetenv("ZBP_CMP_CORES");
-
-    ::unsetenv("ZBP_CMP_ARB");
-    EXPECT_EQ(cmpArbPolicyFromEnv(preload::ArbPolicy::kFcfs),
-              preload::ArbPolicy::kFcfs);
-    ::setenv("ZBP_CMP_ARB", "tdm", 1);
-    EXPECT_EQ(cmpArbPolicyFromEnv(preload::ArbPolicy::kFcfs),
-              preload::ArbPolicy::kTdm);
-    ::unsetenv("ZBP_CMP_ARB");
 }
 
 TEST(CmpRunner, WritesPerCoreAndSharingRecords)

@@ -99,8 +99,10 @@ TEST(Suites, EnvLengthScaleParses)
 {
     setenv("ZBP_LEN_SCALE", "0.25", 1);
     EXPECT_DOUBLE_EQ(envLengthScale(), 0.25);
-    setenv("ZBP_LEN_SCALE", "garbage", 1);
-    EXPECT_DOUBLE_EQ(envLengthScale(), 1.0);
+    for (const char *bad : {"garbage", "nan", "inf", "2abc", "-1", ""}) {
+        setenv("ZBP_LEN_SCALE", bad, 1);
+        EXPECT_DOUBLE_EQ(envLengthScale(), 1.0) << "ZBP_LEN_SCALE=" << bad;
+    }
     unsetenv("ZBP_LEN_SCALE");
 }
 
