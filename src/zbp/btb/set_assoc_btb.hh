@@ -252,17 +252,30 @@ class SetAssocBtb
     BtbHitList
     readRow(Addr row_addr) const
     {
+        BtbHitList hits;
+        visitRow(row_addr, [&](std::uint32_t row, std::uint32_t way) {
+            hits.push_back({row, way, entryAt(row, way)});
+        });
+        return hits;
+    }
+
+    /** readRow() without the hit list: @p fn(row, way) for each slot
+     * readRow() would return, in the same order.  The ways are chosen
+     * before the first call, so @p fn may change recency (demote) but
+     * not the row's contents. */
+    template <typename Fn>
+    void
+    visitRow(Addr row_addr, Fn &&fn) const
+    {
         if (faults != nullptr)
             faults->onAccess(faultSite, row_addr);
         const std::uint32_t row = rowOf(row_addr);
-        BtbHitList hits;
         std::uint32_t m = rowMatchMask(row, row_addr);
         while (m != 0) {
             const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
             m &= m - 1;
-            hits.push_back({row, w, entryAt(row, w)});
+            fn(row, w);
         }
-        return hits;
     }
 
     /** Exact-address lookup (update path). Returns nullopt on miss. */
@@ -281,6 +294,20 @@ class SetAssocBtb
                 return BtbHit{row, w, entryAt(row, w)};
         }
         return std::nullopt;
+    }
+
+    /**
+     * Does slot (@p row, @p way) still hold the branch at @p ia: valid,
+     * same tag, same row offset?  Lets a caller reuse the slot an
+     * earlier probe found instead of a second lookup().  Skips the
+     * fault hook, so it stands in for lookup() only when faultFree().
+     */
+    bool
+    holds(std::uint32_t row, std::uint32_t way, Addr ia) const
+    {
+        const std::size_t s = slotBase(row) + way;
+        return row == rowOf(ia) && keys[s] == searchKey(ia) &&
+               ((ias[s] ^ ia) & cfg.offsetMask) == 0;
     }
 
     /** Materialize the entry stored in a known slot (invalid entries
@@ -328,6 +355,14 @@ class SetAssocBtb
 
     /** Promote the way holding @p ia to MRU (on use). */
     void touch(Addr ia);
+
+    /** Promote a known slot to MRU: touch() without its lookup. */
+    void
+    touchSlot(std::uint32_t row, std::uint32_t way)
+    {
+        ZBP_ASSERT(row < cfg.rows && way < cfg.ways, "slot out of range");
+        lru[row].touch(way);
+    }
 
     /** Demote a specific slot to LRU (semi-exclusivity, paper §3.3). */
     void demote(std::uint32_t row, std::uint32_t way);

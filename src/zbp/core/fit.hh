@@ -67,18 +67,30 @@ class FastIndexTable
             promote(i);
             return;
         }
-        if (capacity == 0)
-            return;
-        unsigned slot;
-        if (count >= capacity) {
-            slot = tail; // evict the LRU node, reusing its slot
-            unlink(slot);
-        } else {
-            slot = count++;
+        insert(branch_ia, target);
+    }
+
+    /**
+     * hit(branch_ia, target) then learn(branch_ia, target), the search
+     * pipeline's per-taken-prediction pair, with one scan: same result,
+     * same counters, same table state.
+     */
+    bool
+    hitThenLearn(Addr branch_ia, Addr target)
+    {
+        const unsigned i = find(branch_ia);
+        if (i == kNone) {
+            insert(branch_ia, target);
+            return false;
         }
-        nodes[slot].ia = branch_ia;
-        nodes[slot].target = target;
-        linkFront(slot);
+        promote(i);
+        if (nodes[i].target != target) {
+            ++nMismatch;
+            nodes[i].target = target;
+            return false;
+        }
+        ++nHits;
+        return true;
     }
 
     void
@@ -145,6 +157,25 @@ class FastIndexTable
         io.counter(s.nHits);
         io.counter(s.nMismatch);
         io.endSection();
+    }
+
+    /** Add a branch that find() missed, evicting the LRU node when
+     * full. */
+    void
+    insert(Addr branch_ia, Addr target)
+    {
+        if (capacity == 0)
+            return;
+        unsigned slot;
+        if (count >= capacity) {
+            slot = tail; // evict the LRU node, reusing its slot
+            unlink(slot);
+        } else {
+            slot = count++;
+        }
+        nodes[slot].ia = branch_ia;
+        nodes[slot].target = target;
+        linkFront(slot);
     }
 
     /** All slots below count are live, so one pass over the packed

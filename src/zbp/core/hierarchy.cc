@@ -69,6 +69,8 @@ BranchPredictorHierarchy::searchFirstLevel(Addr search_addr) const
             // MRU-way information affects re-index timing (Table 1).
             c.inMruWay = src == PredictionSource::kBtb1 &&
                          t.isMru(h.row, h.way);
+            c.row = h.row;
+            c.way = h.way;
             out.insertAt(pos, c);
         }
     };
@@ -77,6 +79,23 @@ BranchPredictorHierarchy::searchFirstLevel(Addr search_addr) const
     consume(*btbpPtr, PredictionSource::kBtbp);
 
     return out;
+}
+
+std::optional<Candidate>
+BranchPredictorHierarchy::probeFirstLevel(Addr ia) const
+{
+    PredictionSource src = PredictionSource::kBtb1;
+    std::optional<btb::BtbHit> h = btb1Ptr->lookup(ia);
+    if (!h) {
+        src = PredictionSource::kBtbp;
+        h = btbpPtr->lookup(ia);
+        if (!h)
+            return std::nullopt;
+    }
+    return Candidate{h->entry, src, ia,
+                     src == PredictionSource::kBtb1 &&
+                             btb1Ptr->isMru(h->row, h->way),
+                     h->row, h->way};
 }
 
 Prediction
@@ -141,12 +160,17 @@ BranchPredictorHierarchy::makePrediction(const Candidate &c,
                 ++nVictimsToBtb2;
             }
         }
-    } else {
-        // In-place speculative counter update + recency.
-        if (auto h = btb1Ptr->lookup(updated.ia)) {
-            btb1Ptr->setDir(h->row, h->way, updated.dir);
-            btb1Ptr->touch(updated.ia);
-        }
+    } else if (btb1Ptr->faultFree() &&
+               btb1Ptr->holds(c.row, c.way, updated.ia)) {
+        // In-place speculative counter update + recency, at the slot
+        // the search found.  With an injector attached, every lookup is
+        // an injection opportunity, so that case keeps the lookup and
+        // touch below.
+        btb1Ptr->setDir(c.row, c.way, updated.dir);
+        btb1Ptr->touchSlot(c.row, c.way);
+    } else if (auto h = btb1Ptr->lookup(updated.ia)) {
+        btb1Ptr->setDir(h->row, h->way, updated.dir);
+        btb1Ptr->touch(updated.ia);
     }
 
     ++nPredictions;
@@ -195,29 +219,42 @@ void
 BranchPredictorHierarchy::resolvePredicted(const Prediction &pred,
                                            trace::InstKind kind,
                                            bool actual_taken,
-                                           Addr actual_target, Cycle now)
+                                           Addr actual_target, Cycle now,
+                                           const Candidate *found)
 {
     (void)now;
     sbht.update(pred.ia, kind, actual_taken);
     archHist.push(pred.ia, actual_taken);
 
-    // The entry may have moved between levels since prediction time;
-    // find it wherever it lives now.
     btb::SetAssocBtb *home = nullptr;
-    std::optional<btb::BtbHit> h = btb1Ptr->lookup(pred.ia);
-    if (h) {
+    std::uint32_t row = 0;
+    std::uint32_t way = 0;
+    if (found != nullptr && found->source == PredictionSource::kBtb1 &&
+        btb1Ptr->faultFree() &&
+        btb1Ptr->holds(found->row, found->way, pred.ia)) {
         home = btb1Ptr.get();
+        row = found->row;
+        way = found->way;
     } else {
-        h = btbpPtr->lookup(pred.ia);
-        if (h)
-            home = btbpPtr.get();
+        // The entry may have moved between levels since prediction
+        // time; find it wherever it lives now.
+        std::optional<btb::BtbHit> h = btb1Ptr->lookup(pred.ia);
+        if (h) {
+            home = btb1Ptr.get();
+        } else {
+            h = btbpPtr->lookup(pred.ia);
+            if (h)
+                home = btbpPtr.get();
+        }
+        if (home == nullptr)
+            return; // evicted in flight; nothing to train
+        row = h->row;
+        way = h->way;
     }
-    if (home == nullptr)
-        return; // evicted in flight; nothing to train
 
-    btb::BtbEntry entry = home->entryAt(h->row, h->way);
+    btb::BtbEntry entry = home->entryAt(row, way);
     trainAfterResolve(entry, pred.hist, kind, actual_taken, actual_target);
-    home->update(h->row, h->way, entry);
+    home->update(row, way, entry);
 }
 
 void
@@ -320,6 +357,7 @@ BranchPredictorHierarchy::state(Self &s, Io &io)
             Addr ia = 0;
             Cycle c = 0;
             install(ia, c);
+            io.check(ia != kNoAddr, "install-cycle branch address");
             s.installCycle.assign(ia, c);
         }
     } else {

@@ -48,6 +48,8 @@ struct Candidate
      * entry.ia only under tag aliasing. */
     Addr perceivedIa;
     bool inMruWay;            ///< BTB1 MRU-way hit (affects timing)
+    std::uint32_t row;        ///< slot the entry was read from, in
+    std::uint32_t way;        ///< the table that source names
 };
 
 /**
@@ -99,6 +101,15 @@ class BranchPredictorHierarchy
      */
     CandidateList searchFirstLevel(Addr search_addr) const;
 
+    /**
+     * The first-level hit for a branch at exactly @p ia: BTB1
+     * lookup(ia), else BTBP lookup(ia).  This is the candidate
+     * searchFirstLevel(ia) yields with perceivedIa == ia, found without
+     * building the row's list: both take the lowest matching way at
+     * ia's row offset, and the BTB1 copy wins a duplicate.
+     */
+    std::optional<Candidate> probeFirstLevel(Addr ia) const;
+
     /** Hint both first-level tables' row planes for an upcoming probe
      * of @p search_addr (issued when the next search address is frozen,
      * consumed by searchFirstLevel cycles later). */
@@ -126,15 +137,23 @@ class BranchPredictorHierarchy
      * speculative bimodal update, and — when the candidate came from the
      * BTBP — perform the BTBP -> BTB1 promotion with its victim flows.
      *
-     * The caller supplies seq and fills in availableAt (timing).
+     * The caller supplies seq and fills in availableAt (timing).  A
+     * BTB1 candidate's update reuses its slot when the BTB1 is
+     * fault-free and the slot still holds the branch (an earlier
+     * promotion in the same search can overwrite it).
      */
     Prediction makePrediction(const Candidate &c, std::uint64_t seq);
 
     // --- resolve side ------------------------------------------------
-    /** Resolve a dynamically predicted branch. */
+    /**
+     * Resolve a dynamically predicted branch.  @p found, when given, is
+     * the candidate @p pred was made from, with no table write since
+     * (the functional path resolves at once): a fault-free BTB1 then
+     * trains the candidate's slot instead of looking the branch up.
+     */
     void resolvePredicted(const Prediction &pred, trace::InstKind kind,
                           bool actual_taken, Addr actual_target,
-                          Cycle now);
+                          Cycle now, const Candidate *found = nullptr);
 
     /** Resolve a surprise branch (installs it when taken). */
     void resolveSurprise(Addr ia, trace::InstKind kind, bool taken,

@@ -94,8 +94,7 @@ SearchPipeline::doSearch(Cycle now)
         if (p.taken) {
             // Re-index timing (Table 1).
             const bool self_loop = p.target == p.ia;
-            const bool fit_hit = bp.fit().hit(p.ia, p.target);
-            bp.fit().learn(p.ia, p.target);
+            const bool fit_hit = bp.fit().hitThenLearn(p.ia, p.target);
             unsigned delta;
             if (self_loop && fit_hit) {
                 delta = 1; // single taken branch loop: 1 pred / cycle

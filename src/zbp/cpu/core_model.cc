@@ -223,11 +223,12 @@ CoreModel::restartFrontEnd(Addr addr, Cycle at)
 }
 
 inline void
-CoreModel::applyResolve(const ResolveEvent &ev)
+CoreModel::applyResolve(const ResolveEvent &ev, const core::Candidate *found)
 {
     switch (ev.kind) {
       case ResolveEvent::Kind::kPredicted:
-        bp->resolvePredicted(ev.pred, ev.ikind, ev.taken, ev.target, ev.at);
+        bp->resolvePredicted(ev.pred, ev.ikind, ev.taken, ev.target, ev.at,
+                             found);
         ++nResolves;
         break;
       case ResolveEvent::Kind::kSurprise:
@@ -244,9 +245,10 @@ inline void
 CoreModel::resolveLater(ResolveEvent &ev)
 {
     if (functional) {
-        // No resolve pipeline to wait on: train (or restart) now.
+        // No resolve pipeline to wait on: train (or restart) now, at
+        // the slot the decode's probe found.
         ev.at = cycle;
-        applyResolve(ev);
+        applyResolve(ev, &probed);
         return;
     }
     ev.at = cycle + prm.cpu.decodeToResolve;
@@ -683,13 +685,12 @@ CoreModel::searchPrediction(const trace::Instruction &inst,
     // (availableAt stays 0).
     if (!inst.branch())
         return PredictionFor::kNone;
-    for (const core::Candidate &c : bp->searchFirstLevel(inst.ia)) {
-        if (c.perceivedIa == inst.ia) {
-            out = bp->makePrediction(c, 0);
-            return PredictionFor::kFound;
-        }
-    }
-    return PredictionFor::kNone;
+    const std::optional<core::Candidate> c = bp->probeFirstLevel(inst.ia);
+    if (!c)
+        return PredictionFor::kNone;
+    probed = *c;
+    out = bp->makePrediction(probed, 0);
+    return PredictionFor::kFound;
 }
 
 inline CoreModel::PredictionFor

@@ -414,8 +414,9 @@ class CoreModel
 
     // Resolve-time effects: applyResolve is the one place training and
     // restarts land; resolveLater queues (detailed) or applies at once
-    // (functional).
-    void applyResolve(const ResolveEvent &ev);
+    // (functional, handing over the probe's slot as @p found).
+    void applyResolve(const ResolveEvent &ev,
+                      const core::Candidate *found = nullptr);
     void resolveLater(ResolveEvent &ev);
     void resolveBranch(const trace::Instruction &inst,
                        const core::Prediction *p);
@@ -540,6 +541,9 @@ class CoreModel
      * predictions from a first-level search, trains at once, and
      * spends stall cycles as estimates instead of blocking. */
     bool functional = false;
+    /** Functional mode: the first-level hit the branch being decoded
+     * was predicted from; its immediate resolve trains that slot. */
+    core::Candidate probed{};
 };
 
 } // namespace zbp::cpu

@@ -14,11 +14,12 @@
 #define ZBP_CPU_OUTCOME_HH
 
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/types.hh"
 #include "zbp/stats/stats.hh"
+#include "zbp/util/flat_addr_map.hh"
 
 namespace zbp::cpu
 {
@@ -57,7 +58,7 @@ class OutcomeTracker
     bool
     seenBefore(Addr ia)
     {
-        return !seen.insert(ia).second;
+        return !seen.insert(ia);
     }
 
     void
@@ -117,9 +118,9 @@ class OutcomeTracker
         g.add("phantom", counts[7], "phantom predictions");
     }
 
-    /** Serialize into one checkpoint section.  The seen-set iteration
-     * order is unspecified but irrelevant: membership is the only
-     * observable property. */
+    /** Serialize into one checkpoint section.  The seen addresses are
+     * listed in std::unordered_set order (StdOrderAddrSet), which the
+     * pinned snapshot digests hold. */
     void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section. */
@@ -135,14 +136,24 @@ class OutcomeTracker
         for (auto &c : s.counts)
             io.counter(c);
         io.counter(s.total);
-        io.list64(s.seen, [&io](auto &a) { io.u64(a); });
+        if constexpr (Io::kReading) {
+            std::vector<Addr> listed;
+            io.list64(listed, [&io](auto &a) {
+                io.u64(a);
+                io.check(a != kNoAddr, "seen branch address");
+            });
+            s.seen.restore(listed);
+        } else {
+            io.count64(s.seen.size());
+            s.seen.forEach([&io](Addr a) { io.u64(a); });
+        }
         io.endSection();
     }
 
     static constexpr std::size_t kNumOutcomes = 8;
     stats::Counter counts[kNumOutcomes];
     stats::Counter total;
-    std::unordered_set<Addr> seen;
+    StdOrderAddrSet seen;
 };
 
 } // namespace zbp::cpu

@@ -48,6 +48,10 @@ Btb2Arbiter::requestRead(unsigned core, Addr row, Cycle now)
             slot += (core + prm.cores - phase) % prm.cores;
     }
 
+    // A conflict is a wait on a busy bank.  Under TDM a request to an
+    // idle bank still waits for the core's own slot; that alignment is
+    // the policy's fixed cost, not contention.
+    const bool busy = freeAt[bank] > now;
     const Cycle wait = slot - now;
     if (wait > prm.queueDepth) {
         ++nRejects;
@@ -69,7 +73,7 @@ Btb2Arbiter::requestRead(unsigned core, Addr row, Cycle now)
     ++nGrants;
     ++grantsByCore[core];
     ++grantsByBank[bank];
-    if (wait > 0) {
+    if (busy) {
         ++nConflicts;
         nWaitCycles += wait;
         waitByCore[core] += wait;

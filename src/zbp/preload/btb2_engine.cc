@@ -358,14 +358,16 @@ Btb2Engine::functionalPreload(Addr miss_addr, Cycle now)
             : true;
     const std::uint32_t row_bytes = btb2.config().rowBytes;
     const unsigned rows = rowsPerSector();
+    // Each hit goes straight from its BTB2 slot into the BTBP; no hit
+    // list is built for a transfer that is over at once.
     const auto readRowNow = [&](Addr row_addr) {
         ++nRowReads;
-        for (const auto &h : btb2.readRow(row_addr)) {
-            btbp.install(h.entry);
+        btb2.visitRow(row_addr, [&](std::uint32_t row, std::uint32_t way) {
+            btbp.install(btb2.entryAt(row, way));
             ++nHits;
             if (prm.semiExclusive)
-                btb2.demote(h.row, h.way);
-        }
+                btb2.demote(row, way);
+        });
     };
     if (ic_valid) {
         // Fully active: all rows of the 4 KB block in SOT priority

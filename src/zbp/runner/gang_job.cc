@@ -1,5 +1,7 @@
 #include "zbp/runner/gang_job.hh"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "zbp/obs/obs_config.hh"
@@ -234,14 +236,24 @@ std::vector<std::vector<SimJobResult>>
 runGangs(const RunPolicy &policy, const std::vector<GangConfig> &configs,
          const std::vector<trace::TraceHandle> &traces)
 {
+    // Workers take gangs in submission order, so submit the longest
+    // traces first: a long one started late would run alone at the end
+    // of the sweep while the other workers idle.
+    std::vector<std::size_t> order(traces.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&traces](std::size_t a, std::size_t b) {
+                         return traces[a]->size() > traces[b]->size();
+                     });
     std::vector<std::unique_ptr<GangJob>> gangs;
-    for (const auto &t : traces)
-        gangs.push_back(std::make_unique<GangJob>(configs, t.get()));
+    for (const std::size_t t : order)
+        gangs.push_back(std::make_unique<GangJob>(configs, traces[t].get()));
     JobRunner(policy).run(gangs);
-    std::vector<std::vector<SimJobResult>> out(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c)
-        for (auto &g : gangs)
-            out[c].push_back(std::move(g->results()[c]));
+    std::vector<std::vector<SimJobResult>> out(
+            configs.size(), std::vector<SimJobResult>(traces.size()));
+    for (std::size_t k = 0; k < order.size(); ++k)
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            out[c][order[k]] = std::move(gangs[k]->results()[c]);
     return out;
 }
 

@@ -105,7 +105,9 @@ class GangJob final : public Job
 };
 
 /** Run one gang of @p configs over each of @p traces under @p policy;
- * result[c][t] is config c over trace t. */
+ * result[c][t] is config c over trace t.  Gangs are submitted longest
+ * trace first (ties in input order), so their records are written in
+ * roughly that order, not in trace order. */
 std::vector<std::vector<SimJobResult>>
 runGangs(const RunPolicy &policy, const std::vector<GangConfig> &configs,
          const std::vector<trace::TraceHandle> &traces);

@@ -7,18 +7,19 @@
  * BTB1 victim is written into the BTB2's LRU way and *promoted to MRU*.
  * This class therefore exposes demote() as well as the usual touch().
  *
- * Storage is a fixed inline byte array, not a heap vector: structures
- * keep one LruState per set, and touch() runs on every cache/BTB access
- * of the simulation hot path.  Inline storage keeps the whole per-set
- * recency table contiguous (no per-set pointer chase) and turns the
- * reorder into a handful of in-register byte moves.
+ * Storage is one 64-bit word of 4-bit way numbers, not a heap vector:
+ * structures keep one LruState per set, and touch() runs on every
+ * cache/BTB access of the simulation hot path.  A word keeps the whole
+ * per-set recency table contiguous (no per-set pointer chase) and turns
+ * the reorder into a few shifts and masks in one register, with no
+ * memmove call.
  */
 
 #ifndef ZBP_UTIL_LRU_HH
 #define ZBP_UTIL_LRU_HH
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 
 #include "zbp/common/log.hh"
 
@@ -44,10 +45,10 @@ class LruState
     unsigned ways() const { return nWays; }
 
     /** The least recently used way (replacement victim). */
-    unsigned lru() const { return order[0]; }
+    unsigned lru() const { return at(0); }
 
     /** The most recently used way. */
-    unsigned mru() const { return order[nWays - 1]; }
+    unsigned mru() const { return at(nWays - 1u); }
 
     /** Promote @p way to MRU. */
     void
@@ -68,8 +69,9 @@ class LruState
     void
     reset()
     {
+        order = 0;
         for (unsigned w = 0; w < nWays; ++w)
-            order[w] = static_cast<std::uint8_t>(w);
+            order |= std::uint64_t{w} << (4 * w);
     }
 
     /** Checkpoint the recency order, one byte per way from LRU to MRU
@@ -79,7 +81,8 @@ class LruState
     state(Self &s, Io &io)
     {
         std::uint8_t o[kMaxWays];
-        std::memcpy(o, s.order, s.nWays);
+        for (unsigned i = 0; i < s.nWays; ++i)
+            o[i] = static_cast<std::uint8_t>(s.at(i));
         for (unsigned i = 0; i < s.nWays; ++i)
             io.u8(o[i]);
         if constexpr (Io::kReading)
@@ -104,7 +107,9 @@ class LruState
                 return false;
             seen |= 1u << ways[i];
         }
-        std::memcpy(order, ways, n);
+        order = 0;
+        for (unsigned i = 0; i < n; ++i)
+            order |= std::uint64_t{ways[i]} << (4 * i);
         return true;
     }
 
@@ -112,30 +117,72 @@ class LruState
     unsigned
     rank(unsigned way) const
     {
-        for (unsigned i = 0; i < nWays; ++i)
-            if (order[i] == way)
-                return i;
-        panic("LruState::rank: way ", way, " not present");
+        const unsigned pos = way < nWays ? find(way) : nWays;
+        if (pos >= nWays)
+            panic("LruState::rank: way ", way, " not present");
+        return pos;
     }
 
   private:
+    static constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ull;
+
+    /** The way at recency position @p pos. */
+    unsigned
+    at(unsigned pos) const
+    {
+        return static_cast<unsigned>(order >> (4 * pos)) & 0xFu;
+    }
+
+    /** The nibbles below position @p pos (all of them at 16). */
+    static std::uint64_t
+    below(std::uint64_t x, unsigned pos)
+    {
+        return pos >= kMaxWays ? x : x & ((std::uint64_t{1} << (4 * pos)) - 1);
+    }
+
+    /** The nibbles from position @p pos up, moved down to position 0. */
+    static std::uint64_t
+    from(std::uint64_t x, unsigned pos)
+    {
+        return pos >= kMaxWays ? 0 : x >> (4 * pos);
+    }
+
+    /** The nibbles of @p x moved up to start at position @p pos. */
+    static std::uint64_t
+    upTo(std::uint64_t x, unsigned pos)
+    {
+        return pos >= kMaxWays ? 0 : x << (4 * pos);
+    }
+
+    /** Position of @p way: the lowest zero nibble of order ^ way.  A
+     * lower nonzero nibble never borrows, so the lowest flagged nibble
+     * is exact; the zero nibbles above nWays lie above the way's own. */
+    unsigned
+    find(unsigned way) const
+    {
+        const std::uint64_t x = order ^ (kNibbleOnes * way);
+        const std::uint64_t zero = (x - kNibbleOnes) & ~x &
+                                   (kNibbleOnes << 3);
+        return zero == 0 ? kMaxWays
+                         : static_cast<unsigned>(std::countr_zero(zero)) / 4;
+    }
+
     void
     moveTo(unsigned way, unsigned pos)
     {
         ZBP_ASSERT(way < nWays, "way out of range");
-        unsigned cur = 0;
-        while (order[cur] != way) {
-            ++cur;
-            ZBP_ASSERT(cur < nWays, "corrupt LRU state");
-        }
-        if (cur < pos)
-            std::memmove(order + cur, order + cur + 1, pos - cur);
-        else if (cur > pos)
-            std::memmove(order + pos + 1, order + pos, cur - pos);
-        order[pos] = static_cast<std::uint8_t>(way);
+        const unsigned cur = find(way);
+        ZBP_ASSERT(cur < nWays, "corrupt LRU state");
+        // Take the way out, then put it back in at pos.
+        const std::uint64_t rest =
+                below(order, cur) | upTo(from(order, cur + 1), cur);
+        order = below(rest, pos) | (std::uint64_t{way} << (4 * pos)) |
+                upTo(from(rest, pos), pos + 1);
     }
 
-    std::uint8_t order[kMaxWays]; ///< order[0]=LRU .. order[nWays-1]=MRU
+    /** Nibble i holds the way at recency position i: 0 = LRU ..
+     * nWays-1 = MRU; the nibbles above stay zero. */
+    std::uint64_t order = 0;
     std::uint8_t nWays;
 };
 

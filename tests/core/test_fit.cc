@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "zbp/common/rng.hh"
 #include "zbp/core/fit.hh"
 
 namespace zbp::core
@@ -88,6 +91,33 @@ TEST(Fit, DefaultCapacityMatchesPaper)
     for (Addr ia = 0; ia < 70 * 8; ia += 8)
         f.learn(ia, ia + 4);
     EXPECT_EQ(f.size(), 64u);
+}
+
+std::vector<std::uint8_t>
+bytesOf(const FastIndexTable &f)
+{
+    ckpt::Writer w;
+    f.saveState(w);
+    w.finish();
+    return w.bytes();
+}
+
+TEST(Fit, HitThenLearnEqualsHitThenLearnCalls)
+{
+    // 12 branches and 3 targets each over an 8-entry table: hits,
+    // stale-target mismatches, refreshes and LRU evictions all occur.
+    FastIndexTable fused(8);
+    FastIndexTable pair(8);
+    Rng rng(7);
+    for (int i = 0; i < 5000; ++i) {
+        const Addr ia = 0x1000 + 8 * rng.below(12);
+        const Addr target = ia + 0x100 * (1 + rng.below(3));
+        const bool want = pair.hit(ia, target);
+        pair.learn(ia, target);
+        ASSERT_EQ(fused.hitThenLearn(ia, target), want) << "step " << i;
+    }
+    EXPECT_EQ(fused.size(), 8u);
+    EXPECT_EQ(bytesOf(fused), bytesOf(pair));
 }
 
 } // namespace

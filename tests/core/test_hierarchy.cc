@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "zbp/common/rng.hh"
 #include "zbp/core/hierarchy.hh"
 
 namespace zbp::core
@@ -259,6 +262,109 @@ TEST(Hierarchy, ResetWipesEverything)
     EXPECT_EQ(h.btbp().validCount(), 0u);
     EXPECT_EQ(h.btb2().validCount(), 0u);
     EXPECT_FALSE(h.lastInstall(0x40).has_value());
+}
+
+TEST(Hierarchy, PromotionEarlierInSearchInvalidatesCarriedSlot)
+{
+    // One 2-way BTB1 row: 0x10 is LRU, 0x18 MRU.  A search at 0x00
+    // yields [0x04 (BTBP), 0x10, 0x18]; promoting 0x04 evicts 0x10's
+    // slot, so 0x10's prediction must not train the slot it was found
+    // in, which now holds 0x04.
+    BranchPredictorHierarchy h(smallParams());
+    auto strong = btb::BtbEntry::freshTaken(0x10, 0xA);
+    strong.dir.update(true);
+    ASSERT_TRUE(strong.dir.strong());
+    h.btb1().install(strong);
+    h.btb1().install(btb::BtbEntry::freshTaken(0x18, 0xB));
+    h.btbp().install(btb::BtbEntry::freshTaken(0x04, 0xC));
+    const auto cands = h.searchFirstLevel(0x00);
+    ASSERT_EQ(cands.size(), 3u);
+    ASSERT_EQ(cands[1].perceivedIa, 0x10u);
+
+    h.makePrediction(cands[0], 1);
+    const auto promoted = h.btb1().lookup(0x04);
+    ASSERT_TRUE(promoted.has_value());
+    EXPECT_EQ(promoted->row, cands[1].row);
+    EXPECT_EQ(promoted->way, cands[1].way);
+    EXPECT_FALSE(h.btb1().lookup(0x10).has_value());
+
+    h.makePrediction(cands[1], 2);
+    EXPECT_FALSE(h.btb1().lookup(0x04)->entry.dir.strong());
+}
+
+TEST(BranchPredictorHierarchy, ExactProbeMatchesFirstLevelScan)
+{
+    // Few tag bits and rows, so tags alias; the fill adds duplicate
+    // ways (same tag, same offset) and branches held in both levels.
+    MachineParams prm;
+    prm.btb1 = btb::BtbConfig{8, 4, 32, 3};
+    prm.btbp = btb::BtbConfig{4, 3, 32, 3};
+    prm.btb2 = btb::BtbConfig{16, 2, 32, 3};
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        BranchPredictorHierarchy h(prm);
+        Rng rng(seed);
+        std::set<Addr> rows;
+        const auto randomEntry = [&rng, &rows] {
+            const Addr ia = 2 * rng.below(2048);
+            rows.insert(alignDown(ia, 32));
+            auto e = btb::BtbEntry::freshTaken(ia, 0x10000 + rng.below(64));
+            if (rng.below(2) != 0)
+                e.dir.update(false);
+            return e;
+        };
+        for (int i = 0; i < 40; ++i) {
+            const auto e = randomEntry();
+            switch (rng.below(4)) {
+              case 0:
+                h.btb1().install(e);
+                break;
+              case 1:
+                h.btbp().install(e);
+                break;
+              case 2:
+                // The same branch in both levels.
+                h.btb1().install(e);
+                h.btbp().install(e);
+                break;
+              default: {
+                // Two ways holding the same tag at the same offset.
+                auto &t = rng.below(2) != 0 ? h.btb1() : h.btbp();
+                const std::uint32_t row = t.rowOf(e.ia);
+                const std::uint32_t ways = t.config().ways;
+                const std::uint32_t w = rng.below(ways - 1);
+                auto twin = e;
+                twin.target ^= 0x4;
+                t.update(row, w, e);
+                t.update(row, w + 1 + rng.below(ways - 1 - w), twin);
+                break;
+              }
+            }
+        }
+        for (const Addr base : rows) {
+            for (Addr ia = base; ia < base + 32; ++ia) {
+                const Candidate *scan = nullptr;
+                const auto cands = h.searchFirstLevel(ia);
+                for (const auto &c : cands)
+                    if (c.perceivedIa == ia)
+                        scan = &c;
+                const auto probe = h.probeFirstLevel(ia);
+                ASSERT_EQ(probe.has_value(), scan != nullptr)
+                        << "seed " << seed << " ia 0x" << std::hex << ia;
+                if (scan == nullptr)
+                    continue;
+                EXPECT_EQ(probe->source, scan->source);
+                EXPECT_EQ(probe->entry.ia, scan->entry.ia);
+                EXPECT_EQ(probe->entry.target, scan->entry.target);
+                EXPECT_EQ(probe->entry.dir.raw(), scan->entry.dir.raw());
+                EXPECT_EQ(probe->entry.phtAllowed, scan->entry.phtAllowed);
+                EXPECT_EQ(probe->entry.ctbAllowed, scan->entry.ctbAllowed);
+                EXPECT_EQ(probe->perceivedIa, ia);
+                EXPECT_EQ(probe->inMruWay, scan->inMruWay);
+                EXPECT_EQ(probe->row, scan->row);
+                EXPECT_EQ(probe->way, scan->way);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
+#include "zbp/common/rng.hh"
 #include "zbp/cpu/outcome.hh"
 
 namespace zbp::cpu
@@ -61,6 +65,58 @@ TEST(OutcomeTracker, StatsRegistration)
     t.registerStats(g);
     EXPECT_DOUBLE_EQ(g.value("surpriseLatency"), 1.0);
     EXPECT_DOUBLE_EQ(g.value("correct"), 0.0);
+}
+
+std::vector<std::uint8_t>
+bytesOf(const OutcomeTracker &t)
+{
+    ckpt::Writer w;
+    t.saveState(w);
+    w.finish();
+    return w.bytes();
+}
+
+TEST(OutcomeTracker, SeenIndexSurvivesRestore)
+{
+    OutcomeTracker t;
+    std::unordered_set<Addr> order; // the checkpoint's element order
+    Rng rng(11);
+    for (int i = 0; i < 3000; ++i) {
+        const Addr ia = 2 * rng.below(2000);
+        EXPECT_EQ(t.seenBefore(ia), !order.insert(ia).second);
+    }
+    const auto bytes = bytesOf(t);
+
+    // The seen addresses are listed in std::unordered_set order, as
+    // the pinned snapshot digests expect.
+    ckpt::Writer want;
+    want.beginSection(ckpt::tag::kOutcomes);
+    for (int i = 0; i < 9; ++i)
+        want.u64(std::uint64_t{0});
+    want.list64(order, [&want](Addr a) { want.u64(a); });
+    want.endSection();
+    want.finish();
+    EXPECT_EQ(bytes, want.bytes());
+
+    OutcomeTracker r;
+    ckpt::SnapshotBuffer snap(bytes);
+    ckpt::Reader rd = snap.reader();
+    r.restoreState(rd);
+    rd.finish();
+    EXPECT_EQ(bytesOf(r), bytes);
+    for (const Addr ia : order)
+        EXPECT_TRUE(r.seenBefore(ia)) << ia;
+    EXPECT_FALSE(r.seenBefore(1));
+    EXPECT_TRUE(r.seenBefore(1));
+
+    // The restored tracker goes on exactly like the one it came from:
+    // same answers, and the same bytes after more first sightings.
+    EXPECT_FALSE(t.seenBefore(1));
+    for (int i = 0; i < 3000; ++i) {
+        const Addr ia = 2 * rng.below(4000) + 1;
+        ASSERT_EQ(r.seenBefore(ia), t.seenBefore(ia)) << "step " << i;
+    }
+    EXPECT_EQ(bytesOf(r), bytesOf(t));
 }
 
 } // namespace

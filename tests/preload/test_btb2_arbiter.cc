@@ -109,6 +109,26 @@ TEST(Btb2Arbiter, TdmGrantsOnlyOwnedSlots)
     EXPECT_EQ(odd.at % 2, 1u);
 }
 
+TEST(Btb2Arbiter, TdmSlotAlignmentIsNotAConflict)
+{
+    auto arb = makeArb(2, 1, 8, ArbPolicy::kTdm);
+    // Core 1 owns the odd slots: on an idle bank at an even `now` its
+    // read waits one cycle for its own slot, which is no conflict.
+    const auto g = arb.requestRead(1, 0, 100);
+    ASSERT_TRUE(g.granted);
+    EXPECT_EQ(g.at, 101u);
+    EXPECT_EQ(arb.conflicts(), 0u);
+    EXPECT_EQ(arb.conflictWaitCycles(), 0u);
+    EXPECT_EQ(arb.coreWaitCycles()[1], 0u);
+    // The bank is busy until 102: the next read is a conflict, and its
+    // whole wait (busy bank plus alignment) is booked.
+    const auto busy = arb.requestRead(1, 0, 101);
+    ASSERT_TRUE(busy.granted);
+    EXPECT_EQ(busy.at, 103u);
+    EXPECT_EQ(arb.conflicts(), 1u);
+    EXPECT_EQ(arb.conflictWaitCycles(), 2u);
+}
+
 TEST(Btb2Arbiter, ResetClearsReservationsAndCounters)
 {
     auto arb = makeArb(2, 1);

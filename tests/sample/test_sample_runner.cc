@@ -322,8 +322,11 @@ TEST(SampleRunnerTest, SnapshotWaitIsOutsideTheDeadline)
     // serial warm-up for its snapshot.  A timeout below the warm-up's
     // duration (but, as in the chaos tests, at least 20x an interval's
     // own run) must not see that wait.  Each window spans enough
-    // cycles that the model polls its cancel flag.
-    const trace::Trace t = makeTrace(56, 4'000'000);
+    // cycles that the model polls its cancel flag.  The trace is long
+    // enough that the warm-up outlasts that budget with room to spare
+    // (an interval's own run is mostly its restore, whatever the trace
+    // length).
+    const trace::Trace t = makeTrace(56, 10'000'000);
     const core::MachineParams cfg = sim::configBtb2();
     SampleParams p;
     p.mode = SampleMode::kFast;

@@ -71,6 +71,30 @@ TEST(GangRunner, BitIdenticalToSerialAcrossChunkSizes)
     }
 }
 
+TEST(GangRunner, LongestFirstSubmissionKeepsInputOrder)
+{
+    // The second trace is the longer one, so it is submitted first;
+    // the results still come back in input order.
+    std::vector<trace::TraceHandle> traces;
+    traces.push_back(workload::suiteTraceHandle(workload::findSuite("cb84"),
+                                                0.01));
+    traces.push_back(workload::suiteTraceHandle(workload::findSuite("tpf"),
+                                                0.03));
+    ASSERT_LT(traces[0]->size(), traces[1]->size());
+    const auto gang = fig2Gang();
+    const auto got = runGangs(runner::RunPolicy{.workers = 2}, gang, traces);
+    ASSERT_EQ(got.size(), gang.size());
+    for (std::size_t ci = 0; ci < gang.size(); ++ci) {
+        ASSERT_EQ(got[ci].size(), traces.size());
+        for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+            ASSERT_TRUE(got[ci][ti].ok) << got[ci][ti].error;
+            const cpu::SimResult ref = runOne(gang[ci].cfg, *traces[ti]);
+            EXPECT_EQ(got[ci][ti].result.traceName, traces[ti]->name());
+            EXPECT_EQ(cpu::counterMismatch(got[ci][ti].result, ref), "");
+        }
+    }
+}
+
 TEST(GangRunner, FailingMemberDoesNotSinkTheGang)
 {
     auto gang = fig2Gang();

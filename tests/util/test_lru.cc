@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "zbp/common/rng.hh"
 #include "zbp/util/lru.hh"
 
@@ -117,6 +120,36 @@ TEST_P(LruProperty, RandomOpsKeepInvariants)
             ASSERT_LT(r, ways);
             ASSERT_FALSE(seen[r]);
             seen[r] = true;
+        }
+    }
+}
+
+TEST(Lru, MatchesListModelUpToSixteenWays)
+{
+    // The packed order against a plain list, at every width including
+    // the full 16 nibbles.
+    for (const unsigned ways : {1u, 2u, 5u, 8u, 15u, 16u}) {
+        LruState l(ways);
+        std::vector<unsigned> model; // LRU first
+        for (unsigned w = 0; w < ways; ++w)
+            model.push_back(w);
+        Rng rng(ways);
+        for (int step = 0; step < 2000; ++step) {
+            const auto w = static_cast<unsigned>(rng.below(ways));
+            model.erase(std::find(model.begin(), model.end(), w));
+            if (rng.chance(0.5)) {
+                l.touch(w);
+                model.push_back(w);
+            } else {
+                l.demote(w);
+                model.insert(model.begin(), w);
+            }
+            for (unsigned r = 0; r < ways; ++r) {
+                ASSERT_EQ(l.rank(model[r]), r)
+                        << ways << " ways, step " << step;
+            }
+            ASSERT_EQ(l.lru(), model.front());
+            ASSERT_EQ(l.mru(), model.back());
         }
     }
 }
