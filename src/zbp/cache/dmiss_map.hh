@@ -1,16 +1,16 @@
 /**
  * @file
- * Precomputed L1 D-cache outcome map for the fused sweep path.
+ * Precomputed L1 D-cache outcome map: the one D-cache path.
  *
  * The core model issues exactly one D-cache access per trace
  * instruction carrying an operand address, in trace order, and the
- * cache's hit/miss outcome is a pure function of that address sequence
- * and the cache geometry (ICache::access consults `now` only for the
- * per-block miss records, which nothing ever reads on the D-side).  A
- * gang of configurations sharing one trace therefore replays byte-for-
- * byte identical D-cache simulations; computing the outcome stream once
- * per (trace, geometry) and handing every gang member the read-only map
- * deletes that redundant work without changing a single counter.
+ * outcome is a pure function of that address sequence and the cache
+ * geometry (the same in every configuration, Table 5).  So every run
+ * reads its D-cache outcomes from a map computed once per (trace,
+ * geometry): gangs and CMP chips share one, a sampled run fills one
+ * beside its warm-up, and a model given none computes its own
+ * (CoreModel::beginRun).  The kernel books no per-block miss records:
+ * only the I-side's BTB2 filter reads those.
  */
 
 #ifndef ZBP_CACHE_DMISS_MAP_HH
@@ -34,6 +34,16 @@ namespace zbp::cache
  */
 std::vector<std::uint8_t> computeDataMissMap(const trace::Trace &t,
                                              const ICacheParams &p);
+
+/**
+ * One stretch of computeDataMissMap: write @p map [begin, end) by
+ * running @p c, which has seen the operand addresses of t[0, begin),
+ * over those of t[begin, end).  Bytes outside the stretch are not
+ * touched, so other threads may read the filled prefix meanwhile.
+ */
+void fillDataMissMap(const trace::Trace &t, ICache &c,
+                     std::vector<std::uint8_t> &map, std::size_t begin,
+                     std::size_t end);
 
 /** Do two geometries produce identical outcome maps for every trace?
  * (Latency knobs do not affect hit/miss, only how a miss is charged.) */

@@ -44,7 +44,7 @@ ICache::probe(Addr addr) const
 }
 
 bool
-ICache::access(Addr addr, Cycle now)
+ICache::lookup(Addr addr)
 {
     const auto set = setIndex(addr);
     const Addr tag = tagOf(addr);
@@ -57,12 +57,11 @@ ICache::access(Addr addr, Cycle now)
         }
     }
 
-    // Miss: install into the LRU way and record the 4 KB block.
+    // Miss: install into the LRU way.
     const unsigned victim = lru[set].lru();
     row[victim].valid = true;
     row[victim].tag = tag;
     lru[set].touch(victim);
-    blockMiss[addr >> 12] = now;
     ++nMisses;
     return false;
 }
@@ -70,18 +69,8 @@ ICache::access(Addr addr, Cycle now)
 bool
 ICache::blockMissedRecently(Addr addr, Cycle now) const
 {
-    const auto it = blockMiss.find(addr >> 12);
-    if (it == blockMiss.end())
-        return false;
-    return now >= it->second && now - it->second <= prm.missRecordTtl;
-}
-
-void
-ICache::reset()
-{
-    for (auto &l : lines)
-        l.valid = false;
-    blockMiss.clear();
+    const Cycle *at = blockMiss.find(addr >> 12);
+    return at != nullptr && now >= *at && now - *at <= prm.missRecordTtl;
 }
 
 void
@@ -110,10 +99,7 @@ ICache::state(Self &s, Io &io)
     }
     for (auto &l : s.lru)
         LruState::state(l, io);
-    io.list64(s.blockMiss, [&io](auto &bm) {
-        io.u64(bm.first);
-        io.u64(bm.second);
-    });
+    FlatAddrMap<Cycle>::state(s.blockMiss, io);
     io.counter(s.nHits);
     io.counter(s.nMisses);
     io.endSection();

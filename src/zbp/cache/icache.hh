@@ -15,13 +15,13 @@
 #define ZBP_CACHE_ICACHE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
 #include "zbp/common/types.hh"
 #include "zbp/stats/stats.hh"
+#include "zbp/util/flat_addr_map.hh"
 #include "zbp/util/lru.hh"
 
 namespace zbp::cache
@@ -68,35 +68,27 @@ class ICache
      *
      * @return true on hit.
      */
-    bool access(Addr addr, Cycle now);
+    bool
+    access(Addr addr, Cycle now)
+    {
+        if (lookup(addr))
+            return true;
+        blockMiss.assign(addr >> 12, now);
+        return false;
+    }
+
+    /** access() without the block record, for a cache whose misses
+     * nothing asks about (the D-cache outcome map, the shared L2I). */
+    bool lookup(Addr addr);
 
     /** Probe without updating replacement state or installing. */
     bool probe(Addr addr) const;
-
-    /**
-     * Account one access whose outcome was precomputed (dmiss_map.hh)
-     * without replaying the array lookup: bumps the same hit/miss
-     * counters access() would.  Line and replacement state are left
-     * untouched — valid only when nothing reads them back, as on the
-     * D-cache, whose per-block miss records have no consumer.
-     */
-    void
-    recordPrecomputed(bool hit)
-    {
-        if (hit)
-            ++nHits;
-        else
-            ++nMisses;
-    }
 
     /**
      * BTB2 filter query: did any I-cache miss occur in the 4 KB block of
      * @p addr within the record TTL ending at @p now?
      */
     bool blockMissedRecently(Addr addr, Cycle now) const;
-
-    /** Invalidate everything (used between benchmark repetitions). */
-    void reset();
 
     /** Serialize lines + LRU + miss records into one checkpoint
      * section. */
@@ -139,7 +131,7 @@ class ICache
     std::vector<LruState> lru;    ///< one per set
 
     /** 4 KB block number -> cycle of most recent miss in that block. */
-    std::unordered_map<Addr, Cycle> blockMiss;
+    FlatAddrMap<Cycle> blockMiss;
 
     stats::Counter nHits;
     stats::Counter nMisses;

@@ -25,7 +25,6 @@
 #ifndef ZBP_CACHE_SHARED_L2I_HH
 #define ZBP_CACHE_SHARED_L2I_HH
 
-#include <algorithm>
 #include <vector>
 
 #include "zbp/cache/icache.hh"
@@ -43,29 +42,20 @@ class SharedL2I
 
     /**
      * Look up the line of @p addr on behalf of @p core after an L1I
-     * miss at local time @p now; installs on miss.
+     * miss; installs on miss.
      *
      * @return the full miss latency the core should charge: the L1's
      * @p l1_miss_latency on an L2 hit, the L2I's on an L2 miss.
      */
     std::uint32_t
-    fetchMiss(unsigned core, Addr addr, Cycle now,
-              std::uint32_t l1_miss_latency)
+    fetchMiss(unsigned core, Addr addr, std::uint32_t l1_miss_latency)
     {
-        if (array.access(addr, now)) {
+        if (array.lookup(addr)) {
             ++hitsBy[core];
             return l1_miss_latency;
         }
         ++missesBy[core];
         return array.params().missLatency;
-    }
-
-    void
-    reset()
-    {
-        array.reset();
-        std::fill(hitsBy.begin(), hitsBy.end(), 0);
-        std::fill(missesBy.begin(), missesBy.end(), 0);
     }
 
     /** Serialize array state + per-core tallies into checkpoint

@@ -26,8 +26,8 @@
  * same inline field verbs — the scalars u8/u32/u64/flag, counter,
  * enum8 (an enum with its maximum), expect (a geometry or shape value
  * the restoring object must already have), check(cond, what), the
- * element counts count32/count64 and the counted lists list32/list64,
- * and part (a sub-component's own sections).  On the Writer each verb
+ * element counts count32/count64, the counted list list32, and part (a
+ * sub-component's own sections).  On the Writer each verb
  * writes; on the Reader each reads and validates.  A body tests
  * Io::kReading only for restore-side work such as calling a setter.
  *
@@ -69,8 +69,10 @@ class CkptError : public std::runtime_error
     {}
 };
 
-/** Bump when the section layout changes incompatibly. */
-inline constexpr std::uint32_t kFormatVersion = 1;
+/** Bump when the section layout changes incompatibly.  Version 2 drops
+ * the D-cache section and lists every address-keyed table in ascending
+ * key order; a version-1 image is rejected like any corrupt one. */
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /** Terminates the section sequence. */
 inline constexpr std::uint32_t kEndTag = 0xFFFFFFFFu;
@@ -125,8 +127,9 @@ struct ListElem<C>
 
 } // namespace detail
 
-/** Accumulates a snapshot into a byte vector, one section at a time.
- * The field verbs mirror Reader's one for one (file comment). */
+/** Accumulates a snapshot into one byte buffer, one section at a time;
+ * finish() trims the buffer to the image.  The field verbs mirror
+ * Reader's one for one (file comment). */
 class Writer
 {
   public:
@@ -145,6 +148,7 @@ class Writer
     /** Append the terminal section.  The writer is complete after. */
     void finish();
 
+    /** The image; complete once finish() has run. */
     const std::vector<std::uint8_t> &bytes() const { return buf; }
 
     // ---- field verbs ----------------------------------------------
@@ -193,15 +197,6 @@ class Writer
             field(e);
     }
 
-    template <class C, class F>
-    void
-    list64(const C &c, F field)
-    {
-        count64(c.size());
-        for (const auto &e : c)
-            field(e);
-    }
-
     /** A component that writes its own section(s). */
     template <class T> void part(const T &c) { c.saveState(*this); }
 
@@ -211,13 +206,19 @@ class Writer
     put(T v, unsigned n)
     {
         const auto x = static_cast<std::uint64_t>(v);
-        const std::size_t at = buf.size();
-        buf.resize(at + n);
+        if (buf.size() - len < 8)
+            grow();
+        std::uint8_t *p = buf.data() + len;
         for (unsigned i = 0; i < n; ++i)
-            buf[at + i] = static_cast<std::uint8_t>(x >> (8 * i));
+            p[i] = static_cast<std::uint8_t>(x >> (8 * i));
+        len += n;
     }
 
-    std::vector<std::uint8_t> buf;
+    /** Double the buffer (put() keeps at least 8 spare bytes). */
+    void grow();
+
+    std::vector<std::uint8_t> buf; ///< the first len bytes are written
+    std::size_t len = 0;
     std::size_t payloadStart = 0; ///< first payload byte of open section
     bool inSection = false;
     bool finished = false;
@@ -298,13 +299,6 @@ class Reader
         fill(c, count32(0), field);
     }
 
-    template <class C, class F>
-    void
-    list64(C &c, F field)
-    {
-        fill(c, count64(0), field);
-    }
-
     template <class T> void part(T &c) { c.restoreState(*this); }
 
   private:
@@ -347,10 +341,8 @@ class Reader
             field(e);
             if constexpr (requires { typename C::mapped_type; })
                 c.insert_or_assign(e.first, e.second);
-            else if constexpr (requires { c.push_back(e); })
-                c.push_back(e);
             else
-                c.insert(e);
+                c.push_back(e);
         }
     }
 

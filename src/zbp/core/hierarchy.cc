@@ -346,23 +346,7 @@ BranchPredictorHierarchy::state(Self &s, Io &io)
 {
     io.beginSection(ckpt::tag::kHierarchy);
     io.expect(s.ownsBtb2(), "BTB2 ownership");
-    const auto install = [&io](auto &ia, auto &c) {
-        io.u64(ia);
-        io.u64(c);
-    };
-    const std::size_t n = io.count32(s.installCycle.size());
-    if constexpr (Io::kReading) {
-        s.installCycle.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            Addr ia = 0;
-            Cycle c = 0;
-            install(ia, c);
-            io.check(ia != kNoAddr, "install-cycle branch address");
-            s.installCycle.assign(ia, c);
-        }
-    } else {
-        s.installCycle.forEach(install);
-    }
+    FlatAddrMap<Cycle>::state(s.installCycle, io);
     io.counter(s.nPredictions);
     io.counter(s.nPromotions);
     io.counter(s.nVictimsToBtb2);

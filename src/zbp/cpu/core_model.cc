@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "zbp/cache/dmiss_map.hh"
 #include "zbp/obs/interval_sampler.hh"
 #include "zbp/obs/trace_writer.hh"
 
@@ -88,8 +89,6 @@ CoreModel::CoreModel(const core::MachineParams &p,
     bp = std::make_unique<core::BranchPredictorHierarchy>(prm,
                                                           shared.btb2);
     l1i = std::make_unique<cache::ICache>(prm.icache);
-    if (prm.dcacheEnabled)
-        l1d = std::make_unique<cache::ICache>(prm.dcache);
     sotTable = std::make_unique<preload::SectorOrderTable>(prm.sot);
     if (prm.btb2Enabled) {
         eng = std::make_unique<preload::Btb2Engine>(
@@ -405,7 +404,7 @@ CoreModel::fetchTick()
             // CMP with a shared L2I: the fill latency depends on
             // whether a sibling already pulled the line in.
             const std::uint32_t lat = sharedL2i != nullptr
-                    ? sharedL2i->fetchMiss(sharedCoreId, miss, now,
+                    ? sharedL2i->fetchMiss(sharedCoreId, miss,
                                            prm.icache.missLatency)
                     : prm.icache.missLatency;
             fetchBlockedUntil = now + lat;
@@ -651,21 +650,16 @@ CoreModel::decodeOne(const trace::Instruction &inst)
     // Operand access: a finite L1 D-cache (Table 5: 96 KB, 6-way) miss
     // stalls the in-order consume for the L2 latency.  Identical across
     // configurations, so CPI differences stay branch-driven — which is
-    // what lets runs charge the stall from a per-trace precomputed
-    // outcome map.  Traces without operand addresses fall back to a
+    // what lets every run read the outcome from a per-trace precomputed
+    // map.  Traces without operand addresses fall back to a
     // deterministic background stall.
-    if (inst.dataAddr != kNoAddr && l1d) {
+    if (inst.dataAddr != kNoAddr && prm.dcacheEnabled) {
         ++nDataAccesses;
-        bool hit;
-        if (dmiss != nullptr) {
-            hit = (*dmiss)[decodeIdx - 1] == 0;
-            l1d->recordPrecomputed(hit);
-        } else {
-            hit = l1d->access(inst.dataAddr, cycle);
-        }
-        if (!hit)
+        if (dmiss[decodeIdx - 1] != 0) {
+            ++nDataMisses;
             stallDecodeUntil(cycle + prm.dcache.missLatency +
                              prm.cpu.dcacheMissExtra);
+        }
     } else if (prm.cpu.dataStallProb > 0.0) {
         std::uint64_t h = inst.ia * 0x9E3779B97F4A7C15ull +
                           decodeIdx * 0xBF58476D1CE4E5B9ull;
@@ -964,13 +958,16 @@ CoreModel::beginRun(const trace::Trace &t)
 {
     if (t.empty())
         throw std::invalid_argument("cannot simulate an empty trace");
-    if (dmiss != nullptr && dmiss->size() != t.size())
+    if (sharedDmiss != nullptr && sharedDmiss->size() != t.size())
         throw std::invalid_argument(
                 "attached data-miss map does not match the trace (" +
-                std::to_string(dmiss->size()) + " vs " +
+                std::to_string(sharedDmiss->size()) + " vs " +
                 std::to_string(t.size()) + " instructions)");
     ZBP_ASSERT(!runActive, "beginRun() while a run is active");
     tr = &t;
+    if (prm.dcacheEnabled && sharedDmiss == nullptr)
+        ownDmiss = cache::computeDataMissMap(t, prm.dcache);
+    dmiss = sharedDmiss != nullptr ? sharedDmiss->data() : ownDmiss.data();
     fetchIdx = 0;
     decodeIdx = 0;
     fetchBuf.clear();
@@ -982,6 +979,7 @@ CoreModel::beginRun(const trace::Trace &t)
     nTaken = 0;
     nBranches = 0;
     nDataAccesses = 0;
+    nDataMisses.reset();
     nWatchdogResets = 0;
     nResolves = 0;
     fetchSeqCursor = 0;
@@ -1115,7 +1113,7 @@ CoreModel::countersSoFar() const
     r.resolves = nResolves;
     r.faultsInjected = inj ? inj->injected() : 0;
     r.icacheMisses = l1i->misses();
-    r.dcacheMisses = l1d ? l1d->misses() : 0;
+    r.dcacheMisses = nDataMisses.value();
     r.dataAccesses = nDataAccesses;
     r.btb1MissReports = pipe->missReportCount();
     r.predictionsMade = pipe->predictionCount();
@@ -1172,8 +1170,16 @@ CoreModel::finishRun()
     stats::Group gi("icache");
     l1i->registerStats(gi);
     stats::Group gd("dcache");
-    if (l1d)
-        l1d->registerStats(gd);
+    if (prm.dcacheEnabled) {
+        gd.addDerived(
+                "hits",
+                [this] {
+                    return static_cast<double>(nDataAccesses -
+                                               nDataMisses.value());
+                },
+                "D-cache line hits");
+        gd.add("misses", nDataMisses, "D-cache line misses");
+    }
     stats::Group gs("sot");
     sotTable->registerStats(gs);
     stats::Group go("outcomes");
@@ -1214,7 +1220,7 @@ CoreModel::state(Self &s, Io &io)
     io.beginSection(ckpt::tag::kCore);
     io.expect(ckpt::nameHash(s.tr->name()), "trace fingerprint");
     io.expect(static_cast<std::uint64_t>(s.tr->size()), "trace length");
-    io.expect(s.l1d != nullptr, "D-cache presence");
+    io.expect(s.prm.dcacheEnabled, "D-cache presence");
     io.expect(s.eng != nullptr, "BTB2 engine presence");
     io.expect(s.inj != nullptr, "fault injector presence");
     const std::size_t len = s.tr->size();
@@ -1247,6 +1253,7 @@ CoreModel::state(Self &s, Io &io)
     io.u64(s.nTaken);
     io.u64(s.nBranches);
     io.u64(s.nDataAccesses);
+    io.counter(s.nDataMisses);
     io.u64(s.nWatchdogResets);
     io.u64(s.nResolves);
     io.u64(s.cycle);
@@ -1258,8 +1265,6 @@ CoreModel::state(Self &s, Io &io)
     io.endSection();
     io.part(*s.bp);
     io.part(*s.l1i);
-    if (s.l1d)
-        io.part(*s.l1d);
     io.part(*s.sotTable);
     if (s.eng)
         io.part(*s.eng);

@@ -314,16 +314,18 @@ class CoreModel
     void setTraceIndex(const trace::TraceIndex *) {}
 
     /**
-     * Attach a precomputed L1 D-cache outcome map (cache::
+     * Share a precomputed L1 D-cache outcome map (cache::
      * computeDataMissMap over the same trace and this machine's dcache
-     * geometry; nullptr to detach).  Subsequent runs charge operand
-     * stalls from the map instead of replaying the D-cache arrays —
-     * counters stay bit-identical.  beginRun() rejects a size mismatch.
+     * geometry; nullptr to detach).  Operand stalls always come from a
+     * map: without a shared one, beginRun() computes the model's own.
+     * The map is read by absolute trace position, and only as far as
+     * decode has reached, so it may still be filling beyond that point.
+     * beginRun() rejects a size mismatch.
      */
     void
     setDataMissMap(const std::vector<std::uint8_t> *map)
     {
-        dmiss = map;
+        sharedDmiss = map;
     }
 
     /**
@@ -363,7 +365,6 @@ class CoreModel
     core::SearchPipeline &pipeline() { return *pipe; }
     preload::Btb2Engine *engine() { return eng.get(); }
     cache::ICache &icache() { return *l1i; }
-    cache::ICache *dcache() { return l1d.get(); }
     preload::SectorOrderTable &sot() { return *sotTable; }
 
   private:
@@ -490,7 +491,6 @@ class CoreModel
     core::MachineParams prm;
     std::unique_ptr<core::BranchPredictorHierarchy> bp;
     std::unique_ptr<cache::ICache> l1i;
-    std::unique_ptr<cache::ICache> l1d;
     std::unique_ptr<preload::SectorOrderTable> sotTable;
     std::unique_ptr<preload::Btb2Engine> eng;
     std::unique_ptr<core::SearchPipeline> pipe;
@@ -523,12 +523,18 @@ class CoreModel
     std::uint64_t nTaken = 0;
     std::uint64_t nBranches = 0;
     std::uint64_t nDataAccesses = 0;
+    stats::Counter nDataMisses; ///< the L1 D-cache's misses (dmiss)
     std::uint64_t nWatchdogResets = 0;
     std::uint64_t nResolves = 0;
 
+    // The L1 D-cache outcome map: shared (setDataMissMap) or the
+    // model's own; dmiss points at the armed run's.
+    const std::vector<std::uint8_t> *sharedDmiss = nullptr;
+    std::vector<std::uint8_t> ownDmiss;
+    const std::uint8_t *dmiss = nullptr;
+
     // Chunked-run loop state (the former run() locals; valid between
     // beginRun and finishRun so advance() can resume mid-trace).
-    const std::vector<std::uint8_t> *dmiss = nullptr;
     Cycle cycle = 0;
     Cycle maxCycles = 0;
     Cycle lastProgressAt = 0;

@@ -14,7 +14,6 @@
 #define ZBP_CPU_OUTCOME_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/types.hh"
@@ -118,9 +117,8 @@ class OutcomeTracker
         g.add("phantom", counts[7], "phantom predictions");
     }
 
-    /** Serialize into one checkpoint section.  The seen addresses are
-     * listed in std::unordered_set order (StdOrderAddrSet), which the
-     * pinned snapshot digests hold. */
+    /** Serialize into one checkpoint section; the seen addresses are
+     * listed in ascending order. */
     void saveState(ckpt::Writer &w) const { state(*this, w); }
 
     /** Overwrite from a checkpoint section. */
@@ -136,24 +134,14 @@ class OutcomeTracker
         for (auto &c : s.counts)
             io.counter(c);
         io.counter(s.total);
-        if constexpr (Io::kReading) {
-            std::vector<Addr> listed;
-            io.list64(listed, [&io](auto &a) {
-                io.u64(a);
-                io.check(a != kNoAddr, "seen branch address");
-            });
-            s.seen.restore(listed);
-        } else {
-            io.count64(s.seen.size());
-            s.seen.forEach([&io](Addr a) { io.u64(a); });
-        }
+        FlatAddrMap<NoValue>::state(s.seen, io);
         io.endSection();
     }
 
     static constexpr std::size_t kNumOutcomes = 8;
     stats::Counter counts[kNumOutcomes];
     stats::Counter total;
-    StdOrderAddrSet seen;
+    FlatAddrMap<NoValue> seen;
 };
 
 } // namespace zbp::cpu

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "zbp/cache/dmiss_map.hh"
 #include "zbp/obs/obs_config.hh"
 #include "zbp/runner/executor.hh"
 
@@ -56,7 +57,8 @@ IntervalJob::IntervalJob(const std::string &config,
                          const core::MachineParams &cfg_,
                          const trace::Trace &t, const IntervalPlan &iv_,
                          std::shared_future<ckpt::SnapshotBuffer> snapshot,
-                         bool closes_run)
+                         bool closes_run,
+                         const std::vector<std::uint8_t> *dmiss_)
     : Job(runner::jobIdentity(
               "interval",
               SampleRunner::intervalConfigName(config, iv_.index) + "/" +
@@ -64,7 +66,7 @@ IntervalJob::IntervalJob(const std::string &config,
               {{SampleRunner::intervalConfigName(config, iv_.index),
                 t.name(), 0}})),
       cfg(cfg_), tr(t), iv(iv_), snap(std::move(snapshot)),
-      closesRun(closes_run)
+      closesRun(closes_run), dmiss(dmiss_)
 {}
 
 bool
@@ -83,6 +85,7 @@ IntervalJob::begin(const std::atomic<bool> *cancel)
     measuring = false;
     model = std::make_unique<cpu::CoreModel>(cfg);
     model->setCancelFlag(cancel);
+    model->setDataMissMap(dmiss);
     model->beginRun(tr);
     if (iv.snapshotAt > 0) {
         ckpt::Reader r = snap.get().reader();
@@ -171,8 +174,36 @@ SampleRunner::run(const std::string &config_name,
 {
     const auto t0 = std::chrono::steady_clock::now();
     const auto plan = planIntervals(t.size(), prm);
+    cfg.validate(); // before any thread builds from it
 
     obs::TraceWriter *tw = obs::globalTraceWriter();
+
+    // The D-cache outcome map, filled on its own thread a stretch at a
+    // time: covered[i] is ready once it reaches mapNeededFor(plan[i]).
+    std::vector<std::uint8_t> dmiss(cfg.dcacheEnabled ? t.size() : 0);
+    const auto *map = cfg.dcacheEnabled ? &dmiss : nullptr;
+    std::vector<std::promise<void>> mapped(plan.size());
+    std::vector<std::future<void>> covered;
+    for (auto &m : mapped)
+        covered.push_back(m.get_future());
+    std::jthread mapper([&] {
+        std::size_t i = 0;
+        try {
+            cache::ICache d(cfg.dcache);
+            for (std::size_t done = 0; i < plan.size(); ++i) {
+                const std::size_t end = map != nullptr
+                        ? mapNeededFor(plan[i], t.size(),
+                                       cfg.cpu.decodeWidth)
+                        : 0;
+                cache::fillDataMissMap(t, d, dmiss, done, end);
+                done = end;
+                mapped[i].set_value();
+            }
+        } catch (...) {
+            for (; i < plan.size(); ++i)
+                mapped[i].set_exception(std::current_exception());
+        }
+    });
 
     // Serial half, on its own thread: one front-to-back warm-up pass
     // over the trace, handing over a snapshot at every boundary.
@@ -185,12 +216,14 @@ SampleRunner::run(const std::string &config_name,
         std::string why;
         try {
             cpu::CoreModel warm(cfg);
-            fan = runWarmupFanout(warm, t, plan, prm.mode,
-                                  [&](std::size_t i,
-                                      ckpt::SnapshotBuffer snap) {
-                                      snaps[i].set_value(std::move(snap));
-                                      published = i + 1;
-                                  });
+            warm.setDataMissMap(map);
+            fan = runWarmupFanout(
+                    warm, t, plan, prm.mode,
+                    [&](std::size_t i, ckpt::SnapshotBuffer snap) {
+                        snaps[i].set_value(std::move(snap));
+                        published = i + 1;
+                    },
+                    [&](std::size_t i) { covered[i].get(); });
         } catch (const std::exception &e) {
             warm_error = std::current_exception();
             why = e.what();
@@ -226,7 +259,7 @@ SampleRunner::run(const std::string &config_name,
                                 plan[i].measureEnd == t.size();
         ivs.push_back(std::make_unique<IntervalJob>(
                 config_name, cfg, t, plan[i], snaps[i].get_future().share(),
-                closes_run));
+                closes_run, map));
     }
     const double iv_ts = tw != nullptr ? tw->nowUs() : 0.0;
     const auto outcomes = runner::JobRunner(pol).run(ivs);

@@ -10,7 +10,9 @@
  * of the walk.  The wait is queue time (runner::Job::await), outside
  * the interval's attempts, timeout and seconds; a resumed interval
  * never waits; a failed warm-up fails every interval still waiting,
- * and run() rethrows the warm-up's own error.
+ * and run() rethrows the warm-up's own error.  The D-cache outcome map
+ * (cache/dmiss_map.hh) fills on a third thread, ahead of the warm-up,
+ * and is shared with every interval.
  *
  * Stitching contract: every SimResult counter is monotone over a run
  * and part of the saved machine state, so the fieldwise difference of
@@ -82,13 +84,16 @@ class IntervalJob final : public runner::Job
   public:
     /** Interval @p iv of config @p config over @p t, restored from
      * @p snapshot once it is ready.  Everything passed by reference
-     * must outlive the job.  @p closes_run finishes the run at the
-     * window's end (exact mode's last interval), so the delta includes
-     * post-run accounting. */
+     * must outlive the job, and so must @p dmiss, the shared D-cache
+     * outcome map (CoreModel::setDataMissMap; null: the model computes
+     * its own).  @p closes_run finishes the run at the window's end
+     * (exact mode's last interval), so the delta includes post-run
+     * accounting. */
     IntervalJob(const std::string &config, const core::MachineParams &cfg,
                 const trace::Trace &t, const IntervalPlan &iv,
                 std::shared_future<ckpt::SnapshotBuffer> snapshot,
-                bool closes_run);
+                bool closes_run,
+                const std::vector<std::uint8_t> *dmiss = nullptr);
 
     /** The measured delta (run or resumed) after the engine ran it. */
     const runner::SimJobResult &result() const { return res; }
@@ -117,6 +122,7 @@ class IntervalJob final : public runner::Job
     IntervalPlan iv;
     std::shared_future<ckpt::SnapshotBuffer> snap;
     bool closesRun;
+    const std::vector<std::uint8_t> *dmiss;
     runner::SimJobResult res;
     // Per attempt.
     std::unique_ptr<cpu::CoreModel> model;

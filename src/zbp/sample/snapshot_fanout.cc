@@ -36,12 +36,15 @@ planIntervals(std::size_t trace_len, const SampleParams &p)
 FanoutResult
 runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
                 const std::vector<IntervalPlan> &plan, SampleMode mode,
-                const SnapshotSink &sink)
+                const SnapshotSink &sink,
+                const std::function<void(std::size_t)> &await_map)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
     m.beginRun(t);
     for (std::size_t i = 0; i < plan.size(); ++i) {
+        if (await_map)
+            await_map(i);
         if (mode == SampleMode::kExact)
             m.advance(plan[i].snapshotAt);
         else

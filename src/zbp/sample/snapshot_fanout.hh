@@ -16,11 +16,15 @@
  * The pass hands each snapshot over the moment it is captured, so a
  * consumer need not wait for the whole walk: SampleRunner starts
  * interval k as soon as snapshot k lands, while the walk goes on.
+ * The D-cache outcome map may still be filling on another thread, so
+ * the walk to interval k first waits until the map covers what both
+ * that walk and interval k's job read (mapNeededFor).
  */
 
 #ifndef ZBP_SAMPLE_SNAPSHOT_FANOUT_HH
 #define ZBP_SAMPLE_SNAPSHOT_FANOUT_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -56,6 +60,17 @@ struct IntervalPlan
 std::vector<IntervalPlan> planIntervals(std::size_t trace_len,
                                         const SampleParams &p);
 
+/** How far the D-cache outcome map must be filled before the walk to
+ * @p iv's restore point and @p iv's own job may read it: the window's
+ * end, plus the up to decodeWidth - 1 instructions by which a detailed
+ * advance() overshoots its target, clamped to @p trace_len. */
+inline std::size_t
+mapNeededFor(const IntervalPlan &iv, std::size_t trace_len,
+             unsigned decode_width)
+{
+    return std::min(trace_len, iv.measureEnd + decode_width);
+}
+
 /** What the warm-up pass walked. */
 struct FanoutResult
 {
@@ -76,11 +91,15 @@ using SnapshotSink = std::function<void(std::size_t, ckpt::SnapshotBuffer)>;
  * detailed (kExact) or functional (kFast) execution between
  * boundaries; the walk to plan[0] (instruction 0) runs too, so a model
  * that cannot walk in @p mode throws before any snapshot is handed
- * over.  The model is left armed mid-run and should be discarded.
+ * over.  Before the walk to plan[i], @p await_map(i) (when set)
+ * returns once @p m's D-cache outcome map covers mapNeededFor(plan[i])
+ * or throws.  The model is left armed mid-run and should be discarded.
  */
 FanoutResult runWarmupFanout(cpu::CoreModel &m, const trace::Trace &t,
                              const std::vector<IntervalPlan> &plan,
-                             SampleMode mode, const SnapshotSink &sink);
+                             SampleMode mode, const SnapshotSink &sink,
+                             const std::function<void(std::size_t)>
+                                     &await_map = {});
 
 } // namespace zbp::sample
 

@@ -8,19 +8,17 @@
  * gprof, which does not sample shared-library time.  This table keeps
  * everything in one flat power-of-two array with linear probing and
  * grows by doubling at 70% load.  Only the operations the simulator
- * needs exist: assign, insert, find, clear.
- *
- * StdOrderAddrSet adds the one thing a flat table cannot give: the
- * iteration order of the std::unordered_set it replaced, which the
- * outcome tracker's checkpoint lists its seen branches in.
+ * needs exist: assign, insert, find, clear, and a checkpoint listing
+ * in ascending key order, which depends on the contents alone (not on
+ * the slot layout or its insertion history).
  */
 
 #ifndef ZBP_UTIL_FLAT_ADDR_MAP_HH
 #define ZBP_UTIL_FLAT_ADDR_MAP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 #include "zbp/common/log.hh"
@@ -100,15 +98,46 @@ class FlatAddrMap
 
     std::size_t size() const { return count; }
 
-    /** Visit every (key, value) pair in unspecified order (snapshot
-     * serialization; re-population goes through assign()). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
+    /**
+     * The checkpointed fields (ckpt.hh field verbs): a counted list of
+     * the entries in ascending key order, each its key and, unless V
+     * is NoValue, its value as a u64.  A restore rejects a list that
+     * is not strictly ascending: the order is canonical, so any other
+     * order is corruption.
+     */
+    template <class Self, class Io>
+    static void
+    state(Self &s, Io &io)
     {
-        for (const Slot &s : slots)
-            if (s.key != kNoAddr)
-                fn(s.key, s.value);
+        const auto entry = [&io](auto &e) {
+            io.u64(e.key);
+            if constexpr (!std::is_empty_v<V>)
+                io.u64(e.value);
+        };
+        if constexpr (Io::kReading) {
+            const std::size_t n = io.count64(0);
+            s.clear();
+            Slot e;
+            for (std::size_t i = 0; i < n; ++i) {
+                const Addr prev = e.key;
+                entry(e);
+                io.check(e.key != kNoAddr && (i == 0 || e.key > prev),
+                         "address list not in ascending order");
+                s.assign(e.key, e.value);
+            }
+        } else {
+            std::vector<Slot> sorted;
+            for (const Slot &e : s.slots)
+                if (e.key != kNoAddr)
+                    sorted.push_back(e);
+            std::sort(sorted.begin(), sorted.end(),
+                      [](const Slot &a, const Slot &b) {
+                          return a.key < b.key;
+                      });
+            io.count64(sorted.size());
+            for (const Slot &e : sorted)
+                entry(e);
+        }
     }
 
   private:
@@ -164,84 +193,6 @@ class FlatAddrMap
 
     std::vector<Slot> slots;
     std::size_t count = 0;
-};
-
-/**
- * A flat set of addresses that lists its members in the order a
- * std::unordered_set<Addr> given the same insertions iterates in.  That
- * order follows the standard library's bucket layout and rehash
- * history, so no flat layout can hold it; this set keeps the history
- * instead (the members in insertion order, 8 bytes each) and replays
- * it through a std::unordered_set the first time it lists itself,
- * which only a checkpoint save does.  Membership tests never touch the
- * history.
- */
-class StdOrderAddrSet
-{
-  public:
-    /** Add @p a unless present.  @return true when it was added. */
-    bool
-    insert(Addr a)
-    {
-        if (!index.insert(a))
-            return false;
-        log.push_back(a);
-        return true;
-    }
-
-    std::size_t size() const { return log.size(); }
-
-    /** Visit every member in std::unordered_set order.  Not for
-     * concurrent calls on one set: the first one builds the order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        if (!cached) {
-            // After a restore the restored members come first: a table
-            // grown from empty to their count has the listed table's
-            // bucket count (growth depends on the count alone); emptied
-            // and refilled back to front, each member lands at the front
-            // of its bucket's run, or of the whole list, which rebuilds
-            // the listed order.
-            order = std::unordered_set<Addr>();
-            for (std::size_t i = 0; i < restored; ++i)
-                order.insert(log[i]);
-            order.clear();
-            for (std::size_t i = restored; i-- > 0;)
-                order.insert(log[i]);
-            inOrder = restored;
-            cached = true;
-        }
-        for (; inOrder < log.size(); ++inOrder)
-            order.insert(log[inOrder]);
-        for (const Addr a : order)
-            fn(a);
-    }
-
-    /** Refill from members listed in forEach() order, so that forEach()
-     * lists them in that order again and the set goes on as the listed
-     * one would; inserting them in list order would not. */
-    void
-    restore(const std::vector<Addr> &listed)
-    {
-        index.clear();
-        log.clear();
-        for (const Addr a : listed)
-            insert(a);
-        restored = log.size();
-        cached = false;
-    }
-
-  private:
-    FlatAddrMap<NoValue> index;
-    std::vector<Addr> log;    ///< members in insertion order
-    std::size_t restored = 0; ///< leading log members a restore listed
-    // The replayed order, kept between saves so each one replays only
-    // the members added since the last.
-    mutable std::unordered_set<Addr> order;
-    mutable std::size_t inOrder = 0; ///< log members already in order
-    mutable bool cached = false;
 };
 
 } // namespace zbp

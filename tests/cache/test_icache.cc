@@ -88,13 +88,15 @@ TEST(ICache, HitsDoNotRecordBlockMiss)
     EXPECT_TRUE(c.blockMissedRecently(0x5000, 3));
 }
 
-TEST(ICache, ResetClears)
+TEST(ICache, LookupInstallsButRecordsNoBlockMiss)
 {
     ICache c(tinyParams());
-    c.access(0x7000, 1);
-    c.reset();
-    EXPECT_FALSE(c.probe(0x7000));
-    EXPECT_FALSE(c.blockMissedRecently(0x7000, 2));
+    EXPECT_FALSE(c.lookup(0x7000));
+    EXPECT_TRUE(c.probe(0x7000));
+    EXPECT_TRUE(c.lookup(0x7000));
+    EXPECT_FALSE(c.blockMissedRecently(0x7000, 0));
+    EXPECT_EQ(c.hits(), 1u);
+    EXPECT_EQ(c.misses(), 1u);
 }
 
 TEST(ICache, Zec12GeometryAccepted)

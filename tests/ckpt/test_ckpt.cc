@@ -2,8 +2,9 @@
  * @file
  * Format-level tests for the checkpoint snapshot container: writer/
  * reader round-trips, CRC + bounds enforcement on every corruption
- * class (truncation, bit flips, wrong tags, trailing garbage), the
- * atomic file helpers, and the snapshot path contract.
+ * class (truncation, bit flips, wrong tags, trailing garbage, an older
+ * format version), the CRC itself, the atomic file helpers, and the
+ * snapshot path contract.
  */
 
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "zbp/ckpt/ckpt.hh"
+#include "zbp/common/rng.hh"
 
 namespace zbp::ckpt
 {
@@ -107,6 +109,40 @@ TEST(CkptFormat, BadMagicAndVersionRejected)
     EXPECT_THROW(Reader(bad.data(), bad.size()), CkptError);
 }
 
+TEST(CkptFormat, Version1ImageRejected)
+{
+    // Version 1 held a D-cache section and hash-ordered address lists;
+    // its images are refused, never reinterpreted.
+    auto bytes = sampleSnapshot();
+    ASSERT_EQ(bytes[4], kFormatVersion);
+    bytes[4] = 1;
+    try {
+        Reader r(bytes.data(), bytes.size());
+        ADD_FAILURE() << "a version-1 image must be rejected";
+    } catch (const CkptError &e) {
+        EXPECT_NE(std::string(e.what()).find("format version 1"),
+                  std::string::npos)
+                << e.what();
+    }
+}
+
+TEST(CkptFormat, WriterImageHoldsNoSlack)
+{
+    // The writer grows its buffer in steps; the finished image, and a
+    // snapshot captured from it, are exactly the written bytes.
+    Writer w;
+    w.beginSection(tag::kCore);
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        w.u64(i);
+    w.endSection();
+    w.finish();
+    const std::size_t image = 8 + (12 + 3000 * 8 + 4) + 16;
+    EXPECT_EQ(w.bytes().size(), image);
+    const SnapshotBuffer snap = SnapshotBuffer::capture(w);
+    EXPECT_EQ(snap.sizeBytes(), image);
+    EXPECT_EQ(snap.bytes().capacity(), image);
+}
+
 TEST(CkptFormat, EveryTruncationRejected)
 {
     const auto bytes = sampleSnapshot();
@@ -137,6 +173,38 @@ TEST(CkptFormat, TrailingGarbageRejected)
     auto bytes = sampleSnapshot();
     bytes.push_back(0x00);
     EXPECT_THROW(readSample(bytes), CkptError);
+}
+
+/** The CRC one byte at a time: the definition slice-by-8 must meet. */
+std::uint32_t
+crc32Bytewise(const std::uint8_t *p, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CkptCrc, MatchesTheStandardCheckValue)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(CkptCrc, SliceBy8MatchesBytewiseAtEveryAlignment)
+{
+    Rng rng(7);
+    std::vector<std::uint8_t> buf(4096 + 8);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    for (std::size_t align = 0; align < 8; ++align)
+        for (std::size_t n = 0; n <= 4096; ++n)
+            ASSERT_EQ(crc32(buf.data() + align, n),
+                      crc32Bytewise(buf.data() + align, n))
+                    << "start " << align << ", length " << n;
 }
 
 TEST(CkptFile, SaveLoadRoundTripAndRemoval)

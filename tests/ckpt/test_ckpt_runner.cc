@@ -2,14 +2,16 @@
  * @file
  * Checkpoint/restore across the job kinds: a planted mid-trace snapshot
  * resumes a single job / gang / CMP job to the exact counters of an
- * uninterrupted run, a corrupt snapshot degrades to a from-scratch
- * re-run, and torn trailing JSONL lines are skipped on resume.  The
+ * uninterrupted run, a corrupt or version-1 snapshot degrades to a
+ * from-scratch re-run, and torn trailing JSONL lines are skipped on
+ * resume.  The
  * SIGKILL crash-recovery contract is exercised for every job kind in
  * tests/runner/test_chaos.cc.
  */
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -106,6 +108,65 @@ TEST(CkptRunner, JobRunnerResumesMidTraceFromPlantedCheckpoint)
     ASSERT_TRUE(got[0].ok) << got[0].error;
     EXPECT_EQ(cpu::counterMismatch(golden[0].result, got[0].result), "");
     // The consumed snapshot must not satisfy a future resume.
+    EXPECT_FALSE(ckpt::ckptFileExists(path));
+}
+
+/** Add @p delta to the first counter of the outcomes section of
+ * @p bytes and re-seal that section's CRC: damage only a restore that
+ * accepted the image would carry into the results. */
+void
+bumpFirstOutcomeCount(std::vector<std::uint8_t> &bytes, std::uint64_t delta)
+{
+    std::size_t pos = 8; // magic + format version
+    while (pos + 12 <= bytes.size()) {
+        std::uint32_t tag = 0;
+        std::uint64_t len = 0;
+        std::memcpy(&tag, &bytes[pos], 4);
+        std::memcpy(&len, &bytes[pos + 4], 8);
+        const std::size_t payload = pos + 12;
+        if (tag == ckpt::tag::kOutcomes) {
+            std::uint64_t v = 0;
+            std::memcpy(&v, &bytes[payload], 8);
+            v += delta;
+            std::memcpy(&bytes[payload], &v, 8);
+            const std::uint32_t crc = ckpt::crc32(
+                    &bytes[payload], static_cast<std::size_t>(len));
+            std::memcpy(&bytes[payload + len], &crc, 4);
+            return;
+        }
+        pos = payload + static_cast<std::size_t>(len) + 4;
+    }
+    ADD_FAILURE() << "no outcomes section";
+}
+
+TEST(CkptRunner, JobRunnerRerunsVersion1CheckpointFromScratch)
+{
+    const auto t = midTrace("ckpt-v1", 40'000);
+    std::vector<SimJob> jobs;
+    jobs.push_back(SimJob("ck-v1", sim::configBtb2(), &t));
+
+    JobRunner plain(RunPolicy{.workers = 1});
+    const auto golden = plain.run(jobs);
+    ASSERT_TRUE(golden[0].ok) << golden[0].error;
+
+    // A directory of version-1 images: the planted snapshot stamped
+    // version 1, with a CRC-valid wrong outcome count, so a restore
+    // that ignored the version could not reproduce the fresh counters.
+    const std::string dir = freshCkptDir("zbp_ckpt_v1");
+    const std::string path = plantJobCheckpoint(dir, jobs[0], t.size() / 2);
+    auto bytes = ckpt::loadCkptFile(path);
+    ASSERT_EQ(bytes[4], ckpt::kFormatVersion);
+    bumpFirstOutcomeCount(bytes, 1000);
+    bytes[4] = 1;
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char *>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+    os.close();
+
+    JobRunner resumed(RunPolicy{.workers = 1, .ckptDir = dir});
+    const auto got = resumed.run(jobs);
+    ASSERT_TRUE(got[0].ok) << got[0].error;
+    EXPECT_EQ(cpu::counterMismatch(golden[0].result, got[0].result), "");
     EXPECT_FALSE(ckpt::ckptFileExists(path));
 }
 

@@ -93,28 +93,28 @@ struct SnapshotDigest
 
 /** See snapshotImage() for what each name means. */
 const SnapshotDigest kSnapshotDigests[] = {
-    {"detailed/golden-small/no-btb2", 0xf8703f4f2f97c0f7ull},
-    {"detailed/golden-small/btb2", 0x058028dccc9c1f5eull},
-    {"detailed/golden-small/large-btb1", 0x1b8ad74e961feec4ull},
-    {"detailed/golden-caps/no-btb2", 0xaa7008d29e5c9252ull},
-    {"detailed/golden-caps/btb2", 0xd336f06ace406c7full},
-    {"detailed/golden-caps/large-btb1", 0xae1f9788daa25491ull},
-    {"detailed/tpf/no-btb2", 0x90f58a03f8336772ull},
-    {"detailed/tpf/btb2", 0x273cfd0f7dfa08e5ull},
-    {"detailed/tpf/large-btb1", 0x5e4279680ede3446ull},
-    {"functional/golden-small/no-btb2", 0x9cfe830dd836ddbaull},
-    {"functional/golden-small/btb2", 0x6ec2fc08fa2e0112ull},
-    {"functional/golden-small/large-btb1", 0x157b5c1fa1f0c06eull},
-    {"functional/golden-caps/no-btb2", 0x8fa55cec4d5ccb59ull},
-    {"functional/golden-caps/btb2", 0x975146e3f0ce9408ull},
-    {"functional/golden-caps/large-btb1", 0x0eefaa4287c30684ull},
-    {"functional/tpf/no-btb2", 0xc0b8b7175a61d2beull},
-    {"functional/tpf/btb2", 0x56ca021d449f0b72ull},
-    {"functional/tpf/large-btb1", 0xc469ada9ca8996d8ull},
-    {"detailed/golden-small/btb2+faults", 0xfe2d2fddd3ef5b27ull},
-    {"cmp4/shared-l2i/2-banks", 0x33e555fde181afe3ull},
-    {"gang/golden-small/no-btb2+btb2", 0xd281cc0e3b726ea0ull},
-    {"interval/golden-small/btb2", 0x5070e6d9f7788760ull},
+    {"detailed/golden-small/no-btb2", 0x855fbc510324c0b6ull},
+    {"detailed/golden-small/btb2", 0x3a35c3012676476aull},
+    {"detailed/golden-small/large-btb1", 0xcec2b28f17d18339ull},
+    {"detailed/golden-caps/no-btb2", 0x62351a1c4ff0c741ull},
+    {"detailed/golden-caps/btb2", 0xd1d83d7c0c111df2ull},
+    {"detailed/golden-caps/large-btb1", 0xfcf2d13564b679deull},
+    {"detailed/tpf/no-btb2", 0xb6174403db799b27ull},
+    {"detailed/tpf/btb2", 0x3732a616afb97f33ull},
+    {"detailed/tpf/large-btb1", 0x2d0f4f5daeb7ec7full},
+    {"functional/golden-small/no-btb2", 0x2165f1fe14bb9a11ull},
+    {"functional/golden-small/btb2", 0xd5620908a9664ad6ull},
+    {"functional/golden-small/large-btb1", 0x3dedd60ff0550eb9ull},
+    {"functional/golden-caps/no-btb2", 0xc0952333d7af4a83ull},
+    {"functional/golden-caps/btb2", 0x904d6da17b3c07ebull},
+    {"functional/golden-caps/large-btb1", 0x9b1079af1f8a8612ull},
+    {"functional/tpf/no-btb2", 0xa6245b73c73336f3ull},
+    {"functional/tpf/btb2", 0x12f394189bd30e33ull},
+    {"functional/tpf/large-btb1", 0x5874bd32efd96ef1ull},
+    {"detailed/golden-small/btb2+faults", 0x5fc6108f94f366c1ull},
+    {"cmp4/shared-l2i/2-banks", 0x66bdf011c0807c40ull},
+    {"gang/golden-small/no-btb2+btb2", 0x566afbda25917a42ull},
+    {"interval/golden-small/btb2", 0xdb82edac7444334eull},
 };
 // clang-format on
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "zbp/common/rng.hh"
@@ -79,7 +79,7 @@ bytesOf(const OutcomeTracker &t)
 TEST(OutcomeTracker, SeenIndexSurvivesRestore)
 {
     OutcomeTracker t;
-    std::unordered_set<Addr> order; // the checkpoint's element order
+    std::set<Addr> order; // the checkpoint's element order
     Rng rng(11);
     for (int i = 0; i < 3000; ++i) {
         const Addr ia = 2 * rng.below(2000);
@@ -87,13 +87,14 @@ TEST(OutcomeTracker, SeenIndexSurvivesRestore)
     }
     const auto bytes = bytesOf(t);
 
-    // The seen addresses are listed in std::unordered_set order, as
-    // the pinned snapshot digests expect.
+    // The seen addresses are listed in ascending order.
     ckpt::Writer want;
     want.beginSection(ckpt::tag::kOutcomes);
     for (int i = 0; i < 9; ++i)
         want.u64(std::uint64_t{0});
-    want.list64(order, [&want](Addr a) { want.u64(a); });
+    want.count64(order.size());
+    for (const Addr a : order)
+        want.u64(a);
     want.endSection();
     want.finish();
     EXPECT_EQ(bytes, want.bytes());

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include "zbp/cache/dmiss_map.hh"
+#include "zbp/ckpt/ckpt.hh"
 #include "zbp/cpu/core_model.hh"
 #include "zbp/runner/job_runner.hh"
 #include "zbp/sample/sample_params.hh"
@@ -367,6 +371,100 @@ TEST(SampleRunnerTest, SnapshotWaitIsOutsideTheDeadline)
     // Nor is the wait part of the intervals' own time.
     EXPECT_LT(timed.detailedSeconds, timed.warmupSeconds);
     std::remove(timed_sink.c_str());
+}
+
+TEST(SampleRunnerTest, MapFilledBesideWarmupMatchesPrecomputed)
+{
+    // A sampled run's D-cache outcome map is still filling while the
+    // warm-up walks and the intervals run.  Fill it here only as far as
+    // each map wait asks, right before that walk, and poison the rest
+    // with a byte a finished map never holds (anything non-zero reads
+    // as a miss): every snapshot must equal the one taken over the
+    // finished map, byte for byte, and every interval run over a map
+    // filled only to its own mapNeededFor must measure what it does
+    // over the finished one.
+    const trace::Trace t = makeTrace(57, 60'000);
+    const core::MachineParams cfg = sim::configBtb2();
+    const std::vector<std::uint8_t> full =
+            cache::computeDataMissMap(t, cfg.dcache);
+    constexpr std::uint8_t kPoison = 0xEE;
+
+    for (const SampleMode mode : {SampleMode::kExact, SampleMode::kFast}) {
+        SCOPED_TRACE(to_string(mode));
+        SampleParams p;
+        p.mode = mode;
+        p.intervalInsts = 10'000;
+        p.warmupInsts = 2'000;
+        p.measureInsts = 2'000;
+        const auto plan = planIntervals(t.size(), p);
+        const auto need = [&](std::size_t i) {
+            return mapNeededFor(plan[i], t.size(), cfg.cpu.decodeWidth);
+        };
+
+        const auto snapshots = [&](const std::vector<std::uint8_t> &map,
+                                   const std::function<void(std::size_t)>
+                                           &wait) {
+            std::vector<ckpt::SnapshotBuffer> out(plan.size());
+            cpu::CoreModel m(cfg);
+            m.setDataMissMap(&map);
+            runWarmupFanout(
+                    m, t, plan, mode,
+                    [&out](std::size_t i, ckpt::SnapshotBuffer snap) {
+                        out[i] = std::move(snap);
+                    },
+                    wait);
+            return out;
+        };
+        const auto want = snapshots(full, {});
+        std::vector<std::uint8_t> filling(t.size(), kPoison);
+        cache::ICache d(cfg.dcache);
+        std::size_t filled = 0;
+        const auto got = snapshots(filling, [&](std::size_t i) {
+            cache::fillDataMissMap(t, d, filling, filled, need(i));
+            filled = need(i);
+        });
+        EXPECT_EQ(filling.back(), mode == SampleMode::kFast ? kPoison : 0)
+                << "a fast walk never needs the trace's tail";
+        for (std::size_t i = 0; i < plan.size(); ++i)
+            EXPECT_TRUE(got[i] == want[i])
+                    << "snapshot " << i << ":\n"
+                    << ckpt::diffSummary(got[i], want[i]);
+
+        cpu::SimResult stitched;
+        stitched.traceName = t.name();
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            std::promise<ckpt::SnapshotBuffer> ready;
+            ready.set_value(want[i]);
+            const auto future = ready.get_future().share();
+            const bool closes = mode == SampleMode::kExact &&
+                                plan[i].measureEnd == t.size();
+            std::vector<std::uint8_t> partial = full;
+            std::fill(partial.begin() +
+                              static_cast<std::ptrdiff_t>(need(i)),
+                      partial.end(), kPoison);
+            cpu::SimResult delta[2];
+            for (const int k : {0, 1}) {
+                IntervalJob job("btb2", cfg, t, plan[i], future, closes,
+                                k == 0 ? &full : &partial);
+                job.begin(nullptr);
+                job.advance(plan[i].measureEnd);
+                job.finish();
+                delta[k] = job.result().result;
+            }
+            EXPECT_EQ(cpu::counterMismatch(delta[0], delta[1]), "")
+                    << "interval " << i;
+            for (const cpu::SimCounter &c : cpu::kSimCounters)
+                stitched.*c.member += delta[0].*c.member;
+        }
+        stitched.cpi = static_cast<double>(stitched.cycles) /
+                       static_cast<double>(stitched.instructions);
+
+        // The runner's own map fills on its thread beside the warm-up.
+        SampleRunner sr(p, runner::RunPolicy{.workers = 4});
+        EXPECT_EQ(cpu::counterMismatch(sr.run("btb2", cfg, t).stitched,
+                                       stitched),
+                  "");
+    }
 }
 
 TEST(SampleRunnerTest, EmptyTraceRejected)

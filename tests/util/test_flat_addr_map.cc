@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the flat Addr map and the std::unordered_set-ordered flat
- * set, whose listing order checkpoint images depend on.
+ * Tests for the flat Addr map and its checkpoint listing, which is in
+ * ascending key order whatever the table's insertion history, so that
+ * a restored table re-saves byte-identically.
  */
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <set>
 #include <vector>
 
+#include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/rng.hh"
 #include "zbp/util/flat_addr_map.hh"
 
@@ -17,18 +19,44 @@ namespace zbp
 namespace
 {
 
-std::vector<Addr>
-listOf(const StdOrderAddrSet &s)
+/** The checkpoint image of @p m alone, in one section. */
+template <typename V>
+std::vector<std::uint8_t>
+imageOf(const FlatAddrMap<V> &m)
 {
-    std::vector<Addr> out;
-    s.forEach([&out](Addr a) { out.push_back(a); });
-    return out;
+    ckpt::Writer w;
+    w.beginSection(ckpt::tag::kHierarchy);
+    FlatAddrMap<V>::state(m, w);
+    w.endSection();
+    w.finish();
+    return w.bytes();
 }
 
-std::vector<Addr>
-listOf(const std::unordered_set<Addr> &s)
+/** Restore @p bytes (an imageOf) into @p m. */
+template <typename V>
+void
+restoreInto(FlatAddrMap<V> &m, const std::vector<std::uint8_t> &bytes)
 {
-    return std::vector<Addr>(s.begin(), s.end());
+    ckpt::Reader r(bytes.data(), bytes.size());
+    r.beginSection(ckpt::tag::kHierarchy);
+    FlatAddrMap<V>::state(m, r);
+    r.endSection();
+    r.finish();
+}
+
+/** The image a set holding exactly @p keys, listed in this order,
+ * would have. */
+std::vector<std::uint8_t>
+listedImage(const std::vector<Addr> &keys)
+{
+    ckpt::Writer w;
+    w.beginSection(ckpt::tag::kHierarchy);
+    w.count64(keys.size());
+    for (const Addr a : keys)
+        w.u64(a);
+    w.endSection();
+    w.finish();
+    return w.bytes();
 }
 
 TEST(FlatAddrMap, InsertKeepsAndAssignOverwrites)
@@ -60,49 +88,74 @@ TEST(FlatAddrMap, NoValueMakesASet)
     EXPECT_EQ(set.find(0), nullptr);
 }
 
-TEST(StdOrderAddrSet, ListsLikeStdUnorderedSet)
+TEST(FlatAddrMap, ListsInAscendingKeyOrder)
 {
-    StdOrderAddrSet s;
-    std::unordered_set<Addr> ref;
+    // Two sets with the same members, filled in opposite orders (so
+    // their slot layouts and growth histories differ), list the same
+    // bytes: the members in ascending order.
+    FlatAddrMap<NoValue> fwd;
+    FlatAddrMap<NoValue> back;
+    std::set<Addr> ref;
     Rng rng(3);
+    std::vector<Addr> drawn;
     for (int i = 0; i < 20000; ++i) {
         const Addr a = rng.below(50000);
-        ASSERT_EQ(s.insert(a), ref.insert(a).second) << "step " << i;
-        if (i % 5000 == 0) { // listing midway changes nothing
-            ASSERT_EQ(listOf(s), listOf(ref)) << "step " << i;
-        }
+        ASSERT_EQ(fwd.insert(a), ref.insert(a).second) << "step " << i;
+        drawn.push_back(a);
     }
-    EXPECT_EQ(s.size(), ref.size());
-    EXPECT_EQ(listOf(s), listOf(ref));
+    for (auto it = drawn.rbegin(); it != drawn.rend(); ++it)
+        back.insert(*it);
+    const std::vector<Addr> sorted(ref.begin(), ref.end());
+    EXPECT_EQ(imageOf(fwd), listedImage(sorted));
+    EXPECT_EQ(imageOf(back), listedImage(sorted));
+
+    // A map lists each key with its value.
+    FlatAddrMap<Cycle> m;
+    m.assign(0x300, 7);
+    m.assign(0x100, 9);
+    ckpt::Writer w;
+    w.beginSection(ckpt::tag::kHierarchy);
+    w.count64(2);
+    for (const std::uint64_t v : {0x100u, 9u, 0x300u, 7u})
+        w.u64(v);
+    w.endSection();
+    w.finish();
+    EXPECT_EQ(imageOf(m), w.bytes());
 }
 
-TEST(StdOrderAddrSet, RestoreRebuildsTheListedOrder)
+TEST(FlatAddrMap, RestoreRelistsIdentically)
 {
-    StdOrderAddrSet s;
-    std::unordered_set<Addr> ref;
+    FlatAddrMap<Cycle> m;
     Rng rng(5);
-    for (int i = 0; i < 3000; ++i) {
-        const Addr a = 16 * rng.below(4000);
-        s.insert(a);
-        ref.insert(a);
-    }
-    const std::vector<Addr> listed = listOf(s);
-    StdOrderAddrSet r;
-    r.restore(listed);
-    EXPECT_EQ(listOf(r), listed);
+    for (int i = 0; i < 3000; ++i)
+        m.assign(16 * rng.below(4000), i);
+    const auto bytes = imageOf(m);
+    FlatAddrMap<Cycle> r;
+    r.assign(8, 1); // replaced, not merged
+    restoreInto(r, bytes);
+    EXPECT_EQ(r.size(), m.size());
+    EXPECT_EQ(imageOf(r), bytes);
 
-    // The restored set goes on like the one it was listed from, and a
-    // second round trip changes nothing either.
+    // The restored map goes on like the one it was listed from.
     for (int i = 0; i < 3000; ++i) {
         const Addr a = 16 * rng.below(8000);
-        ASSERT_EQ(r.insert(a), s.insert(a)) << "step " << i;
-        ref.insert(a);
+        ASSERT_EQ(r.insert(a, i), m.insert(a, i)) << "step " << i;
     }
-    EXPECT_EQ(listOf(r), listOf(ref));
-    EXPECT_EQ(listOf(s), listOf(ref));
-    StdOrderAddrSet again;
-    again.restore(listOf(r));
-    EXPECT_EQ(listOf(again), listOf(ref));
+    EXPECT_EQ(imageOf(r), imageOf(m));
+}
+
+TEST(FlatAddrMap, RestoreRejectsAnUnsortedList)
+{
+    FlatAddrMap<NoValue> s;
+    EXPECT_NO_THROW(restoreInto(s, listedImage({0x10, 0x20, 0x30})));
+    EXPECT_EQ(s.size(), 3u);
+    // Out of order, or a duplicate: a canonical list has neither.
+    FlatAddrMap<NoValue> r;
+    EXPECT_THROW(restoreInto(r, listedImage({0x10, 0x30, 0x20})),
+                 ckpt::CkptError);
+    EXPECT_THROW(restoreInto(r, listedImage({0x10, 0x10})),
+                 ckpt::CkptError);
+    EXPECT_THROW(restoreInto(r, listedImage({kNoAddr})), ckpt::CkptError);
 }
 
 } // namespace
