@@ -65,7 +65,7 @@ main()
         std::unordered_map<Addr, Addr> first_target;
         for (const auto &i : trace)
             if (i.branch() && i.taken &&
-                first_target.emplace(i.ia, i.target).second) {
+                first_target.emplace(i.ia, i.target()).second) {
                 ++hints;
             }
         for (const auto &[ia, target] : first_target) {

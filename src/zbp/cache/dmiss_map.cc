@@ -18,7 +18,7 @@ fillDataMissMap(const trace::Trace &t, ICache &c,
                 std::size_t end)
 {
     for (std::size_t i = begin; i < end; ++i) {
-        const Addr a = t[i].dataAddr;
+        const Addr a = t[i].dataAddr();
         map[i] = a != kNoAddr && !c.lookup(a) ? 1 : 0;
     }
 }

@@ -268,7 +268,7 @@ CoreModel::resolveBranch(const trace::Instruction &inst,
     }
     ev.ikind = inst.kind;
     ev.taken = inst.taken;
-    ev.target = inst.taken ? inst.target : kNoAddr;
+    ev.target = inst.taken ? inst.target() : kNoAddr;
     resolveLater(ev);
 }
 
@@ -357,7 +357,7 @@ CoreModel::fetchTick()
         const auto &br = t[fetchIdx - 1];
         const core::Prediction *p = findFetchPredFor(br.ia);
         if (p != nullptr && p->availableAt <= now) {
-            if (p->taken && p->target == br.target) {
+            if (p->taken && p->target == br.target()) {
                 // The prediction caught up and steers fetch onward.
                 fetchSeqCursor = p->seq;
                 fetchStall = FetchStall::kNone;
@@ -439,7 +439,7 @@ CoreModel::fetchTick()
             // Usable taken prediction.
             fetchSeqCursor = p->seq;
             if (inst.branch() && inst.taken && p->ia == inst.ia &&
-                p->target == inst.target) {
+                p->target == inst.target()) {
                 // Seamless prediction-steered redirect: the next trace
                 // instruction *is* the target.
                 lastFetchLine = kNoAddr;
@@ -461,7 +461,7 @@ CoreModel::fetchTick()
             const core::Prediction *bp_ = findFetchPredFor(inst.ia);
             if (bp_ != nullptr && bp_->availableAt <= now) {
                 fetchSeqCursor = bp_->seq;
-                if (bp_->taken && bp_->target == inst.target) {
+                if (bp_->taken && bp_->target == inst.target()) {
                     lastFetchLine = kNoAddr;
                     return; // seamless redirect
                 }
@@ -653,7 +653,7 @@ CoreModel::decodeOne(const trace::Instruction &inst)
     // what lets every run read the outcome from a per-trace precomputed
     // map.  Traces without operand addresses fall back to a
     // deterministic background stall.
-    if (inst.dataAddr != kNoAddr && prm.dcacheEnabled) {
+    if (inst.dataAddr() != kNoAddr && prm.dcacheEnabled) {
         ++nDataAccesses;
         if (dmiss[decodeIdx - 1] != 0) {
             ++nDataMisses;
@@ -749,7 +749,7 @@ CoreModel::decodePredicted(const trace::Instruction &inst,
     }
 
     const bool dir_ok = p.taken == inst.taken;
-    const bool tgt_ok = !inst.taken || !p.taken || p.target == inst.target;
+    const bool tgt_ok = !inst.taken || !p.taken || p.target == inst.target();
     outcomes.record(dir_ok && tgt_ok ? Outcome::kCorrect
                     : dir_ok         ? Outcome::kMispredictTarget
                                      : Outcome::kMispredictDir);
@@ -818,7 +818,7 @@ CoreModel::applySurpriseTiming(const trace::Instruction &inst, bool guess)
     if (guess && inst.taken && trace::isDirectBranch(inst.kind)) {
         // Decode-time redirect: the statically guessed target of a
         // direct branch is the real target.
-        redirectAtDecode(inst.target);
+        redirectAtDecode(inst.target());
         return;
     }
     // Everything else waits for the resolve: a direct branch guessed
@@ -826,7 +826,7 @@ CoreModel::applySurpriseTiming(const trace::Instruction &inst, bool guess)
     // wrong path), an indirect or return whose target only the resolve
     // knows (no restart penalty beyond the bubble when the guess was
     // right), or a taken branch guessed not-taken.
-    restartAtResolve(inst.taken ? inst.target : curNextIa,
+    restartAtResolve(inst.taken ? inst.target() : curNextIa,
                      guess && inst.taken ? 1 : prm.cpu.restartPenalty);
 }
 

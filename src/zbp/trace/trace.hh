@@ -110,16 +110,6 @@ class Trace
     std::size_t size() const { return n_; }
     bool empty() const { return n_ == 0; }
 
-    /** Mutable access to the most recently pushed instruction (owned
-     * traces only — generators patch fields after push()). */
-    Instruction &
-    back()
-    {
-        ZBP_ASSERT(ownsStorage() && n_ > 0,
-                   "back() requires a non-empty owned trace");
-        return insts.back();
-    }
-
     const std::string &name() const { return traceName; }
     void setName(std::string n) { traceName = std::move(n); }
 

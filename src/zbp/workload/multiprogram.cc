@@ -58,7 +58,7 @@ multiprogram(const std::vector<trace::Trace> &threads,
             glue.length = 4;
             glue.kind = trace::InstKind::kIndirect;
             glue.taken = true;
-            glue.target = threads[next][pos[next]].ia;
+            glue.setTarget(threads[next][pos[next]].ia);
             out.push(glue);
         }
         cur = next;

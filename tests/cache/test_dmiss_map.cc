@@ -30,11 +30,11 @@ TEST(DataMissMap, MatchesLiveCacheReplay)
 
     ICache live(geom);
     for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].dataAddr == kNoAddr) {
+        if (t[i].dataAddr() == kNoAddr) {
             EXPECT_EQ(map[i], 0) << "no-access slot " << i;
             continue;
         }
-        const bool hit = live.access(t[i].dataAddr, 0);
+        const bool hit = live.access(t[i].dataAddr(), 0);
         EXPECT_EQ(map[i], hit ? 0 : 1) << "access " << i;
     }
     EXPECT_GT(live.misses(), 0u) << "test trace should miss sometimes";

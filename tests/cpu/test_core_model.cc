@@ -38,7 +38,8 @@ branch(Addr ia, InstKind k, bool taken, Addr target,
     i.length = len;
     i.kind = k;
     i.taken = taken;
-    i.target = taken ? target : kNoAddr;
+    if (taken)
+        i.setTarget(target);
     return i;
 }
 

@@ -37,7 +37,8 @@ branch(Addr ia, InstKind k, bool taken, Addr target)
     i.ia = ia;
     i.kind = k;
     i.taken = taken;
-    i.target = taken ? target : kNoAddr;
+    if (taken)
+        i.setTarget(target);
     return i;
 }
 
@@ -125,7 +126,7 @@ TEST(FetchBehavior, DcacheMissesStallAndAreCounted)
     for (int i = 0; i < 200; ++i) {
         auto inst = plain(0x1000 + 4 * i);
         // Every access misses.
-        inst.dataAddr = 0x100000 + static_cast<Addr>(i) * 4096;
+        inst.setDataAddr(0x100000 + static_cast<Addr>(i) * 4096);
         t.push(inst);
     }
     CoreModel with(p);
@@ -147,7 +148,7 @@ TEST(FetchBehavior, DcacheHitsAreFree)
     Trace t("hotdata");
     for (int i = 0; i < 200; ++i) {
         auto inst = plain(0x1000 + 4 * i);
-        inst.dataAddr = 0x100000 + (i % 8) * 8; // one line
+        inst.setDataAddr(0x100000 + (i % 8) * 8); // one line
         t.push(inst);
     }
     CoreModel m(p);

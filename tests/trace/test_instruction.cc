@@ -33,7 +33,7 @@ TEST(Instruction, FallThroughAndNextIa)
     EXPECT_EQ(i.nextIa(), 0x106u);
 
     i.taken = true;
-    i.target = 0x2000;
+    i.setTarget(0x2000);
     EXPECT_EQ(i.nextIa(), 0x2000u);
 }
 
@@ -81,7 +81,47 @@ TEST(Instruction, Equality)
 TEST(Instruction, RecordIsCompact)
 {
     // Multi-million instruction traces must stay memory-friendly.
-    EXPECT_LE(sizeof(Instruction), 32u);
+    EXPECT_EQ(sizeof(Instruction), 16u);
+}
+
+TEST(Instruction, OneOperandReadByKind)
+{
+    Instruction plain;
+    plain.setDataAddr(0x8000);
+    EXPECT_EQ(plain.dataAddr(), 0x8000u);
+    EXPECT_EQ(plain.target(), kNoAddr);
+
+    Instruction br;
+    br.kind = InstKind::kUncondBranch;
+    br.taken = true;
+    br.setTarget(0x9000);
+    EXPECT_EQ(br.target(), 0x9000u);
+    EXPECT_EQ(br.dataAddr(), kNoAddr);
+
+    br.setTarget(kNoAddr);
+    EXPECT_EQ(br.target(), kNoAddr);
+    plain.setDataAddr(kNoAddr);
+    EXPECT_EQ(plain.dataAddr(), kNoAddr);
+}
+
+TEST(Instruction, OperandOfTheWrongKindDies)
+{
+    Instruction br;
+    br.kind = InstKind::kCall;
+    EXPECT_DEATH(br.setDataAddr(0x100), "data address on a branch");
+    Instruction plain;
+    EXPECT_DEATH(plain.setTarget(0x100), "target on a non-branch");
+}
+
+TEST(Instruction, OperandBeyond56BitsDies)
+{
+    Instruction plain;
+    plain.setDataAddr((Addr{1} << 56) - 2); // the largest operand
+    EXPECT_EQ(plain.dataAddr(), (Addr{1} << 56) - 2);
+    EXPECT_DEATH(plain.setDataAddr((Addr{1} << 56) - 1),
+                 "does not fit in 56 bits");
+    EXPECT_DEATH(plain.setDataAddr(Addr{1} << 60),
+                 "does not fit in 56 bits");
 }
 
 } // namespace

@@ -29,7 +29,7 @@ takenBranch(Addr ia, Addr target, std::uint8_t len = 4)
     i.length = len;
     i.kind = InstKind::kUncondBranch;
     i.taken = true;
-    i.target = target;
+    i.setTarget(target);
     return i;
 }
 

@@ -20,7 +20,8 @@ make(Addr ia, std::uint8_t len, InstKind k, bool taken, Addr tgt)
     i.length = len;
     i.kind = k;
     i.taken = taken;
-    i.target = taken ? tgt : kNoAddr;
+    if (taken)
+        i.setTarget(tgt);
     return i;
 }
 

@@ -32,10 +32,10 @@ sampleTrace()
         if (i % 7 == 3) {
             in.kind = InstKind::kCondBranch;
             in.taken = (i % 2) == 0;
-            in.target = in.taken ? ia + 0x40 : ia + 4;
+            in.setTarget(in.taken ? ia + 0x40 : ia + 4);
+        } else if (i % 5 == 0) {
+            in.setDataAddr(0x9000 + 8 * static_cast<Addr>(i));
         }
-        if (i % 5 == 0)
-            in.dataAddr = 0x9000 + 8 * static_cast<Addr>(i);
         t.push(in);
         ia = in.nextIa();
     }
