@@ -20,7 +20,7 @@ main()
                                              "cicsdb2"};
     const auto traces = bench::suiteTraces(scale, suites);
 
-    std::vector<bench::Variant> variants;
+    std::vector<runner::GangConfig> variants;
     variants.push_back({"baseline (no BTB2)", sim::configNoBtb2()});
     variants.push_back({"zEC12 (BTB2 enabled)", sim::configBtb2()});
     {

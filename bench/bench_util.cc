@@ -61,11 +61,44 @@ suiteTraces(double scale, const std::vector<std::string> &names)
     return out;
 }
 
+std::vector<std::vector<cpu::SimResult>>
+sweep(const std::string &what, std::vector<runner::GangConfig> gang,
+      const std::vector<trace::TraceHandle> &traces)
+{
+    for (auto &v : gang)
+        v.cfg.collectStatsText = false; // counters only
+    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
+    policy.progress = runner::consoleProgress();
+    auto raw = runner::runGangs(policy, gang, traces);
+    std::vector<std::vector<cpu::SimResult>> out(gang.size());
+    for (std::size_t v = 0; v < gang.size(); ++v) {
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+            auto &r = raw[v][t];
+            if (!r.ok)
+                fatal(what, " variant '", gang[v].name, "' on trace '",
+                      traces[t]->name(), "' failed: ", r.error);
+            out[v].push_back(std::move(r.result));
+        }
+    }
+    progressDone();
+    return out;
+}
+
+double
+meanImprovement(const std::vector<std::vector<cpu::SimResult>> &res,
+                std::size_t v)
+{
+    double sum = 0.0;
+    for (std::size_t t = 0; t < res[v].size(); ++t)
+        sum += cpu::cpiImprovement(res[0][t], res[v][t]);
+    return sum / static_cast<double>(res[v].size());
+}
+
 stats::TextTable
 variantCpiTable(const std::string &title, const std::string &what,
                 const std::vector<std::string> &suites,
                 const std::vector<trace::TraceHandle> &traces,
-                const std::vector<Variant> &variants)
+                const std::vector<runner::GangConfig> &variants)
 {
     stats::TextTable t(title);
     std::vector<std::string> header = {"variant"};
@@ -73,36 +106,16 @@ variantCpiTable(const std::string &title, const std::string &what,
     header.push_back("avg imp% vs no-BTB2");
     t.setHeader(header);
 
-    // Variant-major: job v * |traces| + i is variants[v] over traces[i].
-    std::vector<runner::SimJob> jobs;
-    for (const auto &v : variants)
-        for (const auto &tr : traces)
-            jobs.push_back({v.name, v.cfg, tr.get()});
-    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
-    policy.progress = runner::consoleProgress();
-    const auto res = runner::JobRunner(policy).run(jobs);
-
-    auto cpi = [&](std::size_t v, std::size_t i) -> double {
-        const auto &r = res[v * traces.size() + i];
-        if (!r.ok)
-            fatal(what, " job '", jobs[v * traces.size() + i].configName,
-                  "' failed: ", r.error);
-        return r.result.cpi;
-    };
-
+    const auto res = sweep(what, variants, traces);
     for (std::size_t v = 0; v < variants.size(); ++v) {
         std::vector<std::string> row = {variants[v].name};
-        double sum_imp = 0.0;
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            row.push_back(stats::TextTable::num(cpi(v, i), 3));
-            sum_imp += (cpi(0, i) - cpi(v, i)) / cpi(0, i) * 100.0;
-        }
+        for (const auto &r : res[v])
+            row.push_back(stats::TextTable::num(r.cpi, 3));
         row.push_back(v == 0 ? std::string("--")
                              : stats::TextTable::num(
-                                       sum_imp / traces.size(), 2));
+                                       meanImprovement(res, v), 2));
         t.addRow(row);
     }
-    progressDone();
     return t;
 }
 

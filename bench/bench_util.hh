@@ -1,10 +1,11 @@
 /**
  * @file
  * Shared plumbing for the paper-reproduction bench binaries: length
- * scaling, the common startup banner, progress output and common
- * formatting.  Implementations live in bench_util.cc (linked as
- * zbp_bench_util) so every binary logs one consistent banner instead
- * of each translation unit inlining its own printing.
+ * scaling, the common startup banner, suite loading, the one
+ * variant-sweep path, progress output and common formatting.
+ * Implementations live in bench_util.cc (linked as zbp_bench_util) so
+ * every binary logs one consistent banner instead of each translation
+ * unit inlining its own printing.
  *
  * Every binary honours:
  *   ZBP_LEN_SCALE      trace length multiplier (default 1.0)
@@ -17,10 +18,11 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
-#include "zbp/runner/job_runner.hh"
+#include "zbp/runner/gang_job.hh"
 #include "zbp/sim/simulator.hh"
 #include "zbp/stats/table.hh"
 #include "zbp/workload/suites.hh"
@@ -65,23 +67,31 @@ progressDone()
         std::printf("%60s\r", "");
 }
 
-/** A named machine configuration of a variant sweep. */
-struct Variant
-{
-    std::string name;
-    core::MachineParams cfg;
-};
+/**
+ * Run every variant of @p gang over every trace of @p traces, as one
+ * gang per trace (runner::runGangs) under RunPolicy::fromEnv() with the
+ * console progress line; result [v][t] is gang[v] over traces[t].
+ * Members run counters-only (no stats text).  A failed cell is fatal,
+ * named by @p what, its variant and its trace.
+ */
+std::vector<std::vector<cpu::SimResult>>
+sweep(const std::string &what, std::vector<runner::GangConfig> gang,
+      const std::vector<trace::TraceHandle> &traces);
+
+/** Mean % CPI improvement of variant @p v of a sweep() result over
+ * variant 0, the baseline, across its traces. */
+double meanImprovement(const std::vector<std::vector<cpu::SimResult>> &res,
+                       std::size_t v);
 
 /**
- * Every variant over every trace as one sharded batch, tabulated as
- * CPI per (variant, trace) plus the average CPI improvement over
- * variants[0], the baseline.  A failed job is fatal, named by @p what.
+ * sweep() tabulated as CPI per (variant, trace) plus the average CPI
+ * improvement over variants[0], the baseline.
  */
 stats::TextTable
 variantCpiTable(const std::string &title, const std::string &what,
                 const std::vector<std::string> &suites,
                 const std::vector<trace::TraceHandle> &traces,
-                const std::vector<Variant> &variants);
+                const std::vector<runner::GangConfig> &variants);
 
 } // namespace zbp::bench
 

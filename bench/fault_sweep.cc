@@ -15,23 +15,19 @@
 
 #include "bench_util.hh"
 
-#include "zbp/runner/progress.hh"
-#include "zbp/sim/gang_runner.hh"
-
 int
 main()
 {
     using namespace zbp;
     const double scale = bench::scaleFromEnv();
 
-    const auto &spec = workload::findSuite("tpf");
-    const auto trace = workload::suiteTraceHandle(spec, scale);
+    const auto traces = bench::suiteTraces(scale, {"tpf"});
 
     const double rates[] = {0.0, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2};
 
     // All 6 fault rates as one gang over the single trace (the gang
     // shares the trace bytes across the rates).
-    std::vector<sim::GangConfig> gang;
+    std::vector<runner::GangConfig> gang;
     for (const double rate : rates) {
         core::MachineParams prm = sim::configBtb2();
         prm.faults.enabled = rate > 0.0;
@@ -41,22 +37,16 @@ main()
         gang.push_back({label, prm});
     }
 
-    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
-    policy.progress = runner::consoleProgress();
-    const auto res = sim::runGangs(policy, gang, {trace});
-    for (const auto &row : res)
-        if (!row[0].ok)
-            fatal("fault sweep job failed: ", row[0].error);
-    bench::progressDone();
+    const auto res = bench::sweep("fault sweep", gang, traces);
 
-    const auto &clean = res[0][0].result;
+    const auto &clean = res[0][0];
     stats::TextTable t("Fault-injection degradation sweep, TPF (" +
-                       std::to_string(trace->size()) +
+                       std::to_string(traces[0]->size()) +
                        " insts, btb2 config, per-access corruption "
                        "rate across all predictor arrays)");
     t.setHeader({"fault rate", "faults", "CPI", "dCPI %", "bad outc %"});
     for (std::size_t i = 0; i < gang.size(); ++i) {
-        const auto &r = res[i][0].result;
+        const auto &r = res[i][0];
         char rateCol[32];
         std::snprintf(rateCol, sizeof(rateCol), "%g", rates[i]);
         t.addRow({rateCol, std::to_string(r.faultsInjected),

@@ -16,7 +16,6 @@
 #include "bench_util.hh"
 
 #include "zbp/runner/executor.hh"
-#include "zbp/runner/progress.hh"
 #include "zbp/workload/multiprogram.hh"
 
 int
@@ -31,19 +30,13 @@ main()
                  "paper hw %"});
 
     // (a) WASDB+CBW2, single core; (b) Web CICS/DB2, a 4-way
-    // time-sliced proxy for the 4-core run.  The five generator calls
-    // are sharded; the instance traces then fold into one
-    // multiprogrammed trace.
-    trace::Trace wasdb;
+    // time-sliced proxy for the 4-core run.  The four instance
+    // generator calls are sharded; the instance traces then fold into
+    // one multiprogrammed trace.
     std::vector<trace::Trace> instances(4);
     runner::ParallelExecutor gen;
-    gen.run(5, [&](std::size_t i) {
-        if (i == 0) {
-            wasdb = workload::makeSuiteTrace(
-                    workload::findSuite("wasdb_cbw2"), scale);
-            return;
-        }
-        const unsigned k = static_cast<unsigned>(i - 1);
+    gen.run(4, [&](std::size_t i) {
+        const unsigned k = static_cast<unsigned>(i);
         auto spec = workload::findSuite("cicsdb2");
         // Disjoint address spaces and distinct behaviour per instance.
         spec.build.seed += 1000 * (k + 1);
@@ -55,32 +48,22 @@ main()
     });
     const auto web = workload::multiprogram(instances, 100'000,
                                             "web_cicsdb2_x4");
+    auto traces = bench::suiteTraces(scale, {"wasdb_cbw2"});
+    traces.push_back(trace::borrowTrace(web));
 
-    // Four simulations (2 workloads x 2 configurations), sharded.
-    std::vector<runner::SimJob> jobs;
-    const trace::Trace *workloads[] = {&wasdb, &web};
-    for (const trace::Trace *tr : workloads) {
-        jobs.push_back({"no-btb2", sim::configNoBtb2(), tr});
-        jobs.push_back({"btb2", sim::configBtb2(), tr});
-    }
-    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
-    policy.progress = runner::consoleProgress();
-    const auto res = runner::JobRunner(policy).run(jobs);
-    for (const auto &r : res)
-        if (!r.ok)
-            fatal("figure 3 job failed: ", r.error);
-
-    t.addRow({"WASDB+CBW2", "1",
-              stats::TextTable::num(
-                      cpu::cpiImprovement(res[0].result, res[1].result),
-                      2),
-              "5.3 (sim 8.5)"});
-    t.addRow({"Web CICS/DB2 (4-way time-sliced proxy)", "4",
-              stats::TextTable::num(
-                      cpu::cpiImprovement(res[2].result, res[3].result),
-                      2),
+    // Four simulations (2 workloads x 2 configurations), one gang per
+    // workload.
+    const auto res = bench::sweep("figure 3",
+                                  {{"no-btb2", sim::configNoBtb2()},
+                                   {"btb2", sim::configBtb2()}},
+                                  traces);
+    auto imp = [&](std::size_t w) {
+        return stats::TextTable::num(
+                cpu::cpiImprovement(res[0][w], res[1][w]), 2);
+    };
+    t.addRow({"WASDB+CBW2", "1", imp(0), "5.3 (sim 8.5)"});
+    t.addRow({"Web CICS/DB2 (4-way time-sliced proxy)", "4", imp(1),
               "3.4"});
-    bench::progressDone();
 
     t.addNote("hardware gains are smaller than single-core simulated "
               "gains (finite real memory system); the multiprogrammed "

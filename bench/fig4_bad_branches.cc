@@ -10,28 +10,19 @@
 
 #include "bench_util.hh"
 
-#include "zbp/runner/progress.hh"
-
 int
 main()
 {
     using namespace zbp;
     const double scale = bench::scaleFromEnv();
 
-    const auto &spec = workload::findSuite("daytrader_db");
-    const auto trace = workload::makeSuiteTrace(spec, scale);
-
-    runner::RunPolicy policy = runner::RunPolicy::fromEnv();
-    policy.progress = runner::consoleProgress();
-    const auto res = runner::JobRunner(policy).run(
-            {{"no-btb2", sim::configNoBtb2(), &trace},
-             {"btb2", sim::configBtb2(), &trace}});
-    for (const auto &r : res)
-        if (!r.ok)
-            fatal("figure 4 job failed: ", r.error);
-    const auto &base = res[0].result;
-    const auto &with = res[1].result;
-    bench::progressDone();
+    const auto traces = bench::suiteTraces(scale, {"daytrader_db"});
+    const auto res = bench::sweep("figure 4",
+                                  {{"no-btb2", sim::configNoBtb2()},
+                                   {"btb2", sim::configBtb2()}},
+                                  traces);
+    const auto &base = res[0][0];
+    const auto &with = res[1][0];
 
     auto pct = [](std::uint64_t n, std::uint64_t total) {
         return stats::TextTable::pct(
@@ -40,7 +31,7 @@ main()
     };
 
     stats::TextTable t("Figure 4: bad branch outcomes, z/OS DayTrader "
-                       "DBServ (" + std::to_string(trace.size()) +
+                       "DBServ (" + std::to_string(traces[0]->size()) +
                        " insts, % of all branch outcomes)");
     t.setHeader({"category", "no BTB2", "BTB2 enabled"});
     t.addRow({"mispredicted direction", pct(base.mispredictDir, base.branches),

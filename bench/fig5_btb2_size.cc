@@ -13,8 +13,7 @@ main()
     using namespace zbp;
     const double scale = bench::scaleFromEnv();
 
-    sim::SuiteRunner runner(scale);
-    runner.setProgress(bench::progressLine);
+    const auto traces = bench::suiteTraces(scale);
 
     struct Point
     {
@@ -32,17 +31,20 @@ main()
     };
 
     // All 5 sweep points (plus the baseline) run as one gang per trace.
-    std::vector<core::MachineParams> cfgs;
+    std::vector<runner::GangConfig> gang = {{"no-btb2", sim::configNoBtb2()}};
     for (const auto &p : points)
-        cfgs.push_back(sim::configBtb2Sized(p.rows, p.ways));
-    const auto imps = runner.averageImprovements(cfgs);
+        gang.push_back({"btb2-" + std::to_string(p.rows) + "x" +
+                                std::to_string(p.ways),
+                        sim::configBtb2Sized(p.rows, p.ways)});
+    const auto res = bench::sweep("figure 5", gang, traces);
 
     stats::TextTable t("Figure 5: average CPI improvement vs BTB2 size");
     t.setHeader({"BTB2 size", "avg improvement %", "hardware"});
     for (std::size_t i = 0; i < std::size(points); ++i)
-        t.addRow({points[i].label, stats::TextTable::num(imps[i], 2),
+        t.addRow({points[i].label,
+                  stats::TextTable::num(bench::meanImprovement(res, i + 1),
+                                        2),
                   points[i].hw ? "<== zEC12" : ""});
-    bench::progressDone();
     t.addNote("paper shape: monotonically increasing with diminishing "
               "returns; hardware chose 24k");
     t.print();

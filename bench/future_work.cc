@@ -25,7 +25,7 @@ main()
                                              "cicsdb2"};
     const auto traces = bench::suiteTraces(scale, suites);
 
-    std::vector<bench::Variant> variants;
+    std::vector<runner::GangConfig> variants;
     variants.push_back({"no BTB2 (baseline)", sim::configNoBtb2()});
     variants.push_back({"zEC12: SRAM, 32 B class, single block",
                         sim::configBtb2()});

@@ -21,7 +21,7 @@ filter="${1:-}"
 echo "== sanitize: configure + build (ASan + UBSan) =="
 cmake -B "$build_dir" -S "$repo_root" -DZBP_SANITIZE=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j"$(nproc)"
 
 echo "== sanitize: ctest =="
 ctest_args=(--output-on-failure -j)

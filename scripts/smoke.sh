@@ -177,24 +177,24 @@ run_ckpt_leg() {
 
 # Runner, resume, corrupted-trace, trace-cache and bench-binary legs.
 run_bench_legs() {
-    echo "== runner smoke: fig5_btb2_size, ZBP_JOBS=$jobs, ZBP_LEN_SCALE=$scale =="
-    local bench results="$tmp_dir/fig5.jsonl" \
-        resumed="$tmp_dir/fig5_resumed.jsonl"
-    bench="$(need bench/fig5_btb2_size)"
+    echo "== runner smoke: fig6_miss_definition, ZBP_JOBS=$jobs, ZBP_LEN_SCALE=$scale =="
+    local bench results="$tmp_dir/fig6.jsonl" \
+        resumed="$tmp_dir/fig6_resumed.jsonl" \
+        fresh_out="$tmp_dir/fig6.out" replay_out="$tmp_dir/fig6_replay.out"
+    bench="$(need bench/fig6_miss_definition)"
 
     ZBP_LEN_SCALE="$scale" ZBP_JOBS="$jobs" ZBP_RESULTS_JSONL="$results" \
-        "$bench"
+        "$bench" | tee "$fresh_out"
 
-    # The sweep is 13 baseline + 5 configurations x 13 traces = 78
-    # jobs; every job must have produced exactly one JSONL record, all
-    # of them ok.
+    # The sweep is (baseline + 7 miss definitions) x 13 traces = 104
+    # records; every cell must have produced exactly one, all ok.
     local records
     records="$(wc -l < "$results")"
-    if [[ "$records" -ne 78 ]]; then
-        echo "smoke: expected 78 JSONL records, got $records" >&2
+    if [[ "$records" -ne 104 ]]; then
+        echo "smoke: expected 104 JSONL records, got $records" >&2
         exit 1
     fi
-    if ! grep -q '"config":"baseline"' "$results"; then
+    if ! grep -q '"config":"no-btb2"' "$results"; then
         echo "smoke: no baseline records in $results" >&2
         exit 1
     fi
@@ -206,17 +206,25 @@ run_bench_legs() {
     echo "smoke: OK ($records records, all jobs ok)"
 
     # Resume leg: replaying the same sweep against its own results
-    # file must satisfy every job from it and write zero new records.
+    # file must satisfy every cell from it, write zero new records and
+    # print the fresh run's table (the [zbp] banner names the sink, so
+    # it is left out).  Records that share a label would pass the count
+    # but print one cell's figure on every row.
     echo "== resume smoke: rerun against the results file =="
     ZBP_LEN_SCALE="$scale" ZBP_JOBS="$jobs" ZBP_RESULTS_JSONL="$resumed" \
-        ZBP_RESUME_JSONL="$results" "$bench"
+        ZBP_RESUME_JSONL="$results" "$bench" | tee "$replay_out"
     local new_records
     new_records="$(wc -l < "$resumed" 2>/dev/null || echo 0)"
     if [[ "$new_records" -ne 0 ]]; then
         echo "smoke: resume re-ran $new_records jobs, expected 0" >&2
         exit 1
     fi
-    echo "smoke: resume OK (all $records jobs satisfied from the results file)"
+    if ! diff <(grep -v '^\[zbp\]' "$fresh_out") \
+            <(grep -v '^\[zbp\]' "$replay_out") >&2; then
+        echo "smoke: the replayed table differs from the fresh run's" >&2
+        exit 1
+    fi
+    echo "smoke: resume OK (all $records records satisfied from the results file, same table)"
 
     # Corrupted-trace leg: a damaged trace file must be rejected with a
     # descriptive error and a nonzero exit, never a crash or silent
@@ -283,7 +291,7 @@ case "$mode" in
     *)
         echo "== tier-1: configure + build + ctest =="
         cmake -B "$build_dir" -S "$repo_root"
-        cmake --build "$build_dir" -j
+        cmake --build "$build_dir" -j"$(nproc)"
         (cd "$build_dir" && ctest --output-on-failure -j)
         run_bench_legs
         run_obs_leg

@@ -34,6 +34,13 @@ GangJob::GangJob(std::vector<GangConfig> configs, const trace::Trace *t,
       res(cfgs.size())
 {
     ZBP_ASSERT(!cfgs.empty(), "a gang needs at least one config");
+    // Members' records are keyed by name: two alike would collide.
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (cfgs[i].name == cfgs[j].name)
+                throw std::invalid_argument("gang member name '" +
+                                            cfgs[i].name +
+                                            "' is not unique");
 }
 
 GangJob::GangJob(const SimJob &job)

@@ -54,7 +54,8 @@ class GangJob final : public Job
     /** Every config of @p configs over @p t (which must outlive the
      * job), or over the trace file @p trace_path, loaded per attempt
      * when @p t is null.  Member seeds are @p seed, or 0 to derive
-     * them from (name, traceId). */
+     * them from (name, traceId).  Throws std::invalid_argument if two
+     * members share a name. */
     GangJob(std::vector<GangConfig> configs, const trace::Trace *t,
             std::string trace_path = {}, std::uint64_t seed = 0);
 

@@ -1,7 +1,5 @@
 #include "zbp/sim/configs.hh"
 
-#include <cstdio>
-
 namespace zbp::sim
 {
 
@@ -52,25 +50,6 @@ configTrackers(unsigned n)
     core::MachineParams p;
     p.engine.numTrackers = n;
     return p;
-}
-
-std::string
-describe(const core::MachineParams &p)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "BTB1 %uk (%u x %u), BTBP %u (%u x %u), BTB2 %s",
-                  p.btb1.rows * p.btb1.ways / 1024, p.btb1.rows,
-                  p.btb1.ways, p.btbp.rows * p.btbp.ways, p.btbp.rows,
-                  p.btbp.ways, p.btb2Enabled ? "" : "disabled");
-    std::string s(buf);
-    if (p.btb2Enabled) {
-        std::snprintf(buf, sizeof(buf), "%uk (%u x %u), %u trackers",
-                      p.btb2.rows * p.btb2.ways / 1024, p.btb2.rows,
-                      p.btb2.ways, p.engine.numTrackers);
-        s += buf;
-    }
-    return s;
 }
 
 } // namespace zbp::sim

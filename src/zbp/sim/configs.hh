@@ -7,8 +7,6 @@
 #ifndef ZBP_SIM_CONFIGS_HH
 #define ZBP_SIM_CONFIGS_HH
 
-#include <string>
-
 #include "zbp/core/params.hh"
 
 namespace zbp::sim
@@ -39,9 +37,6 @@ core::MachineParams configMissLimit(unsigned searches);
 
 /** configBtb2 with @p n BTB2 search trackers (Figure 7). */
 core::MachineParams configTrackers(unsigned n);
-
-/** Human-readable one-line description of a configuration. */
-std::string describe(const core::MachineParams &p);
 
 } // namespace zbp::sim
 

@@ -1,7 +1,6 @@
 #include "zbp/sim/simulator.hh"
 
 #include "zbp/common/log.hh"
-#include "zbp/runner/executor.hh"
 #include "zbp/sim/gang_runner.hh"
 
 namespace zbp::sim
@@ -89,96 +88,6 @@ runFig2Rows(const std::vector<trace::TraceHandle> &traces, unsigned jobs)
         rows[i].largeBtb1 = std::move(per_cfg[2][i]);
     }
     return rows;
-}
-
-std::vector<Fig2Row>
-runFig2Rows(const std::vector<trace::Trace> &traces, unsigned jobs)
-{
-    std::vector<trace::TraceHandle> handles;
-    handles.reserve(traces.size());
-    for (const auto &t : traces)
-        handles.push_back(trace::borrowTrace(t));
-    return runFig2Rows(handles, jobs);
-}
-
-SuiteRunner::SuiteRunner(double scale)
-{
-    const auto &specs = workload::paperSuites();
-    tr.resize(specs.size());
-    // Suite loading is seeded per spec (and cache-keyed on the recipe),
-    // so sharding it is as deterministic as the simulations themselves.
-    runner::ParallelExecutor exec;
-    const auto failures = exec.run(specs.size(), [&](std::size_t i) {
-        tr[i] = workload::suiteTraceHandle(specs[i], scale);
-    });
-    for (const auto &f : failures)
-        panic("suite '", specs[f.index].name, "' failed to load: ",
-              f.message);
-}
-
-std::vector<std::vector<double>>
-SuiteRunner::sweepImprovements(const std::vector<core::MachineParams> &cfgs)
-{
-    std::vector<std::vector<double>> out;
-    out.reserve(cfgs.size());
-
-    // One gang per trace: [baseline if missing] + every sweep point.
-    std::vector<GangConfig> gang;
-    const bool need_base = base.empty();
-    if (need_base) {
-        core::MachineParams b = configNoBtb2();
-        b.collectStatsText = false;
-        gang.push_back({"baseline", std::move(b)});
-    }
-    for (const auto &c : cfgs) {
-        core::MachineParams s = c;
-        s.collectStatsText = false;
-        gang.push_back({describe(c), std::move(s)});
-    }
-    if (gang.empty())
-        return out;
-
-    runner::RunPolicy policy = runner::RunPolicy::fromEnv(jobs);
-    if (progress)
-        policy.progress = [cb = progress](const runner::ProgressMeter::Event
-                                                  &e) { cb(e.label); };
-    auto res = runGangs(policy, gang, tr);
-
-    std::size_t at = 0;
-    if (need_base)
-        base = unpack("baseline", tr, std::move(res[at++]));
-    for (const auto &c : cfgs) {
-        const auto results = unpack(describe(c), tr, std::move(res[at++]));
-        std::vector<double> imp;
-        imp.reserve(tr.size());
-        for (std::size_t i = 0; i < tr.size(); ++i)
-            imp.push_back(cpu::cpiImprovement(base[i], results[i]));
-        out.push_back(std::move(imp));
-    }
-    return out;
-}
-
-std::vector<double>
-SuiteRunner::averageImprovements(const std::vector<core::MachineParams> &cfgs)
-{
-    const auto rows = sweepImprovements(cfgs);
-    std::vector<double> means;
-    means.reserve(rows.size());
-    for (const auto &imps : rows) {
-        double sum = 0.0;
-        for (double v : imps)
-            sum += v;
-        means.push_back(imps.empty()
-                                ? 0.0
-                                : sum / static_cast<double>(imps.size()));
-    }
-    return means;
-}
-
-void
-SuiteRunner::setProgress(std::function<void(const std::string &)> cb)
-{
-    progress = std::move(cb);
 }
 
 } // namespace zbp::sim

@@ -1,19 +1,18 @@
 /**
  * @file
- * High-level experiment driver: run (config x trace) combinations and
- * compute the paper's derived metrics (CPI improvement, BTB2
- * effectiveness).  Every bench binary is a thin wrapper over this.
+ * High-level experiment driver: one simulation in the calling thread,
+ * and the Figure 2 comparison with its derived metrics (CPI
+ * improvement, BTB2 effectiveness).
  *
- * All batch entry points shard their independent simulations across
- * worker threads via zbp::runner (ZBP_JOBS / setJobs()); results are
- * bit-identical to a serial run and each simulation emits one JSONL
- * record when ZBP_RESULTS_JSONL is set.
+ * runFig2Rows shards its simulations across worker threads via
+ * zbp::runner (ZBP_JOBS); results are bit-identical to a serial run and
+ * each simulation emits one JSONL record when ZBP_RESULTS_JSONL is set.
+ * The figure benches' other variant sweeps go through bench::sweep.
  */
 
 #ifndef ZBP_SIM_SIMULATOR_HH
 #define ZBP_SIM_SIMULATOR_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,56 +52,6 @@ cpu::SimResult runOne(const core::MachineParams &cfg,
 std::vector<Fig2Row>
 runFig2Rows(const std::vector<trace::TraceHandle> &traces,
             unsigned jobs = 0);
-
-/** By-reference convenience overload (traces are borrowed, not
- * copied; they must outlive the call). */
-std::vector<Fig2Row> runFig2Rows(const std::vector<trace::Trace> &traces,
-                                 unsigned jobs = 0);
-
-/**
- * Loads the 13 paper suites once (through the workload trace cache,
- * shared in-process via TraceHandles — never deep-copied) and amortizes
- * the config-1 baseline runs across parameter sweeps (Figures 5-7).
- * Loading and every batch of simulations run sharded across worker
- * threads.
- */
-class SuiteRunner
-{
-  public:
-    /** @p scale multiplies each suite's nominal instruction count. */
-    explicit SuiteRunner(double scale);
-
-    const std::vector<trace::TraceHandle> &traces() const { return tr; }
-
-    /** Worker threads for subsequent batches (0 = ZBP_JOBS / auto). */
-    void setJobs(unsigned n) { jobs = n; }
-
-    /**
-     * Run every config of @p cfgs — plus the baseline if it is not yet
-     * computed — as ONE gang per suite trace; result [k][t] is the %
-     * CPI improvement of cfgs[k] over the baseline on trace t.  Each
-     * (config, trace) writes one JSONL record (config names "baseline"
-     * / describe(cfg)).  A failed simulation contributes 0.0 and a
-     * warning.
-     */
-    std::vector<std::vector<double>>
-    sweepImprovements(const std::vector<core::MachineParams> &cfgs);
-
-    /** Mean of each sweepImprovements() row — the y-axis of Figures
-     * 5/6/7. */
-    std::vector<double>
-    averageImprovements(const std::vector<core::MachineParams> &cfgs);
-
-    /** Optional progress callback (called once per completed
-     * simulation, from the completing worker, serialised). */
-    void setProgress(std::function<void(const std::string &)> cb);
-
-  private:
-    std::vector<trace::TraceHandle> tr;
-    std::vector<cpu::SimResult> base; ///< config 1, run on first use
-    std::function<void(const std::string &)> progress;
-    unsigned jobs = 0;
-};
 
 } // namespace zbp::sim
 

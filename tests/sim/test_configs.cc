@@ -63,15 +63,5 @@ TEST(Configs, Fig7TrackerSweep)
     EXPECT_EQ(configTrackers(6).engine.numTrackers, 6u);
 }
 
-TEST(Configs, DescribeMentionsGeometry)
-{
-    const auto s = describe(configBtb2());
-    EXPECT_NE(s.find("BTB1 4k"), std::string::npos);
-    EXPECT_NE(s.find("768"), std::string::npos);
-    EXPECT_NE(s.find("24k"), std::string::npos);
-    const auto s1 = describe(configNoBtb2());
-    EXPECT_NE(s1.find("disabled"), std::string::npos);
-}
-
 } // namespace
 } // namespace zbp::sim

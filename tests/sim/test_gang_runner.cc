@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,23 @@ TEST(GangRunner, FailingMemberDoesNotSinkTheGang)
             << out[0].error;
     EXPECT_TRUE(job.results()[0].ok);
     EXPECT_TRUE(job.results()[2].ok);
+}
+
+TEST(GangRunner, RejectsDuplicateMemberNames)
+{
+    // Two members named alike would share one record identity, so a
+    // resume would hand one member's result to both.
+    auto gang = fig2Gang();
+    gang[2].name = gang[0].name;
+    const auto traces = smallTraces();
+    try {
+        runner::GangJob job(gang, traces[0].get());
+        FAIL() << "a gang with a duplicate member name was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("'config1'"),
+                  std::string::npos)
+                << e.what();
+    }
 }
 
 TEST(GangRunner, WritesOneRecordPerConfigTracePair)

@@ -288,6 +288,7 @@ TEST(Generator, SuiteContentDigestIsPinned)
         EXPECT_EQ(suites[s].name, kPins[s].suite);
         EXPECT_EQ(t.size(), kPins[s].insts) << suites[s].name;
         EXPECT_EQ(contentDigest(t), kPins[s].digest) << suites[s].name;
+        EXPECT_TRUE(t.consistent()) << suites[s].name;
     }
 }
 
