@@ -76,7 +76,7 @@ cmdInfo(const char *path)
 {
     trace::Trace t;
     try {
-        t = trace::loadTraceFile(path);
+        t = trace::mapTraceFile(path);
     } catch (const trace::TraceIoError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
@@ -101,7 +101,7 @@ cmdSim(const char *path, int cfg, const char *cfg_file)
 {
     trace::Trace t;
     try {
-        t = trace::loadTraceFile(path);
+        t = trace::mapTraceFile(path);
     } catch (const trace::TraceIoError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -235,7 +235,7 @@ run_bench_legs() {
     "$tool" gen cb84 "$tracefile" 0.01 >/dev/null
     "$tool" info "$tracefile" >/dev/null   # sanity: intact file parses
     printf '\xff' | dd of="$tracefile" bs=1 seek=9 count=1 \
-        conv=notrunc status=none             # corrupt the header version
+        conv=notrunc status=none             # corrupt the record count
     if "$tool" info "$tracefile" >/dev/null 2>&1; then
         echo "smoke: trace_tool accepted a corrupted trace" >&2
         exit 1

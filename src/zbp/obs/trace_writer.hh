@@ -9,7 +9,7 @@
  *
  * Two tracks, separated by synthetic process ids:
  *  - kPidRunner ("orchestration"): spans stamped in wall-clock
- *    microseconds since the writer was created — job queue/run/retry
+ *    microseconds since the writer was created — job queue/load/run
  *    phases, gang chunks, CMP windows, trace-cache hits.
  *  - kPidUarch ("microarchitecture"): spans stamped in *simulation
  *    cycles* — bulk-preload searches, arbiter bank waits, fault

@@ -22,25 +22,11 @@
 
 #include <cstddef>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace zbp::runner
 {
-
-/**
- * A job failure worth re-attempting (transient environment trouble:
- * a file that was briefly unopenable, a resource that was momentarily
- * exhausted).  JobRunner retries jobs that throw this — and
- * trace::TraceOpenError, the other transient class — with bounded
- * backoff; everything else fails the job on the first throw.
- */
-class RetryableError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
 
 /** ZBP_JOBS if set and valid, else hardware_concurrency (min 1). */
 unsigned jobsFromEnv();

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "zbp/obs/obs_config.hh"
-#include "zbp/trace/trace_io.hh"
 
 namespace zbp::runner
 {
@@ -28,10 +27,9 @@ gangIdentity(const std::vector<GangConfig> &configs,
 } // namespace
 
 GangJob::GangJob(std::vector<GangConfig> configs, const trace::Trace *t,
-                 std::string trace_path, std::uint64_t seed)
-    : Job(gangIdentity(configs, traceId(t, trace_path), seed)),
-      cfgs(std::move(configs)), src(t), path(std::move(trace_path)),
-      res(cfgs.size())
+                 std::uint64_t seed)
+    : Job(gangIdentity(configs, traceId(t), seed)),
+      cfgs(std::move(configs)), tr(t), res(cfgs.size())
 {
     ZBP_ASSERT(!cfgs.empty(), "a gang needs at least one config");
     // Members' records are keyed by name: two alike would collide.
@@ -44,8 +42,7 @@ GangJob::GangJob(std::vector<GangConfig> configs, const trace::Trace *t,
 }
 
 GangJob::GangJob(const SimJob &job)
-    : GangJob({{job.configName, job.cfg}}, job.trace, job.tracePath,
-              job.seed)
+    : GangJob({{job.configName, job.cfg}}, job.trace, job.seed)
 {}
 
 bool
@@ -104,21 +101,14 @@ GangJob::build(std::size_t i)
 void
 GangJob::begin(const std::atomic<bool> *cancel)
 {
+    if (tr == nullptr)
+        throw std::runtime_error("job has no trace (null trace pointer)");
     cancelFlag = cancel;
     members.clear();
     members.resize(cfgs.size());
     frontier = 0;
     dmaps.clear();
     dmaps.reserve(cfgs.size()); // members hold pointers into it
-    loaded.reset();
-    tr = src;
-    if (tr == nullptr) {
-        if (path.empty())
-            throw std::runtime_error("job has no trace (null trace "
-                                     "pointer and empty tracePath)");
-        loaded.emplace(trace::loadTraceFile(path));
-        tr = &*loaded;
-    }
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         if (res[i].resumed)
             continue;
@@ -228,14 +218,12 @@ GangJob::close(const JobOutcome &o)
         }
         // Members advance in lockstep: they split the job's wall-clock.
         r.seconds = o.seconds / static_cast<double>(cfgs.size());
-        r.attempts = o.attempts;
         r.telemetry = o.telemetry;
         records.push_back(
                 {jobRecord(identity().records[i], r), !r.ok, r.error});
     }
     members.clear();
     dmaps.clear();
-    loaded.reset();
     return records;
 }
 

@@ -21,8 +21,7 @@
  * A member that throws (wedge, invariant violation, bad config) fails
  * alone: the rest of the gang keeps running and writes its records,
  * and the job's outcome reports the first failed member's error.  A
- * timeout or a transient error is the whole gang's: the engine cancels
- * or retries the job.
+ * timeout is the whole gang's: the engine cancels the job.
  */
 
 #ifndef ZBP_RUNNER_GANG_JOB_HH
@@ -30,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,13 +49,12 @@ struct GangConfig
 class GangJob final : public Job
 {
   public:
-    /** Every config of @p configs over @p t (which must outlive the
-     * job), or over the trace file @p trace_path, loaded per attempt
-     * when @p t is null.  Member seeds are @p seed, or 0 to derive
-     * them from (name, traceId).  Throws std::invalid_argument if two
-     * members share a name. */
+    /** Every config of @p configs over @p t, which must outlive the
+     * job; a null @p t fails the job when it begins.  Member seeds are
+     * @p seed, or 0 to derive them from (name, traceId).  Throws
+     * std::invalid_argument if two members share a name. */
     GangJob(std::vector<GangConfig> configs, const trace::Trace *t,
-            std::string trace_path = {}, std::uint64_t seed = 0);
+            std::uint64_t seed = 0);
 
     /** A SimJob as a gang of one, with its seed. */
     explicit GangJob(const SimJob &job);
@@ -91,13 +88,10 @@ class GangJob final : public Job
     void fail(std::size_t i, const std::string &what);
 
     std::vector<GangConfig> cfgs;
-    const trace::Trace *src;  ///< borrowed trace, or null
-    std::string path;         ///< else loaded from here per attempt
+    const trace::Trace *tr; ///< borrowed trace, or null
     std::vector<SimJobResult> res;
 
-    // Per attempt.
-    std::optional<trace::Trace> loaded;
-    const trace::Trace *tr = nullptr;
+    // Per run.
     std::vector<std::pair<cache::ICacheParams, std::vector<std::uint8_t>>>
             dmaps;
     const std::atomic<bool> *cancelFlag = nullptr;

@@ -17,7 +17,6 @@
 #include "zbp/runner/executor.hh"
 #include "zbp/runner/gang_job.hh"
 #include "zbp/runner/jsonl_sink.hh"
-#include "zbp/trace/trace_io.hh"
 
 namespace zbp::runner
 {
@@ -34,10 +33,9 @@ secondsSince(SteadyClock::time_point t0)
 }
 
 /**
- * A per-attempt wall-clock deadline: a watcher thread sets the flag
- * once @p seconds pass (the models' run loops turn it into
- * SimCancelled) unless the attempt ends first.  No thread and no flag
- * without a timeout.
+ * A per-job wall-clock deadline: a watcher thread sets the flag once
+ * @p seconds pass (the models' run loops turn it into SimCancelled)
+ * unless the run ends first.  No thread and no flag without a timeout.
  */
 class Deadline
 {
@@ -101,7 +99,6 @@ resumeResult(const json::Value &rec)
     r.result.traceName = *trace;
     r.result.cpi = *cpi;
     r.seconds = rec["seconds"].num().value_or(0.0);
-    r.attempts = static_cast<unsigned>(rec["attempts"].u64().value_or(1));
     return r;
 }
 
@@ -230,17 +227,15 @@ jobIdentity(const std::string &kind, std::string name,
 }
 
 std::string
-traceId(const trace::Trace *t, const std::string &path)
+traceId(const trace::Trace *t)
 {
-    if (t != nullptr)
-        return t->name();
-    return path.empty() ? "<null>" : path;
+    return t != nullptr ? t->name() : "<null>";
 }
 
 RecordId
 simJobId(const SimJob &job)
 {
-    return {job.configName, traceId(job.trace, job.tracePath), job.seed};
+    return {job.configName, traceId(job.trace), job.seed};
 }
 
 std::uint64_t
@@ -265,7 +260,6 @@ jobRecord(const RecordId &id, const SimJobResult &r)
     o.field("seed", id.seed);
     o.field("ok", r.ok);
     o.field("seconds", r.seconds);
-    o.field("attempts", static_cast<std::uint64_t>(r.attempts));
     if (!r.ok) {
         o.field("error", r.error);
         return o.str();
@@ -278,9 +272,7 @@ jobRecord(const RecordId &id, const SimJobResult &r)
         o.field("loadSeconds", r.telemetry.loadSeconds);
         o.field("runSeconds", r.telemetry.runSeconds);
         o.field("timeoutMargin", r.telemetry.timeoutMargin);
-        o.field("retries", static_cast<std::uint64_t>(r.telemetry.retries));
         o.field("queueDepth", r.telemetry.queueDepth);
-        o.field("traceCacheHits", r.telemetry.traceCacheHits);
     }
     return o.str();
 }
@@ -379,10 +371,6 @@ RunPolicy::fromEnv(unsigned workers)
                            [](const char *s, double &v) {
         return parseNumber(s, v) && v >= 0.0;
     });
-    p.retries = envSetting("ZBP_JOB_RETRIES", 0u,
-                           [](const char *s, unsigned &v) {
-        return parseNumber(s, v) && v <= 100;
-    });
     p.ckptDir = envString("ZBP_CKPT_DIR");
     p.ckptInterval = envSetting("ZBP_CKPT_INTERVAL", std::uint64_t{0},
                                 [](const char *s, std::uint64_t &v) {
@@ -453,17 +441,14 @@ JobRunner::run(const std::vector<Job *> &jobs)
                 std::chrono::duration<double>(t0 - submit_at).count();
         const double job_ts = tw != nullptr ? tw->nowUs() : 0.0;
         const std::string ckpt_path = id.ckptPath(pol.ckptDir);
-        for (out.attempts = 1; ready; ++out.attempts) {
-            bool retryable = false;
+        if (ready) {
             try {
                 const Deadline deadline(pol.timeout);
-                const obs::TraceArgs attempt = {
-                        {"attempt", obs::jsonNum(std::uint64_t{out.attempts})}};
                 const auto l0 = SteadyClock::now();
                 const double l0_ts = tw != nullptr ? tw->nowUs() : 0.0;
                 job.begin(deadline.cancel());
                 tel.loadSeconds = secondsSince(l0);
-                runnerSpan(tw, lane, "load", l0_ts, attempt);
+                runnerSpan(tw, lane, "load", l0_ts, {});
                 const auto r0 = SteadyClock::now();
                 const double r0_ts = tw != nullptr ? tw->nowUs() : 0.0;
                 walk(job, pol, ckpt_path, deadline.cancel(), tw, lane);
@@ -471,35 +456,18 @@ JobRunner::run(const std::vector<Job *> &jobs)
                 if (!ckpt_path.empty())
                     ckpt::removeCkptFile(ckpt_path);
                 tel.runSeconds = secondsSince(r0);
-                runnerSpan(tw, lane, "run", r0_ts, attempt);
+                runnerSpan(tw, lane, "run", r0_ts, {});
                 out.ok = true;
-                out.error.clear();
             } catch (const cpu::SimCancelled &e) {
-                // Over the wall-clock limit: a retry would hit it
-                // again, so the job fails at once.
                 out.error = "timed out after " + std::to_string(pol.timeout) +
                             "s: " + e.what();
             } catch (const std::exception &e) {
                 out.error = e.what();
-                retryable = dynamic_cast<const RetryableError *>(&e) ||
-                            dynamic_cast<const trace::TraceOpenError *>(&e);
             } catch (...) {
                 out.error = "unknown error";
             }
-            if (out.ok || !retryable || out.attempts > pol.retries)
-                break;
-            if (tw != nullptr)
-                tw->instant(obs::TraceWriter::kPidRunner, lane, "job",
-                            "job:retry-backoff", tw->nowUs(),
-                            {{"attempt", obs::jsonNum(std::uint64_t{
-                                                 out.attempts})},
-                             {"error", obs::jsonStr(out.error)}});
-            // Deterministic exponential backoff before the retry.
-            std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10u << (out.attempts - 1)));
         }
         out.seconds = secondsSince(t0);
-        tel.retries = out.attempts - 1;
         if (pol.timeout > 0.0)
             tel.timeoutMargin = pol.timeout - out.seconds;
 
@@ -518,8 +486,7 @@ JobRunner::run(const std::vector<Job *> &jobs)
             obs::obsFlush();
         }
         runnerSpan(tw, lane, "job:" + id.name, job_ts,
-                   {{"ok", out.ok ? "true" : "false"},
-                    {"attempts", obs::jsonNum(std::uint64_t{out.attempts})}});
+                   {{"ok", out.ok ? "true" : "false"}});
         report(job, "", out.seconds);
     });
     return outcomes;

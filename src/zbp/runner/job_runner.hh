@@ -5,8 +5,8 @@
  * CMP, a sampled interval — is a runner::Job, and JobRunner runs a
  * batch of them across worker threads under one RunPolicy.  The engine
  * alone owns the plumbing: resume from a results file, the chunked walk
- * with checkpoint snapshots, timeout, retries, exception isolation, the
- * JSONL sink, progress, telemetry and obs.
+ * with checkpoint snapshots, timeout, exception isolation, the JSONL
+ * sink, progress, telemetry and obs.
  *
  * Determinism: each job builds its own models and every seed derives
  * from job identity, never execution order, so ZBP_JOBS=8 is
@@ -50,12 +50,6 @@ struct SimJob
     core::MachineParams cfg;
     const trace::Trace *trace = nullptr; ///< non-owning; must outlive run()
 
-    /** Alternative to `trace`: load this .zbpt file inside the worker
-     * (per attempt, so a transient open failure is retryable).  Used
-     * when the trace set is too large to keep resident, or when jobs
-     * are replayed from a results file.  Ignored if `trace` is set. */
-    std::string tracePath;
-
     /**
      * Per-job RNG seed.  0 = derive from (configName, trace identity)
      * via deriveSeed(), so the value depends only on job identity.  The
@@ -71,14 +65,11 @@ struct SimJob
 struct JobTelemetry
 {
     bool collected = false;
-    double queueSeconds = 0.0;   ///< submit -> first attempt start
-    double loadSeconds = 0.0;    ///< trace load + model build (last attempt)
-    double runSeconds = 0.0;     ///< model execution (last attempt)
+    double queueSeconds = 0.0;   ///< submit -> start
+    double loadSeconds = 0.0;    ///< model build
+    double runSeconds = 0.0;     ///< model execution
     double timeoutMargin = 0.0;  ///< timeout - elapsed; 0 when no timeout
-    unsigned retries = 0;        ///< attempts - 1
-    std::uint64_t queueDepth = 0;   ///< jobs still waiting at start
-    std::uint64_t traceCacheHits = 0; ///< on-disk trace cache hits (when
-                                      ///< the executing layer knows)
+    std::uint64_t queueDepth = 0; ///< jobs still waiting at start
 };
 
 /** How one job (or one of its records) ended. */
@@ -87,7 +78,6 @@ struct JobOutcome
     bool ok = false;
     std::string error;     ///< set when !ok
     double seconds = 0.0;  ///< wall-clock
-    unsigned attempts = 1; ///< execution attempts (retries + 1)
     bool resumed = false;  ///< satisfied from a resume file, not re-run
     JobTelemetry telemetry;
 };
@@ -130,8 +120,8 @@ struct JobIdentity
 JobIdentity jobIdentity(const std::string &kind, std::string name,
                         std::vector<RecordId> records);
 
-/** A job's trace identity: @p t's name, else @p path, else "<null>". */
-std::string traceId(const trace::Trace *t, const std::string &path = {});
+/** A job's trace identity: @p t's name, or "<null>" without a trace. */
+std::string traceId(const trace::Trace *t);
 
 /** The record identity of a SimJob: its traceId and its seed as given
  * (0 = derive). */
@@ -191,11 +181,10 @@ struct JobRecord
 
 /**
  * One schedulable unit of work.  The engine calls resume(), then
- * await() unless resumed; then per attempt begin(), maybe restore(),
- * advance() over increasing targets until it returns true (save() at
- * checkpoint points), finish(); and close() once.  A throw fails the
- * attempt: cpu::SimCancelled is a timeout, RetryableError and
- * trace::TraceOpenError are retried.
+ * await() unless resumed; then begin(), maybe restore(), advance()
+ * over increasing targets until it returns true (save() at checkpoint
+ * points), finish(); and close() once.  A throw fails the job, and
+ * cpu::SimCancelled is reported as a timeout; nothing is re-run.
  */
 class Job
 {
@@ -210,11 +199,11 @@ class Job
 
     /** Block until the job's inputs exist (a producer beside the
      * engine may still be making them).  The wait is queue time: it
-     * precedes every attempt and its timeout.  A throw fails the job
-     * with no attempt. */
+     * precedes the run and its timeout.  A throw fails the job without
+     * running it. */
     virtual void await() {}
 
-    /** Start an attempt from scratch, discarding any earlier one.
+    /** Start the run from scratch, discarding any earlier state.
      * @p cancel, set only under a timeout, must reach every model. */
     virtual void begin(const std::atomic<bool> *cancel) = 0;
 
@@ -250,14 +239,13 @@ class Job
 // ---- the engine --------------------------------------------------------
 
 /** Every setting of a run.  A default policy runs on ZBP_JOBS workers
- * with no export, resume, timeout, retries or checkpoints. */
+ * with no export, resume, timeout or checkpoints. */
 struct RunPolicy
 {
     unsigned workers = 0;   ///< 0 = ZBP_JOBS / hardware_concurrency
     std::string sinkPath{};   ///< JSONL export; empty = off
     std::string resumePath{}; ///< prior results to resume; empty = off
     double timeout = 0.0;   ///< per-job wall-clock limit (s); <= 0 = off
-    unsigned retries = 0;   ///< extra attempts for transient failures
     std::string ckptDir{};          ///< snapshot directory; empty = off
     std::uint64_t ckptInterval = 0; ///< decoded insts between snapshots
     /** Walk window (decoded insts): large enough that a gang's member
@@ -267,8 +255,8 @@ struct RunPolicy
     ProgressMeter::Callback progress{}; ///< one event per record
 
     /** ZBP_RESULTS_JSONL, ZBP_RESUME_JSONL, ZBP_JOB_TIMEOUT,
-     * ZBP_JOB_RETRIES, ZBP_CKPT_DIR and ZBP_CKPT_INTERVAL, each read
-     * once; @p workers 0 resolves via ZBP_JOBS. */
+     * ZBP_CKPT_DIR and ZBP_CKPT_INTERVAL, each read once; @p workers 0
+     * resolves via ZBP_JOBS. */
     static RunPolicy fromEnv(unsigned workers = 0);
 };
 

@@ -8,7 +8,7 @@
  * The warm-up is the run's only serial work: it walks on its own
  * thread, and interval k starts once snapshot k lands, beside the rest
  * of the walk.  The wait is queue time (runner::Job::await), outside
- * the interval's attempts, timeout and seconds; a resumed interval
+ * the interval's run, timeout and seconds; a resumed interval
  * never waits; a failed warm-up fails every interval still waiting,
  * and run() rethrows the warm-up's own error.  The D-cache outcome map
  * (cache/dmiss_map.hh) fills on a third thread, ahead of the warm-up,
@@ -24,9 +24,9 @@
  *
  * Each interval is one IntervalJob on the one engine
  * (runner::JobRunner), so it writes one JSONL record (config
- * "<name>#iv<k>") and honours the same resume, timeout, retry and
- * checkpoint settings as every other job kind: a killed sampled sweep
- * resumes interval-granular.  A record carries every counter, so a
+ * "<name>#iv<k>") and honours the same resume, timeout and checkpoint
+ * settings as every other job kind: a killed sampled sweep resumes
+ * interval-granular.  A record carries every counter, so a
  * stitch over resumed intervals equals a fresh one bit for bit.
  */
 
@@ -124,7 +124,7 @@ class IntervalJob final : public runner::Job
     bool closesRun;
     const std::vector<std::uint8_t> *dmiss;
     runner::SimJobResult res;
-    // Per attempt.
+    // Per run.
     std::unique_ptr<cpu::CoreModel> model;
     bool measuring = false;  ///< the window has begun
     cpu::SimResult start;    ///< counters at the window's start

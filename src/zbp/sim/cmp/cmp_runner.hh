@@ -2,9 +2,9 @@
  * @file
  * CMP jobs on the one engine: a CmpChipJob is one N-core CmpModel over
  * N traces, run by runner::JobRunner under the same JSONL record,
- * resume, timeout, retry and checkpoint contract as every other job
- * kind.  The parallel axis is jobs (a CMP steps its cores sequentially
- * for determinism), and every job emits:
+ * resume, timeout and checkpoint contract as every other job kind.
+ * The parallel axis is jobs (a CMP steps its cores sequentially for
+ * determinism), and every job emits:
  *
  *  - one per-core record per (job, core), config name "<job>#c<i>",
  *    byte-compatible with runner::jobRecord so the generic tooling
@@ -82,7 +82,7 @@ class CmpChipJob final : public runner::Job
   private:
     const CmpJob &spec;
     CmpJobResult res;
-    // Per attempt.
+    // Per run.
     std::unordered_map<const trace::Trace *, std::vector<std::uint8_t>>
             dmaps;
     std::unique_ptr<CmpModel> model;

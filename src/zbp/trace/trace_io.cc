@@ -1,9 +1,7 @@
 #include "zbp/trace/trace_io.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -36,16 +34,10 @@ recordBase(std::uint32_t name_len)
     return (raw + sizeof(Instruction) - 1) & ~(sizeof(Instruction) - 1);
 }
 
-/** Pre-reserve at most this many records; a corrupted count field may
- * claim 2^60 records and must not drive the reservation.  Reading
- * still honours the full count — the vector just grows normally past
- * the clamp. */
-constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 20;
-
 [[noreturn]] void
 fail(const std::string &what)
 {
-    throw TraceIoError("trace stream: " + what);
+    throw TraceIoError("trace file: " + what);
 }
 
 [[noreturn]] void
@@ -53,12 +45,12 @@ failAt(std::uint64_t record, std::uint64_t rec_base,
        const std::string &what)
 {
     std::ostringstream msg;
-    msg << "trace stream: record " << record << " (offset "
+    msg << "trace file: record " << record << " (offset "
         << (rec_base + record * sizeof(Instruction)) << "): " << what;
     throw TraceIoError(msg.str());
 }
 
-/** Header validation shared by the stream and mapped readers. */
+/** Header validation: magic, version, padding, name length. */
 void
 validateHeader(const FileHeader &h)
 {
@@ -75,8 +67,8 @@ validateHeader(const FileHeader &h)
              "-byte limit (corrupted header)");
 }
 
-/** Record validation shared by the stream and mapped readers.  The
- * one-bit taken flag cannot hold anything but 0 or 1. */
+/** Record validation.  The one-bit taken flag cannot hold anything
+ * but 0 or 1. */
 void
 validateRecord(const Instruction &r, std::uint64_t i,
                std::uint64_t rec_base)
@@ -95,6 +87,22 @@ validateRecord(const Instruction &r, std::uint64_t i,
     if (r.branch() && r.taken && r.target() == kNoAddr)
         failAt(i, rec_base, "taken branch without a target");
 }
+
+/** Owns one read-only file mapping; shared by every Trace viewing it. */
+struct MappedFile
+{
+    MappedFile(void *b, std::size_t l) : base(b), len(l) {}
+    ~MappedFile()
+    {
+        if (base != nullptr && len != 0)
+            ::munmap(base, len);
+    }
+    MappedFile(const MappedFile &) = delete;
+    MappedFile &operator=(const MappedFile &) = delete;
+
+    void *base;
+    std::size_t len;
+};
 
 } // namespace
 
@@ -125,49 +133,6 @@ writeTrace(const Trace &t, std::ostream &os)
         fail("write failed");
 }
 
-Trace
-readTrace(std::istream &is)
-{
-    FileHeader h{};
-    is.read(reinterpret_cast<char *>(&h), sizeof(h));
-    if (is.gcount() != static_cast<std::streamsize>(sizeof(h)))
-        fail("truncated header (" + std::to_string(is.gcount()) +
-             " of " + std::to_string(sizeof(h)) + " bytes)");
-    validateHeader(h);
-
-    std::string name(h.nameLen, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(h.nameLen));
-    if (static_cast<std::uint32_t>(is.gcount()) != h.nameLen)
-        fail("truncated trace name");
-
-    const std::uint64_t rec_base = recordBase(h.nameLen);
-    char align_pad[sizeof(Instruction)] = {};
-    const std::streamsize pad_len = static_cast<std::streamsize>(
-            rec_base - sizeof(FileHeader) - h.nameLen);
-    is.read(align_pad, pad_len);
-    if (is.gcount() != pad_len)
-        fail("truncated alignment padding");
-    for (std::streamsize b = 0; b < pad_len; ++b)
-        if (align_pad[b] != 0)
-            fail("nonzero alignment padding (corrupted file)");
-
-    Trace t(name);
-    t.reserve(std::min(h.count, kMaxReserve));
-    for (std::uint64_t i = 0; i < h.count; ++i) {
-        Instruction inst;
-        is.read(reinterpret_cast<char *>(&inst), sizeof(inst));
-        if (is.gcount() != static_cast<std::streamsize>(sizeof(inst)))
-            failAt(i, rec_base, "truncated record (file claims " +
-                                std::to_string(h.count) + " records)");
-        validateRecord(inst, i, rec_base);
-        t.push(inst);
-    }
-    if (is.peek() != std::istream::traits_type::eof())
-        fail("trailing bytes after the last record (truncated count "
-             "field or appended garbage)");
-    return t;
-}
-
 void
 saveTraceFile(const Trace &t, const std::string &path)
 {
@@ -180,40 +145,6 @@ saveTraceFile(const Trace &t, const std::string &path)
     if (!os)
         throw TraceIoError("write to trace file failed: " + path);
 }
-
-Trace
-loadTraceFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw TraceOpenError("cannot open trace file: " + path);
-    try {
-        return readTrace(is);
-    } catch (const TraceIoError &e) {
-        throw TraceIoError(path + ": " + e.what());
-    }
-}
-
-namespace
-{
-
-/** Owns one read-only file mapping; shared by every Trace viewing it. */
-struct MappedFile
-{
-    MappedFile(void *b, std::size_t l) : base(b), len(l) {}
-    ~MappedFile()
-    {
-        if (base != nullptr && len != 0)
-            ::munmap(base, len);
-    }
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
-
-    void *base;
-    std::size_t len;
-};
-
-} // namespace
 
 Trace
 mapTraceFile(const std::string &path)
@@ -229,7 +160,7 @@ mapTraceFile(const std::string &path)
     const std::size_t len = static_cast<std::size_t>(st.st_size);
     if (len < sizeof(FileHeader)) {
         ::close(fd);
-        throw TraceIoError(path + ": trace stream: truncated header (" +
+        throw TraceIoError(path + ": trace file: truncated header (" +
                            std::to_string(len) + " of " +
                            std::to_string(sizeof(FileHeader)) + " bytes)");
     }

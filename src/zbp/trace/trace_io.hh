@@ -11,14 +11,14 @@
  * what the trace cache and the fused sweep path rely on to share one
  * physical copy of a trace across processes and configurations.
  *
- * Robustness contract: trace files are external input.  The reader
- * validates the header (magic, version, zeroed padding), bounds every
- * read (a truncated or bit-flipped file can never make it allocate
- * unbounded memory or return a silently partial trace), checks every
- * record's fields, and rejects trailing garbage.  All failures surface
- * as TraceIoError with a positional message; nothing here aborts or
- * invokes UB.  The mapped loader applies the identical validation to
- * the mapped bytes before handing out a view.
+ * Robustness contract: trace files are external input.  The one
+ * reader, mapTraceFile, validates the header (magic, version, zeroed
+ * padding), bounds the record array by the file size (a truncated or
+ * bit-flipped file can never make it read past the mapping or return a
+ * silently partial trace), checks every record's fields, and rejects
+ * trailing garbage, all before it hands out a view.  Every failure
+ * surfaces as TraceIoError with a positional message; nothing here
+ * aborts or invokes UB.
  */
 
 #ifndef ZBP_TRACE_TRACE_IO_HH
@@ -53,8 +53,8 @@ class TraceIoError : public std::runtime_error
 };
 
 /** The file could not be opened at all (missing path, permissions) —
- * distinct from corruption because callers may reasonably retry or
- * skip, whereas corrupt bytes stay corrupt. */
+ * distinct from corruption: the trace cache counts an unopenable file
+ * as a plain miss and a corrupt one as an invalid entry. */
 class TraceOpenError : public TraceIoError
 {
   public:
@@ -64,19 +64,9 @@ class TraceOpenError : public TraceIoError
 /** Serialize @p t to @p os.  Throws TraceIoError on a write failure. */
 void writeTrace(const Trace &t, std::ostream &os);
 
-/**
- * Deserialize one trace from @p is and return it.  Throws TraceIoError
- * (with the offending offset/field in the message) on bad magic or
- * version, nonzero padding, truncation, out-of-range record fields, or
- * trailing bytes after the last record.
- */
-Trace readTrace(std::istream &is);
-
-/** File-path convenience wrappers.  Throw TraceOpenError if the file
- * cannot be opened, TraceIoError for everything readTrace/writeTrace
- * reject. */
+/** Write @p t to the file @p path.  Throws TraceOpenError if the file
+ * cannot be opened, TraceIoError on a write failure. */
 void saveTraceFile(const Trace &t, const std::string &path);
-Trace loadTraceFile(const std::string &path);
 
 /**
  * Zero-copy load: memory-map @p path read-only and return a view-backed
@@ -87,9 +77,10 @@ Trace loadTraceFile(const std::string &path);
  * same file consume one physical copy; it is released when the last
  * Trace sharing the view is destroyed.
  *
- * Validation is as strict as readTrace — every record is checked before
- * the view is handed out.  Throws TraceOpenError when the file cannot
- * be opened or mapped, TraceIoError on any corruption.
+ * Throws TraceOpenError when the file cannot be opened or mapped, and
+ * TraceIoError (naming the path and the offending offset or field) on
+ * bad magic or version, nonzero padding, truncation, out-of-range
+ * record fields, or trailing bytes after the last record.
  */
 Trace mapTraceFile(const std::string &path);
 

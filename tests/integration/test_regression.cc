@@ -51,7 +51,7 @@ TEST(Regression, TraceRoundTripPreservesSimulation)
     const std::string path =
             ::testing::TempDir() + "/zbp_regression.zbpt";
     trace::saveTraceFile(t, path);
-    const trace::Trace back = trace::loadTraceFile(path);
+    const trace::Trace back = trace::mapTraceFile(path);
     std::remove(path.c_str());
 
     const auto a = sim::runOne(sim::configBtb2(), t);

@@ -70,10 +70,10 @@ TEST(TraceWriter, EmitsValidJsonWithBothTracks)
         const auto ulane =
                 tw.newLane(TraceWriter::kPidUarch, "core0 preload");
         tw.span(TraceWriter::kPidRunner, rlane, "job", "job:tpf", 10.0,
-                250.0, {{"ok", "true"}, {"attempts", jsonNum(
+                250.0, {{"ok", "true"}, {"target", jsonNum(
                                 std::uint64_t{1})}});
-        tw.instant(TraceWriter::kPidRunner, rlane, "job",
-                   "job:retry-backoff", 300.0);
+        tw.instant(TraceWriter::kPidRunner, rlane, "job", "job:resumed",
+                   300.0);
         tw.span(TraceWriter::kPidUarch, ulane, "preload",
                 "search:full", 1000.0, 64.0,
                 {{"rows", jsonNum(std::uint64_t{8})}});

@@ -2,13 +2,13 @@
  * @file
  * The chaos sweep, once per job kind (single job, core gang, CMP chip,
  * sampled interval): one batch mixing healthy jobs with every failure
- * mode the engine hardens against — a null trace, a corrupt input, and
- * a job that outruns its wall-clock budget.  For every kind the sweep
- * must complete with exactly the bad jobs failed (naming each cause), a
- * timeout must never be retried while a transient error is, a resumed
- * rerun must re-execute only the failed jobs, and a SIGKILLed sweep
- * resumed from its records and snapshots must reproduce the record set
- * of an uninterrupted run.
+ * mode the engine hardens against — a null trace, a corrupt input (an
+ * empty trace; a damaged restore snapshot for an interval), and a job
+ * that outruns its wall-clock budget.  For every kind the sweep must
+ * complete with exactly the bad jobs failed (naming each cause), a
+ * resumed rerun must re-execute only the failed jobs, and a SIGKILLed
+ * sweep resumed from its records and snapshots must reproduce the
+ * record set of an uninterrupted run.
  */
 
 #include <sys/types.h>
@@ -30,13 +30,11 @@
 
 #include <gtest/gtest.h>
 
-#include "zbp/runner/executor.hh"
 #include "zbp/runner/gang_job.hh"
 #include "zbp/runner/job_runner.hh"
 #include "zbp/sample/sample_runner.hh"
 #include "zbp/sim/cmp/cmp_runner.hh"
 #include "zbp/sim/configs.hh"
-#include "zbp/trace/trace_io.hh"
 #include "zbp/workload/generator.hh"
 #include "zbp/workload/program_builder.hh"
 #include "zbp/workload/suites.hh"
@@ -211,11 +209,7 @@ class Batch
             if (kind == Kind::kGang)
                 cfgs.insert(cfgs.begin(),
                             {name + "-base", sim::configNoBtb2()});
-            if (r == Role::kCorrupt) // read from a (corrupt) file
-                owned.push_back(std::make_unique<GangJob>(
-                        cfgs, nullptr, scratch(kind, "corrupt.zbpt")));
-            else
-                owned.push_back(std::make_unique<GangJob>(cfgs, t));
+            owned.push_back(std::make_unique<GangJob>(cfgs, t));
             break;
         }
         case Kind::kCmp: {
@@ -272,9 +266,7 @@ expectedError(Kind kind, Role r)
     case Role::kNullTrace:
         return kind == Kind::kInterval ? "empty trace" : "no trace";
     case Role::kCorrupt:
-        if (kind == Kind::kInterval)
-            return "checkpoint";
-        return kind == Kind::kCmp ? "empty trace" : "magic";
+        return kind == Kind::kInterval ? "checkpoint" : "empty trace";
     default:
         return "";
     }
@@ -286,8 +278,8 @@ std::vector<std::string>
 recordSet(const std::string &path)
 {
     static const std::regex timing(
-            ",\"(seconds|attempts|queueSeconds|loadSeconds|runSeconds|"
-            "timeoutMargin|retries|queueDepth|traceCacheHits)\":[^,}]*");
+            ",\"(seconds|queueSeconds|loadSeconds|runSeconds|"
+            "timeoutMargin|queueDepth)\":[^,}]*");
     std::vector<std::string> out;
     std::ifstream is(path);
     for (std::string line; std::getline(is, line);)
@@ -300,11 +292,6 @@ void
 mixedFailureSweepCompletesAndResumeReRunsOnlyFailures(Kind kind)
 {
     const Inputs &in = inputs();
-    const std::string corrupt = scratch(kind, "corrupt.zbpt");
-    {
-        std::ofstream os(corrupt, std::ios::binary | std::ios::trunc);
-        os << "ZBPX garbage that is definitely not a trace";
-    }
     const std::string sink1 = scratch(kind, "first.jsonl");
     const std::string sink2 = scratch(kind, "second.jsonl");
     std::remove(sink1.c_str());
@@ -329,8 +316,7 @@ mixedFailureSweepCompletesAndResumeReRunsOnlyFailures(Kind kind)
     Batch chaos(kind, in.healthyA, in.healthyB, roles, false);
     const auto r1 = JobRunner(RunPolicy{.workers = 4,
                                         .sinkPath = sink1,
-                                        .timeout = budget,
-                                        .retries = 2})
+                                        .timeout = budget})
                             .run(chaos.jobs());
     ASSERT_EQ(r1.size(), roles.size());
     for (std::size_t i = 0; i < roles.size(); ++i) {
@@ -342,19 +328,15 @@ mixedFailureSweepCompletesAndResumeReRunsOnlyFailures(Kind kind)
         }
         EXPECT_FALSE(r1[i].ok);
         EXPECT_NE(r1[i].error.find(want), std::string::npos) << r1[i].error;
-        // Neither a timeout nor a corrupt input is transient.
-        EXPECT_EQ(r1[i].attempts, 1u);
     }
 
     // Repair every failure cause without changing a healthy job's
     // identity, lift the timeout, and resume from the first sweep.
-    trace::saveTraceFile(in.healthyB, corrupt);
     Batch fixed(kind, in.healthyA, in.healthyB, roles, true);
     const auto r2 = JobRunner(RunPolicy{.workers = 4,
                                         .sinkPath = sink2,
                                         .resumePath = sink1})
                             .run(fixed.jobs());
-    std::remove(corrupt.c_str());
     ASSERT_EQ(r2.size(), roles.size());
 
     // The healthy jobs are satisfied from the results file with their
@@ -396,93 +378,16 @@ timeoutFailureRecordsElapsedAndIsNotRetried(Kind kind)
     const Inputs &in = inputs();
     Batch batch(kind, in.healthyA, in.healthyB, {Role::kHanging},
                 false);
-    const auto res = JobRunner(RunPolicy{.workers = 1,
-                                         .timeout = 0.05,
-                                         .retries = 3})
-                             .run(batch.jobs());
+    const auto res =
+            JobRunner(RunPolicy{.workers = 1, .timeout = 0.05})
+                    .run(batch.jobs());
     ASSERT_EQ(res.size(), 1u);
     EXPECT_FALSE(res[0].ok);
-    EXPECT_EQ(res[0].attempts, 1u); // a timeout is not transient
     EXPECT_NE(res[0].error.find("timed out"), std::string::npos)
             << res[0].error;
     // The job was cut down near its budget, not run to completion.
     EXPECT_GE(res[0].seconds, 0.05);
     EXPECT_LT(res[0].seconds, 5.0);
-}
-
-/** Wraps a job and throws a transient error from its first attempt's
- * first advance, after the inner job has begun and made progress. */
-class FlakyJob final : public Job
-{
-  public:
-    explicit FlakyJob(Job &j) : Job(j.identity()), inner(j) {}
-
-    bool resume(const ResumeIndex &p) override { return inner.resume(p); }
-    void begin(const std::atomic<bool> *c) override { inner.begin(c); }
-    std::size_t position() const override { return inner.position(); }
-    std::size_t length() const override { return inner.length(); }
-
-    bool
-    advance(std::size_t target) override
-    {
-        const bool done = inner.advance(target);
-        if (!flaked) {
-            flaked = true;
-            throw RetryableError("transient hiccup");
-        }
-        return done;
-    }
-
-    bool save(ckpt::Writer &w) const override { return inner.save(w); }
-    void restore(ckpt::Reader &r) override { inner.restore(r); }
-    void finish() override { inner.finish(); }
-
-    std::vector<JobRecord>
-    close(const JobOutcome &o) override
-    {
-        return inner.close(o);
-    }
-
-  private:
-    Job &inner;
-    bool flaked = false;
-};
-
-void
-retriesATransientErrorFromMidRun(Kind kind)
-{
-    const Inputs &in = inputs();
-    const std::string plain_sink = scratch(kind, "plain.jsonl");
-    const std::string flaky_sink = scratch(kind, "flaky.jsonl");
-    std::remove(plain_sink.c_str());
-    std::remove(flaky_sink.c_str());
-
-    Batch plain(kind, in.healthyA, in.healthyB, {Role::kHealthyA},
-                false);
-    ASSERT_TRUE(JobRunner(RunPolicy{.workers = 1, .sinkPath = plain_sink})
-                        .run(plain.jobs())[0]
-                        .ok);
-
-    Batch batch(kind, in.healthyA, in.healthyB, {Role::kHealthyA},
-                false);
-    FlakyJob once(*batch.jobs()[0]);
-    const auto failed =
-            JobRunner(RunPolicy{.workers = 1}).run({&once});
-    EXPECT_FALSE(failed[0].ok); // no retries: the error stands
-    EXPECT_NE(failed[0].error.find("transient"), std::string::npos);
-
-    FlakyJob flaky(*batch.jobs()[0]);
-    const auto got = JobRunner(RunPolicy{.workers = 1,
-                                         .sinkPath = flaky_sink,
-                                         .retries = 1})
-                             .run({&flaky});
-    EXPECT_TRUE(got[0].ok) << got[0].error;
-    EXPECT_EQ(got[0].attempts, 2u);
-    // The retry rebuilt the job from scratch: its records are the
-    // uninterrupted run's.
-    EXPECT_EQ(recordSet(flaky_sink), recordSet(plain_sink));
-    std::remove(plain_sink.c_str());
-    std::remove(flaky_sink.c_str());
 }
 
 // ChaosSweep runs the single-job kind; ChaosSweepByKind runs the same
@@ -497,11 +402,6 @@ TEST(ChaosSweep, TimeoutFailureRecordsElapsedAndIsNotRetried)
     timeoutFailureRecordsElapsedAndIsNotRetried(Kind::kSingle);
 }
 
-TEST(ChaosSweep, RetriesATransientErrorFromMidRun)
-{
-    retriesATransientErrorFromMidRun(Kind::kSingle);
-}
-
 class ChaosSweepByKind : public ::testing::TestWithParam<Kind>
 {};
 
@@ -514,11 +414,6 @@ TEST_P(ChaosSweepByKind,
 TEST_P(ChaosSweepByKind, TimeoutFailureRecordsElapsedAndIsNotRetried)
 {
     timeoutFailureRecordsElapsedAndIsNotRetried(GetParam());
-}
-
-TEST_P(ChaosSweepByKind, RetriesATransientErrorFromMidRun)
-{
-    retriesATransientErrorFromMidRun(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(JobKinds, ChaosSweepByKind,

@@ -15,7 +15,6 @@
 
 #include "zbp/runner/job_runner.hh"
 #include "zbp/sim/configs.hh"
-#include "zbp/trace/trace_io.hh"
 #include "zbp/workload/suites.hh"
 
 namespace zbp::runner
@@ -168,9 +167,8 @@ TEST(JobRunner, ProgressReportsEveryJobWithTiming)
 
 TEST(JobRunner, NullTraceFailureNamesTheCause)
 {
-    // Regression: a job with neither a trace pointer nor a trace path
-    // must come back as a captured failure with a message naming the
-    // null trace — never a crash.
+    // Regression: a job without a trace must come back as a captured
+    // failure with a message naming the null trace — never a crash.
     std::vector<SimJob> jobs;
     jobs.push_back(SimJob("broken", sim::configNoBtb2(), nullptr));
     JobRunner jr(RunPolicy{.workers = 1});
@@ -181,71 +179,6 @@ TEST(JobRunner, NullTraceFailureNamesTheCause)
             << res[0].error;
     EXPECT_NE(res[0].error.find("null trace pointer"), std::string::npos)
             << res[0].error;
-    EXPECT_EQ(res[0].attempts, 1u);
-}
-
-TEST(JobRunner, TracePathJobMatchesInMemoryRun)
-{
-    const auto traces = smallTraces();
-    const std::string path =
-            ::testing::TempDir() + "/zbp_jr_path.zbpt";
-    trace::saveTraceFile(traces[0], path);
-
-    std::vector<SimJob> jobs;
-    jobs.push_back(SimJob("mem", sim::configBtb2(), &traces[0]));
-    SimJob byPath;
-    byPath.configName = "mem"; // same config name => same derived seed
-    byPath.cfg = sim::configBtb2();
-    byPath.tracePath = path;
-    byPath.seed = JobRunner::deriveSeed("mem", traces[0].name());
-    jobs.push_back(byPath);
-
-    JobRunner jr(RunPolicy{.workers = 1});
-    const auto res = jr.run(jobs);
-    std::remove(path.c_str());
-    ASSERT_EQ(res.size(), 2u);
-    ASSERT_TRUE(res[0].ok) << res[0].error;
-    ASSERT_TRUE(res[1].ok) << res[1].error;
-    EXPECT_EQ(cpu::counterMismatch(res[0].result, res[1].result), "");
-    EXPECT_EQ(res[0].result.traceName, res[1].result.traceName);
-    EXPECT_EQ(res[0].result.statsText, res[1].result.statsText);
-}
-
-TEST(JobRunner, MissingTracePathRetriesThenFails)
-{
-    SimJob job;
-    job.configName = "gone";
-    job.cfg = sim::configNoBtb2();
-    job.tracePath = "/nonexistent/dir/x.zbpt";
-    JobRunner jr(RunPolicy{.workers = 1, .retries = 2});
-    const auto res = jr.run({job});
-    ASSERT_EQ(res.size(), 1u);
-    EXPECT_FALSE(res[0].ok);
-    EXPECT_EQ(res[0].attempts, 3u); // open errors are retryable
-    EXPECT_NE(res[0].error.find("cannot open"), std::string::npos)
-            << res[0].error;
-}
-
-TEST(JobRunner, CorruptTraceFailsOnceWithDescriptiveError)
-{
-    const std::string path =
-            ::testing::TempDir() + "/zbp_jr_corrupt.zbpt";
-    {
-        std::ofstream os(path, std::ios::binary);
-        os << "this is not a trace file";
-    }
-    SimJob job;
-    job.configName = "corrupt";
-    job.cfg = sim::configNoBtb2();
-    job.tracePath = path;
-    JobRunner jr(RunPolicy{.workers = 1, .retries = 3});
-    const auto res = jr.run({job});
-    std::remove(path.c_str());
-    ASSERT_EQ(res.size(), 1u);
-    EXPECT_FALSE(res[0].ok);
-    EXPECT_EQ(res[0].attempts, 1u); // corrupt bytes stay corrupt
-    EXPECT_NE(res[0].error.find("magic"), std::string::npos)
-            << res[0].error;
 }
 
 TEST(JobRunner, ResumeSkipsCompletedJobsAndWritesNoNewRecords)
@@ -254,39 +187,64 @@ TEST(JobRunner, ResumeSkipsCompletedJobsAndWritesNoNewRecords)
     const auto jobs = crossJobs(traces); // 6 jobs
     const std::string first =
             ::testing::TempDir() + "/zbp_jr_resume_first.jsonl";
+    const std::string older =
+            ::testing::TempDir() + "/zbp_jr_resume_older.jsonl";
     const std::string second =
             ::testing::TempDir() + "/zbp_jr_resume_second.jsonl";
     std::remove(first.c_str());
-    std::remove(second.c_str());
 
     JobRunner a(RunPolicy{.workers = 2, .sinkPath = first});
     const auto r1 = a.run(jobs);
     for (const auto &r : r1)
         ASSERT_TRUE(r.ok) << r.error;
 
-    JobRunner b(RunPolicy{
-            .workers = 2, .sinkPath = second, .resumePath = first});
-    const auto r2 = b.run(jobs);
-    ASSERT_EQ(r2.size(), r1.size());
-    for (std::size_t i = 0; i < r2.size(); ++i) {
-        EXPECT_TRUE(r2[i].resumed) << i;
-        ASSERT_TRUE(r2[i].ok) << i;
-        // Lossless: every counter and the CPI bits come back.
-        EXPECT_EQ(cpu::counterMismatch(r2[i].result, r1[i].result), "")
-                << i;
-        EXPECT_EQ(r2[i].result.traceName, r1[i].result.traceName) << i;
+    // The same records in the earlier format, which also carried
+    // "attempts", "retries" and "traceCacheHits", must resume alike.
+    {
+        std::ifstream in(first);
+        std::ofstream out(older, std::ios::trunc);
+        const auto insert = [](std::string &line, const std::string &at,
+                               const std::string &field) {
+            const std::size_t pos = line.rfind(at);
+            ASSERT_NE(pos, std::string::npos) << line;
+            line.insert(pos, field);
+        };
+        for (std::string line; std::getline(in, line);) {
+            insert(line, ",\"cpi\":", ",\"attempts\":1");
+            insert(line, ",\"queueDepth\":", ",\"retries\":0");
+            insert(line, "}", ",\"traceCacheHits\":0");
+            out << line << '\n';
+        }
     }
 
-    // Everything was satisfied from the checkpoint: the second sink
-    // must contain zero records.
-    std::ifstream is(second);
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(is, line))
-        if (!line.empty())
-            ++lines;
-    EXPECT_EQ(lines, 0u);
+    for (const std::string &prior : {first, older}) {
+        SCOPED_TRACE(prior);
+        std::remove(second.c_str());
+        JobRunner b(RunPolicy{
+                .workers = 2, .sinkPath = second, .resumePath = prior});
+        const auto r2 = b.run(jobs);
+        ASSERT_EQ(r2.size(), r1.size());
+        for (std::size_t i = 0; i < r2.size(); ++i) {
+            EXPECT_TRUE(r2[i].resumed) << i;
+            ASSERT_TRUE(r2[i].ok) << i;
+            // Lossless: every counter and the CPI bits come back.
+            EXPECT_EQ(cpu::counterMismatch(r2[i].result, r1[i].result), "")
+                    << i;
+            EXPECT_EQ(r2[i].result.traceName, r1[i].result.traceName) << i;
+        }
+
+        // Everything was satisfied from the results file: the second
+        // sink must contain zero records.
+        std::ifstream is(second);
+        std::string line;
+        std::size_t lines = 0;
+        while (std::getline(is, line))
+            if (!line.empty())
+                ++lines;
+        EXPECT_EQ(lines, 0u);
+    }
     std::remove(first.c_str());
+    std::remove(older.c_str());
     std::remove(second.c_str());
 }
 
@@ -402,7 +360,6 @@ struct HostileRecord
                      0xFFFFFFFFFFFFFFFFull);
         r.ok = true;
         r.seconds = 0.125;
-        r.attempts = 2;
         r.result.traceName = t.name();
         std::uint64_t v = (1ull << 53) + 1;
         for (const cpu::SimCounter &c : cpu::kSimCounters)
@@ -440,7 +397,6 @@ TEST(ResumeRecord, HostileNamesSeedAndLargeCountersRoundTrip)
     EXPECT_EQ(cpu::counterMismatch(r->result, h.r.result), "");
     EXPECT_EQ(r->result.traceName, h.t.name());
     EXPECT_EQ(r->seconds, h.r.seconds);
-    EXPECT_EQ(r->attempts, h.r.attempts);
 }
 
 TEST(ResumeRecord, EveryTruncationIsNeverApplied)

@@ -162,7 +162,7 @@ TEST(JsonlSink, JobRecordContainsTheCounterSchema)
     r.result.instructions = 200;
     const auto rec = parseRecord(jobRecord(job, r));
     for (const char *key :
-         {"trace", "config", "seed", "ok", "seconds", "attempts", "cpi"})
+         {"trace", "config", "seed", "ok", "seconds", "cpi"})
         EXPECT_NE(rec.find(key), nullptr) << "missing field " << key;
     for (const cpu::SimCounter &c : cpu::kSimCounters)
         EXPECT_NE(rec.find(c.name), nullptr) << "missing field " << c.name;

@@ -2,10 +2,11 @@
  * @file
  * Round-trip, corruption and fuzz tests for the binary trace format.
  *
- * The reader's contract: a valid file round-trips exactly; any
- * corrupted, truncated or oversized input throws a descriptive
- * TraceIoError — it never crashes and never silently returns a partial
- * or altered trace.
+ * The reader's (mapTraceFile's) contract: a valid file round-trips
+ * exactly; any corrupted, truncated or oversized input throws a
+ * descriptive TraceIoError — it never crashes and never silently
+ * returns a partial or altered trace.  Every case writes its bytes to
+ * a scratch file and maps it.
  */
 
 #include <cstdio>
@@ -55,13 +56,40 @@ serialized(const Trace &t)
     return ss.str();
 }
 
-/** Parse @p bytes, expecting a TraceIoError; returns its message. */
+/** A scratch file path of the running test's own (ctest runs tests in
+ * parallel processes). */
+std::string
+scratchPath()
+{
+    return ::testing::TempDir() + "/zbp_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".zbpt";
+}
+
+/** Map @p bytes through a scratch file.  The returned view keeps the
+ * mapping alive after the file is removed. */
+Trace
+mapped(const std::string &bytes)
+{
+    const std::string path = scratchPath();
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    struct Remove
+    {
+        const std::string &path;
+        ~Remove() { std::remove(path.c_str()); }
+    } cleanup{path};
+    return mapTraceFile(path);
+}
+
+/** Map @p bytes, expecting a TraceIoError; returns its message. */
 std::string
 expectRejected(const std::string &bytes)
 {
-    std::stringstream is(bytes);
     try {
-        (void)readTrace(is);
+        (void)mapped(bytes);
     } catch (const TraceIoError &e) {
         return e.what();
     }
@@ -72,10 +100,7 @@ expectRejected(const std::string &bytes)
 TEST(TraceIo, RoundTrip)
 {
     const Trace t = sampleTrace();
-    std::stringstream ss;
-    writeTrace(t, ss);
-
-    const Trace back = readTrace(ss);
+    const Trace back = mapped(serialized(t));
     EXPECT_EQ(back.name(), "sample");
     ASSERT_EQ(back.size(), t.size());
     for (std::size_t i = 0; i < t.size(); ++i)
@@ -84,10 +109,7 @@ TEST(TraceIo, RoundTrip)
 
 TEST(TraceIo, RoundTripEmptyTrace)
 {
-    Trace t("nothing");
-    std::stringstream ss;
-    writeTrace(t, ss);
-    const Trace back = readTrace(ss);
+    const Trace back = mapped(serialized(Trace("nothing")));
     EXPECT_EQ(back.size(), 0u);
     EXPECT_EQ(back.name(), "nothing");
 }
@@ -174,14 +196,14 @@ TEST(TraceIo, FileRoundTrip)
 {
     const std::string path = ::testing::TempDir() + "/zbp_trace_io.zbpt";
     saveTraceFile(sampleTrace(), path);
-    const Trace back = loadTraceFile(path);
+    const Trace back = mapTraceFile(path);
     EXPECT_EQ(back.size(), 3u);
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, MissingFileThrowsOpenError)
 {
-    EXPECT_THROW((void)loadTraceFile("/nonexistent/dir/x.zbpt"),
+    EXPECT_THROW((void)mapTraceFile("/nonexistent/dir/x.zbpt"),
                  TraceOpenError);
 }
 
@@ -204,9 +226,8 @@ TEST(TraceIo, EveryBitFlipEitherParsesFullyOrThrows)
     for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
         std::string mut = bytes;
         mut[bit / 8] = static_cast<char>(mut[bit / 8] ^ (1u << (bit % 8)));
-        std::stringstream is(mut);
         try {
-            const Trace back = readTrace(is);
+            const Trace back = mapped(mut);
             // Accepted: must be a complete, well-formed trace of the
             // original shape (payload-byte flips only).
             EXPECT_EQ(back.size(), t.size())
@@ -221,60 +242,23 @@ TEST(TraceIo, EveryTruncationLengthThrows)
 {
     const std::string bytes = serialized(sampleTrace());
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-        std::stringstream is(bytes.substr(0, len));
-        EXPECT_THROW((void)readTrace(is), TraceIoError)
+        EXPECT_THROW((void)mapped(bytes.substr(0, len)), TraceIoError)
                 << "accepted a file cut to " << len << " bytes";
     }
 }
 
-/** A scratch file path of the running test's own (ctest runs tests in
- * parallel processes). */
-std::string
-scratchPath()
-{
-    return ::testing::TempDir() + "/zbp_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-           ".zbpt";
-}
-
-/** @p t must come back unchanged through both the stream and the
- * mapped reader. */
+/** @p t must come back unchanged through saveTraceFile and the
+ * reader. */
 void
 expectRoundTrip(const Trace &t)
 {
     const std::string path = scratchPath();
     saveTraceFile(t, path);
-    for (const Trace &back : {loadTraceFile(path), mapTraceFile(path)}) {
-        ASSERT_EQ(back.size(), t.size());
-        for (std::size_t i = 0; i < t.size(); ++i)
-            EXPECT_EQ(back[i], t[i]) << "record " << i;
-    }
+    const Trace back = mapTraceFile(path);
     std::remove(path.c_str());
-}
-
-/** Feed @p bytes to both readers; both must reject them with the same
- * message, which is returned. */
-std::string
-rejectedByBoth(const std::string &bytes)
-{
-    const std::string path = scratchPath();
-    {
-        std::ofstream f(path, std::ios::binary);
-        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    std::string msgs[2];
-    for (int r = 0; r < 2; ++r) {
-        try {
-            (void)(r == 0 ? loadTraceFile(path) : mapTraceFile(path));
-            ADD_FAILURE() << (r == 0 ? "stream" : "mapped")
-                          << " reader accepted a corrupted file";
-        } catch (const TraceIoError &e) {
-            msgs[r] = e.what();
-        }
-    }
-    std::remove(path.c_str());
-    EXPECT_EQ(msgs[0], msgs[1]);
-    return msgs[0];
+    ASSERT_EQ(back.size(), t.size());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(back[i], t[i]) << "record " << i;
 }
 
 /** sampleTrace() serialized with the meta byte of record 1 (the taken
@@ -357,14 +341,14 @@ TEST(TraceIo, V3FileRejectedByBothReaders)
     std::memcpy(&bytes[40], &none, 8);
     std::memcpy(&bytes[48], &none, 8);
     bytes[56] = 4;
-    const std::string msg = rejectedByBoth(bytes);
+    const std::string msg = expectRejected(bytes);
     EXPECT_NE(msg.find("unsupported version 3 (expected 4)"),
               std::string::npos) << msg;
 }
 
 TEST(TraceIo, ReservedBitRejectedByBothReaders)
 {
-    const std::string msg = rejectedByBoth(
+    const std::string msg = expectRejected(
             withMetaByte([](std::uint8_t m) { return m | 0x80; }));
     EXPECT_NE(msg.find("record 1 (offset 48): nonzero reserved bit"),
               std::string::npos) << msg;
@@ -373,7 +357,7 @@ TEST(TraceIo, ReservedBitRejectedByBothReaders)
 TEST(TraceIo, BadLengthCodeRejectedByBothReaders)
 {
     for (std::uint8_t code : {0, 1, 3, 5, 7}) {
-        const std::string msg = rejectedByBoth(withMetaByte(
+        const std::string msg = expectRejected(withMetaByte(
                 [&](std::uint8_t m) { return (m & ~7u) | code; }));
         EXPECT_NE(msg.find("invalid instruction length " +
                            std::to_string(code)),
@@ -383,7 +367,7 @@ TEST(TraceIo, BadLengthCodeRejectedByBothReaders)
 
 TEST(TraceIo, KindSixRejectedByBothReaders)
 {
-    const std::string msg = rejectedByBoth(withMetaByte(
+    const std::string msg = expectRejected(withMetaByte(
             [](std::uint8_t m) { return (m & ~0x38u) | (6u << 3); }));
     EXPECT_NE(msg.find("invalid instruction kind 6"), std::string::npos)
             << msg;
@@ -392,7 +376,7 @@ TEST(TraceIo, KindSixRejectedByBothReaders)
 TEST(TraceIo, TakenNonBranchRejectedByBothReaders)
 {
     // Record 1 becomes a non-branch (kind 0) that keeps taken = 1.
-    const std::string msg = rejectedByBoth(
+    const std::string msg = expectRejected(
             withMetaByte([](std::uint8_t m) { return m & ~0x38u; }));
     EXPECT_NE(msg.find("non-branch marked taken"), std::string::npos)
             << msg;
@@ -403,7 +387,7 @@ TEST(TraceIo, TakenBranchWithoutTargetRejectedByBothReaders)
     // Record 1 (a taken branch) loses its target: an all-ones operand.
     std::string bytes = serialized(sampleTrace());
     std::memset(&bytes[firstRecord("sample") + 16 + 8], 0xFF, 7);
-    const std::string msg = rejectedByBoth(bytes);
+    const std::string msg = expectRejected(bytes);
     EXPECT_NE(msg.find("taken branch without a target"), std::string::npos)
             << msg;
 }
