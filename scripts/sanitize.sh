@@ -24,7 +24,7 @@ cmake -B "$build_dir" -S "$repo_root" -DZBP_SANITIZE=ON \
 cmake --build "$build_dir" -j"$(nproc)"
 
 echo "== sanitize: ctest =="
-ctest_args=(--output-on-failure -j)
+ctest_args=(--output-on-failure -j"$(nproc)")
 [[ -n "$filter" ]] && ctest_args+=(-R "$filter")
 (cd "$build_dir" && ctest "${ctest_args[@]}")
 

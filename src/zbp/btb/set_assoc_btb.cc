@@ -152,51 +152,6 @@ SetAssocBtb::reset()
         l.reset();
 }
 
-void
-SetAssocBtb::attachFaultInjector(fault::FaultInjector &inj,
-                                 fault::Site site)
-{
-    faults = &inj;
-    faultSite = site;
-    inj.attach(site, [this](Rng &rng, std::uint64_t where) {
-        corruptEntry(rng, where);
-    });
-}
-
-void
-SetAssocBtb::corruptEntry(Rng &rng, Addr where)
-{
-    // A parity hit lands on one way of the accessed row.  Hitting an
-    // empty way has no architectural effect; a populated way either
-    // loses its entry outright or keeps it with a flipped stored bit.
-    const std::uint32_t row = rowOf(where);
-    const std::uint32_t way = rng.below(cfg.ways);
-    const std::size_t s = slotBase(row) + way;
-    if ((keys[s] & kValidBit) == 0)
-        return;
-    switch (rng.below(3)) {
-      case 0:
-        // Parity-scrubbed: the entry is dropped (next use = surprise).
-        keys[s] = 0;
-        break;
-      case 1:
-        // Stored target bit flip: a taken prediction goes to a wrong
-        // address and is corrected at resolve (mispredictTarget).
-        targets[s] ^= Addr{1} << rng.below(48);
-        break;
-      default:
-        // Stored tag bit flip: the entry stops matching its branch
-        // (and may alias another), staying within the same row.
-        ias[s] ^= Addr{1} << (cfg.tagShift + rng.below(8));
-        // The flipped tag bypassed install(); refresh the key lane and
-        // keep the row filter a superset of the stored tags so the
-        // aliased match stays findable.
-        keys[s] = searchKey(ias[s]);
-        rowSig[row] |= tagSig(ias[s]);
-        break;
-    }
-}
-
 std::uint64_t
 SetAssocBtb::validCount() const
 {

@@ -36,7 +36,6 @@
 #include "zbp/btb/simd.hh"
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
-#include "zbp/fault/fault_injector.hh"
 #include "zbp/stats/stats.hh"
 #include "zbp/util/inline_vec.hh"
 #include "zbp/util/lru.hh"
@@ -183,17 +182,12 @@ class SetAssocBtb
 
     /** Can the row of @p ia possibly hold a tag match?  The bare rowSig
      * filter probe, for callers that combine several tables' filters
-     * into one fruitless-search fast path.  Skips the fault hook — only
-     * valid when no injector is attached (see faultFree()). */
+     * into one fruitless-search fast path. */
     bool
     sigHit(Addr ia) const
     {
         return (rowSig[rowOf(ia)] & tagSig(ia)) != 0;
     }
-
-    /** True when no fault injector is attached, i.e. a probe carries no
-     * injection opportunity and filter-only fast paths are exact. */
-    bool faultFree() const { return faults == nullptr; }
 
     /** Hint the signature + key planes of the row of @p ia into cache
      * ahead of a probe (semantics-free; used to overlap the BTB1/BTBP
@@ -216,12 +210,8 @@ class SetAssocBtb
     BtbHitList
     searchFrom(Addr search_addr) const
     {
-        if (faults != nullptr)
-            faults->onAccess(faultSite, search_addr);
         const std::uint32_t row = rowOf(search_addr);
         BtbHitList hits;
-        // Filter check after the fault hook: a corruption on this very
-        // access updates rowSig before we read it.
         std::uint32_t m = rowMatchMask(row, search_addr);
         if (m == 0)
             return hits;
@@ -267,8 +257,6 @@ class SetAssocBtb
     void
     visitRow(Addr row_addr, Fn &&fn) const
     {
-        if (faults != nullptr)
-            faults->onAccess(faultSite, row_addr);
         const std::uint32_t row = rowOf(row_addr);
         std::uint32_t m = rowMatchMask(row, row_addr);
         while (m != 0) {
@@ -282,8 +270,6 @@ class SetAssocBtb
     std::optional<BtbHit>
     lookup(Addr ia) const
     {
-        if (faults != nullptr)
-            faults->onAccess(faultSite, ia);
         const std::uint32_t row = rowOf(ia);
         std::uint32_t m = rowMatchMask(row, ia);
         const Addr *ia_lane = &ias[slotBase(row)];
@@ -299,8 +285,7 @@ class SetAssocBtb
     /**
      * Does slot (@p row, @p way) still hold the branch at @p ia: valid,
      * same tag, same row offset?  Lets a caller reuse the slot an
-     * earlier probe found instead of a second lookup().  Skips the
-     * fault hook, so it stands in for lookup() only when faultFree().
+     * earlier probe found instead of a second lookup().
      */
     bool
     holds(std::uint32_t row, std::uint32_t way, Addr ia) const
@@ -381,14 +366,6 @@ class SetAssocBtb
     /** Invalidate everything. */
     void reset();
 
-    /**
-     * Wire this table into @p inj as @p site: every searchFrom /
-     * readRow / lookup becomes an injection opportunity, and the
-     * registered callback corrupts one way of the accessed row the way
-     * a parity hit would (invalidate, or flip a target/tag bit).
-     */
-    void attachFaultInjector(fault::FaultInjector &inj, fault::Site site);
-
     /** Number of currently valid entries (O(size); for tests/stats). */
     std::uint64_t validCount() const;
 
@@ -442,9 +419,6 @@ class SetAssocBtb
         keys[slotBase(row) + way] = 0;
     }
 
-    /** Apply one parity-hit-like corruption to the row of @p where. */
-    void corruptEntry(Rng &rng, Addr where);
-
     std::string btbName;
     BtbConfig cfg;
     // SoA planes, each rows x kWayStride (lanes >= ways stay zero).
@@ -454,8 +428,6 @@ class SetAssocBtb
     std::vector<std::uint8_t> meta;  ///< dir state + PHT/CTB gate bits
     std::vector<std::uint64_t> rowSig; ///< per-row tag-presence filter
     std::vector<LruState> lru;
-    fault::FaultInjector *faults = nullptr; ///< null = injection off
-    fault::Site faultSite = fault::Site::kBtb1;
 
     stats::Counter nInstalls;
     stats::Counter nEvictions;

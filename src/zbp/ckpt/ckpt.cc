@@ -221,7 +221,6 @@ tagName(std::uint32_t t)
     case tag::kICache: return "icache";
     case tag::kSharedL2I: return "shared-l2i";
     case tag::kSot: return "sot";
-    case tag::kFault: return "fault";
     case tag::kOutcomes: return "outcomes";
     case tag::kCore: return "core";
     case tag::kArbiter: return "arbiter";

@@ -71,8 +71,10 @@ class CkptError : public std::runtime_error
 
 /** Bump when the section layout changes incompatibly.  Version 2 drops
  * the D-cache section and lists every address-keyed table in ascending
- * key order; a version-1 image is rejected like any corrupt one. */
-inline constexpr std::uint32_t kFormatVersion = 2;
+ * key order.  Version 3 drops the fault-injection state (the core's
+ * presence byte, the arbiter's stretched bank and the injector
+ * sections).  An older image is rejected like any corrupt one. */
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /** Terminates the section sequence. */
 inline constexpr std::uint32_t kEndTag = 0xFFFFFFFFu;
@@ -94,7 +96,7 @@ inline constexpr std::uint32_t kBtb2Engine = 0x09;
 inline constexpr std::uint32_t kICache = 0x0A;
 inline constexpr std::uint32_t kSharedL2I = 0x0B;
 inline constexpr std::uint32_t kSot = 0x0C;
-inline constexpr std::uint32_t kFault = 0x0D;
+// 0x0D was the fault injector's section (format version 2); retired.
 inline constexpr std::uint32_t kOutcomes = 0x0E;
 inline constexpr std::uint32_t kCore = 0x0F;
 inline constexpr std::uint32_t kArbiter = 0x10;

@@ -36,10 +36,9 @@ BranchPredictorHierarchy::searchFirstLevel(Addr search_addr) const
     CandidateList out;
 
     // Most searches probe sequential code with no stored branches: when
-    // both row filters miss (and no fault injector needs its access
-    // hook), the search is over after two signature loads.
-    if (btb1Ptr->faultFree() && btbpPtr->faultFree() &&
-        !btb1Ptr->sigHit(search_addr) && !btbpPtr->sigHit(search_addr))
+    // both row filters miss, the search is over after two signature
+    // loads.
+    if (!btb1Ptr->sigHit(search_addr) && !btbpPtr->sigHit(search_addr))
         return out;
 
     // Both structures probe the same trace address; hint both key
@@ -160,12 +159,9 @@ BranchPredictorHierarchy::makePrediction(const Candidate &c,
                 ++nVictimsToBtb2;
             }
         }
-    } else if (btb1Ptr->faultFree() &&
-               btb1Ptr->holds(c.row, c.way, updated.ia)) {
+    } else if (btb1Ptr->holds(c.row, c.way, updated.ia)) {
         // In-place speculative counter update + recency, at the slot
-        // the search found.  With an injector attached, every lookup is
-        // an injection opportunity, so that case keeps the lookup and
-        // touch below.
+        // the search found.
         btb1Ptr->setDir(c.row, c.way, updated.dir);
         btb1Ptr->touchSlot(c.row, c.way);
     } else if (auto h = btb1Ptr->lookup(updated.ia)) {
@@ -230,7 +226,6 @@ BranchPredictorHierarchy::resolvePredicted(const Prediction &pred,
     std::uint32_t row = 0;
     std::uint32_t way = 0;
     if (found != nullptr && found->source == PredictionSource::kBtb1 &&
-        btb1Ptr->faultFree() &&
         btb1Ptr->holds(found->row, found->way, pred.ia)) {
         home = btb1Ptr.get();
         row = found->row;

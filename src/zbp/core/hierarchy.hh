@@ -138,9 +138,9 @@ class BranchPredictorHierarchy
      * BTBP — perform the BTBP -> BTB1 promotion with its victim flows.
      *
      * The caller supplies seq and fills in availableAt (timing).  A
-     * BTB1 candidate's update reuses its slot when the BTB1 is
-     * fault-free and the slot still holds the branch (an earlier
-     * promotion in the same search can overwrite it).
+     * BTB1 candidate's update reuses its slot when the slot still holds
+     * the branch (an earlier promotion in the same search can overwrite
+     * it).
      */
     Prediction makePrediction(const Candidate &c, std::uint64_t seq);
 
@@ -148,8 +148,9 @@ class BranchPredictorHierarchy
     /**
      * Resolve a dynamically predicted branch.  @p found, when given, is
      * the candidate @p pred was made from, with no table write since
-     * (the functional path resolves at once): a fault-free BTB1 then
-     * trains the candidate's slot instead of looking the branch up.
+     * (the functional path resolves at once): a BTB1 candidate whose
+     * slot still holds the branch is trained there instead of looked
+     * up.
      */
     void resolvePredicted(const Prediction &pred, trace::InstKind kind,
                           bool actual_taken, Addr actual_target,

@@ -140,16 +140,6 @@ MachineParams::validate() const
     checkNonZero("cmp.stepInsts", cmp.stepInsts);
     if (cmp.sharedL2i)
         checkCache("cmp.l2i", cmp.l2i);
-
-    checkProb("faults.rate", faults.rate);
-    for (unsigned i = 0; i < fault::kSiteCount; ++i) {
-        const double r = faults.siteRate[i];
-        if (r > 1.0)
-            reject("faults.siteRate[" +
-                   std::string(fault::siteName(
-                           static_cast<fault::Site>(i))) +
-                   "] must be <= 1, got " + std::to_string(r));
-    }
 }
 
 } // namespace zbp::core

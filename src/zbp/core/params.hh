@@ -14,7 +14,6 @@
 
 #include "zbp/btb/set_assoc_btb.hh"
 #include "zbp/cache/icache.hh"
-#include "zbp/fault/fault_injector.hh"
 #include "zbp/preload/btb2_arbiter.hh"
 #include "zbp/preload/btb2_engine.hh"
 #include "zbp/preload/sector_order_table.hh"
@@ -132,10 +131,6 @@ struct MachineParams
      * default for tests and reports; sweeps turn it off to keep string
      * formatting out of the hot path.  Counters are unaffected. */
     bool collectStatsText = true;
-
-    /** Predictor-state fault injection (off by default; when off, no
-     * injector is constructed and every hook is a null test). */
-    fault::FaultParams faults;
 
     /** CMP sharing knobs; ignored outside sim::CmpModel. */
     CmpParams cmp;

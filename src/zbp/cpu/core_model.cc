@@ -99,20 +99,6 @@ CoreModel::CoreModel(const core::MachineParams &p,
     pipe = std::make_unique<core::SearchPipeline>(prm.search, *bp,
                                                   eng.get());
     fetchBuf = RingBuffer<FetchedInst>(prm.cpu.fetchBufferInsts + 1);
-    if (prm.faults.enabled) {
-        inj = std::make_unique<fault::FaultInjector>(prm.faults);
-        bp->btb1().attachFaultInjector(*inj, fault::Site::kBtb1);
-        bp->btbp().attachFaultInjector(*inj, fault::Site::kBtbp);
-        // The CMP-shared BTB2 and arbiter are wired by their owner
-        // (sim::CmpModel) into its own injector, not per core.
-        if (bp->ownsBtb2())
-            bp->btb2().attachFaultInjector(*inj, fault::Site::kBtb2);
-        bp->pht().attachFaultInjector(*inj);
-        bp->ctb().attachFaultInjector(*inj);
-        sotTable->attachFaultInjector(*inj);
-        if (eng)
-            eng->attachFaultInjector(*inj);
-    }
 }
 
 CoreModel::~CoreModel() = default;
@@ -186,31 +172,21 @@ CoreModel::attachObs(obs::IntervalWriter *w, std::uint64_t interval,
                        ? sharedArb->queueFullRejects()
                        : 0;
     });
-    smp->addProbe("faultsInjected",
-                  [this] { return inj ? inj->injected() : 0; });
 }
 
 void
 CoreModel::attachTracer(obs::TraceWriter *t)
 {
     tracer = t;
-    injTraced = false;
     if (t == nullptr) {
         if (eng)
             eng->setTracer(nullptr, 0);
-        if (inj)
-            inj->setTracer(nullptr, 0);
         return;
     }
     const std::string core_tag = "core" + std::to_string(sharedCoreId);
     if (eng)
         eng->setTracer(t, t->newLane(obs::TraceWriter::kPidUarch,
                                      core_tag + " preload"));
-    if (inj) {
-        inj->setTracer(t, t->newLane(obs::TraceWriter::kPidUarch,
-                                     core_tag + " faults"));
-        injTraced = true;
-    }
 }
 
 inline void
@@ -303,15 +279,6 @@ CoreModel::cancelledMessage() const
            (functional ? " (functional)" : "") + " at cycle " +
            std::to_string(cycle) + " (" + std::to_string(decodeIdx) +
            " of " + std::to_string(tr->size()) + " instructions decoded)";
-}
-
-inline void
-CoreModel::faultTick()
-{
-    if (injTraced)
-        inj->noteCycle(cycle); // timestamps rate-driven fault instants
-    if (inj && inj->nextTargetedAt() <= cycle)
-        inj->tick(cycle);
 }
 
 inline void
@@ -900,8 +867,6 @@ CoreModel::nextWakeAt(Cycle now, Cycle last_progress_at) const
     w = std::min(w, pipe->nextEventAt());
     if (eng)
         w = std::min(w, eng->nextEventAt());
-    if (inj)
-        w = std::min(w, inj->nextTargetedAt());
 
     // Decode: acts once both its stall and the front fetch-buffer
     // entry's ready cycle have elapsed.
@@ -983,8 +948,6 @@ CoreModel::beginRun(const trace::Trace &t)
     nWatchdogResets = 0;
     nResolves = 0;
     fetchSeqCursor = 0;
-    if (inj)
-        inj->reset();
     restartFrontEnd(t[0].ia, 0); // also zeroes lastRestartCycle
 
     cycle = 0;
@@ -1011,7 +974,6 @@ CoreModel::advance(std::size_t decode_target)
     // replays the exact cycle-by-cycle history of a single full run.
     while (decodeIdx < target) {
         pollCancel();
-        faultTick();
         processEvents();
         searchTick();
         engineTick();
@@ -1057,9 +1019,6 @@ CoreModel::advanceFunctional(std::size_t decode_target)
     if (sharedL2i != nullptr || sharedArb != nullptr)
         throw std::logic_error("advanceFunctional() does not support "
                                "CMP-shared structures");
-    if (inj != nullptr)
-        throw std::logic_error("advanceFunctional() does not support "
-                               "fault injection (timing-driven)");
     const trace::Trace &t = *tr;
     const std::size_t target = std::min(decode_target, t.size());
     const std::uint32_t line_bytes = prm.icache.lineBytes;
@@ -1111,7 +1070,6 @@ CoreModel::countersSoFar() const
     r.phantoms = outcomes.count(Outcome::kPhantom);
     r.watchdogResets = nWatchdogResets;
     r.resolves = nResolves;
-    r.faultsInjected = inj ? inj->injected() : 0;
     r.icacheMisses = l1i->misses();
     r.dcacheMisses = nDataMisses.value();
     r.dataAccesses = nDataAccesses;
@@ -1222,7 +1180,6 @@ CoreModel::state(Self &s, Io &io)
     io.expect(static_cast<std::uint64_t>(s.tr->size()), "trace length");
     io.expect(s.prm.dcacheEnabled, "D-cache presence");
     io.expect(s.eng != nullptr, "BTB2 engine presence");
-    io.expect(s.inj != nullptr, "fault injector presence");
     const std::size_t len = s.tr->size();
     io.u64(s.fetchIdx);
     io.u64(s.decodeIdx);
@@ -1269,8 +1226,6 @@ CoreModel::state(Self &s, Io &io)
     if (s.eng)
         io.part(*s.eng);
     io.part(*s.pipe);
-    if (s.inj)
-        io.part(*s.inj);
     io.part(s.outcomes);
 }
 

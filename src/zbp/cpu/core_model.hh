@@ -102,8 +102,8 @@ struct SimResult
      * schedules exactly one; the invariant checker pins the identity). */
     std::uint64_t resolves = 0;
 
-    /** Predictor-state faults actually injected (0 unless fault
-     * injection was enabled in the machine parameters). */
+    /** Always 0: the model has no fault injection.  Kept only because
+     * the benchmark's counter table (perfbench/counters.hh) names it. */
     std::uint64_t faultsInjected = 0;
 
     /** Full text dump of every registered stat group. */
@@ -186,8 +186,9 @@ double cpiImprovement(const SimResult &base, const SimResult &test);
  * consistent with cycles/instructions.  Returns an empty string when
  * all invariants hold, else a description of the first violation.
  * CoreModel::run calls this and throws std::logic_error on violation —
- * injected faults may only surface as extra mispredicts or preload
- * waste, never as books that don't balance.
+ * predictor state is only a hint, so any table contents may surface as
+ * extra mispredicts or preload waste, never as books that don't
+ * balance.
  */
 std::string simInvariantError(const SimResult &r);
 
@@ -197,7 +198,7 @@ std::string simInvariantError(const SimResult &r);
  * every member null (the default) gives the private single-core
  * machine.  With a shared BTB2 the core builds no private one, routes
  * its engine's row reads through the arbiter as @p coreId, and leaves
- * the shared structures' fault wiring and reset to their owner.
+ * the shared structures' reset to their owner.
  */
 struct SharedCoreContext
 {
@@ -269,8 +270,8 @@ class CoreModel
      * whole trace is decoded.  Requires a drained machine: call it only
      * after beginRun() or a previous advanceFunctional(), never after a
      * detailed advance() mid-trace (throws std::logic_error on in-
-     * flight state, CMP-shared structures, or fault injection — all
-     * timing-coupled).  Throws SimCancelled like advance().
+     * flight state or CMP-shared structures — both timing-coupled).
+     * Throws SimCancelled like advance().
      */
     bool advanceFunctional(std::size_t decode_target);
 
@@ -336,13 +337,10 @@ class CoreModel
      */
     void setCancelFlag(const std::atomic<bool> *flag) { cancel = flag; }
 
-    /** The fault injector, or nullptr when injection is disabled. */
-    fault::FaultInjector *faultInjector() { return inj.get(); }
-
     /**
      * Attach interval sampling: every @p interval decoded instructions
      * the canonical probe set (CPI inputs, BTB1/BTB2 activity, SOT and
-     * cache hit rates, arbiter contention, faults) is delta-sampled
+     * cache hit rates, arbiter contention) is delta-sampled
      * into @p w under (trace, @p config_name, core id).  The probe set
      * is fixed — components this machine lacks report 0 — so every row
      * in a sidecar has the same columns.  Probes are read-only: counters
@@ -353,9 +351,8 @@ class CoreModel
                    const std::string &config_name);
 
     /**
-     * Attach the obs timeline: the engine's preload searches and the
-     * fault injector's applied faults get lanes on the microarch track
-     * ("core<id> preload" / "core<id> faults").  The CMP-shared
+     * Attach the obs timeline: the engine's preload searches get a lane
+     * on the microarch track ("core<id> preload").  The CMP-shared
      * arbiter's lane is wired by its owner.  Null detaches.
      */
     void attachTracer(obs::TraceWriter *t);
@@ -425,7 +422,6 @@ class CoreModel
 
     // advance()'s stages, in loop order.
     void pollCancel();
-    void faultTick();
     void processEvents();
     void searchTick();
     void engineTick();
@@ -494,7 +490,6 @@ class CoreModel
     std::unique_ptr<preload::SectorOrderTable> sotTable;
     std::unique_ptr<preload::Btb2Engine> eng;
     std::unique_ptr<core::SearchPipeline> pipe;
-    std::unique_ptr<fault::FaultInjector> inj; ///< null = injection off
     cache::SharedL2I *sharedL2i = nullptr; ///< CMP-shared; null = infinite L2
     preload::Btb2Arbiter *sharedArb = nullptr; ///< CMP-shared; probes only
     unsigned sharedCoreId = 0;             ///< this core's id at the L2I
@@ -504,7 +499,6 @@ class CoreModel
     std::unique_ptr<obs::IntervalSampler> smp;
     std::string obsConfigName;
     obs::TraceWriter *tracer = nullptr;
-    bool injTraced = false; ///< inj needs noteCycle() each iteration
 
     // Run state.
     const trace::Trace *tr = nullptr;

@@ -21,7 +21,6 @@
 #include "zbp/common/bitfield.hh"
 #include "zbp/common/types.hh"
 #include "zbp/dir/history.hh"
-#include "zbp/fault/fault_injector.hh"
 
 namespace zbp::dir
 {
@@ -54,7 +53,7 @@ class Ctb
     }
 
     /** Hint the row addressed by a pre-folded @p index into cache
-     * (no fault hook, no architectural effect). */
+     * (no architectural effect). */
     void
     prefetchHashed(std::uint64_t index) const
     {
@@ -65,8 +64,6 @@ class Ctb
     std::optional<Addr>
     lookupHashed(Addr ia, std::uint64_t index) const
     {
-        if (faults != nullptr)
-            faults->onAccess(fault::Site::kCtb, index);
         const Entry &e = table[index];
         if (e.valid && e.tag == tagOf(ia))
             return e.target;
@@ -106,34 +103,6 @@ class Ctb
      * geometry mismatch. */
     void restoreState(ckpt::Reader &r) { state(*this, r); }
 
-    /** Wire this table into @p inj: each lookup is an injection
-     * opportunity on the indexed entry. */
-    void
-    attachFaultInjector(fault::FaultInjector &inj)
-    {
-        faults = &inj;
-        inj.attach(fault::Site::kCtb,
-                   [this](Rng &rng, std::uint64_t index) {
-                       Entry &e = table[index & (table.size() - 1)];
-                       if (!e.valid)
-                           return;
-                       switch (rng.below(3)) {
-                         case 0:
-                           e = Entry{}; // parity-scrubbed
-                           break;
-                         case 1:
-                           e.tag ^= static_cast<std::uint16_t>(
-                                   1u << rng.below(tagBits));
-                           break;
-                         default:
-                           // Stored target bit flip: a wrong indirect
-                           // target, corrected at resolve.
-                           e.target ^= Addr{1} << rng.below(48);
-                           break;
-                       }
-                   });
-    }
-
   private:
     struct Entry
     {
@@ -169,7 +138,6 @@ class Ctb
     unsigned tagBits;
     unsigned indexBits;
     std::vector<Entry> table;
-    fault::FaultInjector *faults = nullptr; ///< null = injection off
 };
 
 } // namespace zbp::dir

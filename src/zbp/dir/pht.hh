@@ -22,7 +22,6 @@
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
 #include "zbp/dir/history.hh"
-#include "zbp/fault/fault_injector.hh"
 #include "zbp/stats/stats.hh"
 #include "zbp/util/saturating_counter.hh"
 
@@ -66,9 +65,9 @@ class Pht
     }
 
     /** Hint the row addressed by a pre-folded @p index into cache.
-     * Pure prefetch: no fault hook, no architectural effect.  Issued
-     * where the hashes are frozen (decode) so the line is resident by
-     * the time lookupHashed/updateHashed consume it. */
+     * Pure prefetch: no architectural effect.  Issued where the hashes
+     * are frozen (decode) so the line is resident by the time
+     * lookupHashed/updateHashed consume it. */
     void
     prefetchHashed(std::uint64_t index) const
     {
@@ -80,8 +79,6 @@ class Pht
     std::optional<bool>
     lookupHashed(Addr ia, std::uint64_t index, std::uint64_t tag_hash) const
     {
-        if (faults != nullptr)
-            faults->onAccess(fault::Site::kPht, index);
         const Entry &e = table[index];
         if (e.valid && e.tag == tagOf(ia, tag_hash))
             return e.dir.taken();
@@ -135,37 +132,6 @@ class Pht
      * geometry mismatch or out-of-range stored state. */
     void restoreState(ckpt::Reader &r) { state(*this, r); }
 
-    /** Wire this table into @p inj: each lookup is an injection
-     * opportunity on the indexed entry. */
-    void
-    attachFaultInjector(fault::FaultInjector &inj)
-    {
-        faults = &inj;
-        inj.attach(fault::Site::kPht,
-                   [this](Rng &rng, std::uint64_t index) {
-                       Entry &e = table[index & (table.size() - 1)];
-                       if (!e.valid)
-                           return;
-                       switch (rng.below(3)) {
-                         case 0:
-                           e = Entry{}; // parity-scrubbed
-                           break;
-                         case 1:
-                           // Tag bit flip: the entry stops matching (or
-                           // aliases another branch's history path).
-                           e.tag ^= static_cast<std::uint16_t>(
-                                   1u << rng.below(tagBits));
-                           break;
-                         default:
-                           // Direction state flip: at worst one extra
-                           // mispredict before retraining.
-                           e.dir.set(static_cast<std::uint8_t>(
-                                   rng.below(Bimodal2::kMax + 1)));
-                           break;
-                       }
-                   });
-    }
-
   private:
     struct Entry
     {
@@ -205,7 +171,6 @@ class Pht
     unsigned tagBits;
     unsigned indexBits;
     std::vector<Entry> table;
-    fault::FaultInjector *faults = nullptr; ///< null = injection off
 };
 
 } // namespace zbp::dir

@@ -6,7 +6,7 @@
  * JSONL), so per-interval CPI / hit-rate curves can be plotted and the
  * column sums reproduce the end-of-run aggregates exactly.
  *
- * Zero-overhead contract (same as zbp::fault): a core holds a plain
+ * Zero-overhead contract (same as TraceWriter): a core holds a plain
  * `IntervalSampler *` that is null unless ZBP_OBS_INTERVAL is set; the
  * hot-path hook is one null test plus one integer compare
  * (`decodeIdx >= smp->nextAt()`).  Probes are read-only lambdas over

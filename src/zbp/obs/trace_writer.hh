@@ -12,11 +12,11 @@
  *    microseconds since the writer was created — job queue/load/run
  *    phases, gang chunks, CMP windows, trace-cache hits.
  *  - kPidUarch ("microarchitecture"): spans stamped in *simulation
- *    cycles* — bulk-preload searches, arbiter bank waits, fault
- *    injections.  Cycle time and wall time never share a track, so the
- *    unit mismatch is harmless (each process has its own timeline).
+ *    cycles* — bulk-preload searches and arbiter bank waits.  Cycle
+ *    time and wall time never share a track, so the unit mismatch is
+ *    harmless (each process has its own timeline).
  *
- * Zero-overhead contract (same as zbp::fault): components hold a plain
+ * Zero-overhead contract (same as IntervalSampler): components hold a plain
  * `TraceWriter *` that is null unless tracing is enabled; every hook is
  * a single null-pointer test on the hot path.  Emission itself is
  * mutex-serialised and O(event text); a hard event cap (default 1M)

@@ -35,11 +35,6 @@ Btb2Arbiter::requestRead(unsigned core, Addr row, Cycle now)
     ++nRequests;
     const unsigned bank = bankOf(row);
 
-    if (faults) {
-        faultBank = bank;
-        faults->onAccess(fault::Site::kArbiter, row);
-    }
-
     Cycle slot = std::max(now, freeAt[bank]);
     if (prm.policy == ArbPolicy::kTdm && prm.cores > 1) {
         // Round the slot up to this core's next owned time slot.
@@ -93,19 +88,6 @@ Btb2Arbiter::requestRead(unsigned core, Addr row, Cycle now)
 }
 
 void
-Btb2Arbiter::attachFaultInjector(fault::FaultInjector &inj)
-{
-    faults = &inj;
-    // A parity hit on queue state forces a replay window: the requested
-    // bank stays busy for a few extra cycles.  Timing-only corruption —
-    // no grant ever returns a wrong row.
-    inj.attach(fault::Site::kArbiter,
-               [this](Rng &rng, std::uint64_t /*where*/) {
-                   freeAt[faultBank] += 1 + rng.below(8);
-               });
-}
-
-void
 Btb2Arbiter::saveState(ckpt::Writer &w) const
 {
     state(*this, w);
@@ -126,8 +108,6 @@ Btb2Arbiter::state(Self &s, Io &io)
     io.expect(s.prm.banks, "arbiter banks");
     for (auto &c : s.freeAt)
         io.u64(c);
-    io.u32(s.faultBank);
-    io.check(s.faultBank < s.prm.banks, "fault bank out of range");
     io.counter(s.nRequests);
     io.counter(s.nGrants);
     io.counter(s.nConflicts);

@@ -27,11 +27,6 @@
  * granularity, so bank free times mix loosely-aligned clocks.  The
  * conflict model is therefore statistical, not cycle-faithful — like
  * the rest of the model, only *relative* effects are meaningful.
- *
- * Fault site (Site::kArbiter): every request is an injection
- * opportunity; a fired fault marks the requested bank busy for a few
- * extra cycles (a parity hit on queue state forces a replay).  Purely
- * a timing degradation — grants never return wrong rows.
  */
 
 #ifndef ZBP_PRELOAD_BTB2_ARBITER_HH
@@ -42,8 +37,12 @@
 
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/types.hh"
-#include "zbp/fault/fault_injector.hh"
 #include "zbp/stats/stats.hh"
+
+namespace zbp::obs
+{
+class TraceWriter;
+}
 
 namespace zbp::preload
 {
@@ -87,9 +86,6 @@ class Btb2Arbiter
      * golden-counter equivalence test pins this).
      */
     RowGrant requestRead(unsigned core, Addr row, Cycle now);
-
-    /** Wire Site::kArbiter corruption (bank busy-stretch) into @p inj. */
-    void attachFaultInjector(fault::FaultInjector &inj);
 
     /** Attach the obs timeline: bank waits become spans and queue-full
      * rejects instants on lane @p lane of the microarch track.  Grant
@@ -150,8 +146,6 @@ class Btb2Arbiter
     Btb2ArbiterParams prm;
     unsigned rowShift; ///< log2(btb2 rowBytes)
     std::vector<Cycle> freeAt; ///< per bank: first unreserved slot
-    unsigned faultBank = 0; ///< bank the kArbiter callback stretches
-    fault::FaultInjector *faults = nullptr;
     obs::TraceWriter *tracer = nullptr; ///< null = tracing off
     std::uint32_t laneId = 0;
 

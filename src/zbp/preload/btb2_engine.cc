@@ -225,20 +225,7 @@ Btb2Engine::tick(Cycle now)
     while (!pipe.empty() && pipe.front().due <= now) {
         const PendingWrite &pw = pipe.front();
         for (unsigned i = 0; i < pw.n; ++i) {
-            if (faults != nullptr) {
-                // Transfer-path parity: the in-flight copy may be
-                // dropped or corrupted without touching the BTB2 row
-                // it was read from.
-                btb::BtbEntry e = pw.entries[i];
-                transferCursor = &e;
-                faults->onAccess(fault::Site::kTransfer, e.ia);
-                transferCursor = nullptr;
-                if (!e.valid)
-                    continue; // dropped on the bus
-                btbp.install(e);
-            } else {
-                btbp.install(pw.entries[i]);
-            }
+            btbp.install(pw.entries[i]);
             ++nHits;
         }
         pipe.pop_front();
@@ -417,21 +404,6 @@ Btb2Engine::computeNextEventAt() const
     if (rows_pending)
         w = std::min(w, nextReadAt);
     return w;
-}
-
-void
-Btb2Engine::attachFaultInjector(fault::FaultInjector &inj)
-{
-    faults = &inj;
-    inj.attach(fault::Site::kTransfer,
-               [this](Rng &rng, std::uint64_t) {
-                   if (transferCursor == nullptr)
-                       return;
-                   if (rng.below(2) == 0)
-                       transferCursor->valid = false;
-                   else
-                       transferCursor->target ^= Addr{1} << rng.below(48);
-               });
 }
 
 void

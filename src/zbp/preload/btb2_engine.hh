@@ -172,8 +172,7 @@ class Btb2Engine : public MissSink
      * the BTBP immediately, and the same row-read/hit/search counters
      * advance.  No tracker is allocated and no pipeline entry is
      * queued, so the engine stays quiescent and serializable between
-     * calls.  No arbiter support (CMP mode is detailed-only); the
-     * transfer-path fault hook is not exercised.
+     * calls.  No arbiter support (CMP mode is detailed-only).
      */
     void functionalPreload(Addr miss_addr, Cycle now);
 
@@ -208,14 +207,6 @@ class Btb2Engine : public MissSink
     /** Overwrite from a checkpoint section; throws ckpt::CkptError on
      * mismatch or out-of-range stored state. */
     void restoreState(ckpt::Reader &r);
-
-    /**
-     * Wire the bulk-transfer path into @p inj as Site::kTransfer: each
-     * entry retired from the read pipe into the BTBP is an injection
-     * opportunity (the in-flight copy is dropped or target-flipped; the
-     * BTB2's own rows are covered separately via Site::kBtb2).
-     */
-    void attachFaultInjector(fault::FaultInjector &inj);
 
     /**
      * CMP mode: route every row read through @p a as core @p core.  The
@@ -307,12 +298,8 @@ class Btb2Engine : public MissSink
     unsigned rrNext = 0; ///< round-robin cursor over trackers
     Btb2Arbiter *arb = nullptr; ///< shared read port (CMP); null = private
     unsigned coreId = 0;        ///< this engine's id at the arbiter
-    fault::FaultInjector *faults = nullptr; ///< null = injection off
     obs::TraceWriter *tracer = nullptr;     ///< null = tracing off
     std::uint32_t laneId = 0;
-    /** The in-flight entry the kTransfer callback corrupts (set only
-     * around the onAccess call in tick()). */
-    btb::BtbEntry *transferCursor = nullptr;
 
     stats::Counter nMissReports;
     stats::Counter nIcReports;

@@ -141,8 +141,6 @@ SectorOrderTable::buildOrder(const BlockPattern &p, unsigned demand_quartile)
 SectorOrder
 SectorOrderTable::order(Addr miss_addr) const
 {
-    if (faults != nullptr)
-        faults->onAccess(fault::Site::kSot, miss_addr);
     const unsigned demand = quartileOf(miss_addr);
     if (!prm.enabled) {
         ++nMisses;
@@ -173,39 +171,6 @@ SectorOrderTable::probe(Addr block_addr) const
 {
     const Entry *e = find(blockOf(block_addr));
     return e ? &e->pattern : nullptr;
-}
-
-void
-SectorOrderTable::attachFaultInjector(fault::FaultInjector &inj)
-{
-    faults = &inj;
-    inj.attach(fault::Site::kSot, [this](Rng &rng, std::uint64_t where) {
-        corruptEntry(rng, static_cast<Addr>(where));
-    });
-}
-
-void
-SectorOrderTable::corruptEntry(Rng &rng, Addr where)
-{
-    const auto set = setOf(blockOf(where));
-    Entry &e = table[static_cast<std::size_t>(set) * prm.ways +
-                     rng.below(prm.ways)];
-    if (!e.valid)
-        return;
-    switch (rng.below(3)) {
-      case 0:
-        e = Entry{}; // pattern lost: next miss searches sequentially
-        break;
-      case 1:
-        // Sector bit flip: the steered order visits one wrong (or
-        // misses one right) sector early — preload waste only.
-        e.pattern.sectorBits ^= 1u << rng.below(kSectorsPerBlock);
-        break;
-      default:
-        // Block tag bit flip: the pattern migrates to another block.
-        e.block ^= Addr{1} << rng.below(40);
-        break;
-    }
 }
 
 void

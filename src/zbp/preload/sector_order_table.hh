@@ -27,7 +27,6 @@
 #include "zbp/ckpt/ckpt.hh"
 #include "zbp/common/bitfield.hh"
 #include "zbp/common/types.hh"
-#include "zbp/fault/fault_injector.hh"
 #include "zbp/stats/stats.hh"
 #include "zbp/util/lru.hh"
 
@@ -139,12 +138,6 @@ class SectorOrderTable
      * geometry mismatch or corrupt LRU state. */
     void restoreState(ckpt::Reader &r);
 
-    /** Wire this table into @p inj: each order() query is an injection
-     * opportunity on the queried set (a corrupted pattern only steers
-     * the bulk transfer worse — pure preload waste, never a wrong
-     * simulation result). */
-    void attachFaultInjector(fault::FaultInjector &inj);
-
     void
     registerStats(stats::Group &g) const
     {
@@ -170,7 +163,6 @@ class SectorOrderTable
     std::uint32_t setOf(Addr block) const;
     const Entry *find(Addr block) const;
     void writeBack();
-    void corruptEntry(Rng &rng, Addr where);
 
     /** Build the priority order from a pattern (static helper, also used
      * by tests). */
@@ -182,7 +174,6 @@ class SectorOrderTable
     std::uint32_t numSets;
     std::vector<Entry> table; ///< numSets x ways
     std::vector<LruState> lru;
-    fault::FaultInjector *faults = nullptr; ///< null = injection off
 
     // Live tracking state ("as a function of instruction checkpoint").
     bool tracking = false;

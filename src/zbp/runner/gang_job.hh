@@ -50,8 +50,9 @@ class GangJob final : public Job
 {
   public:
     /** Every config of @p configs over @p t, which must outlive the
-     * job; a null @p t fails the job when it begins.  Member seeds are
-     * @p seed, or 0 to derive them from (name, traceId).  Throws
+     * job; a null @p t fails the job when it begins.  Member seeds
+     * (record keys only; no model reads them) are @p seed, or 0 to
+     * derive them from (name, traceId).  Throws
      * std::invalid_argument if two members share a name. */
     GangJob(std::vector<GangConfig> configs, const trace::Trace *t,
             std::uint64_t seed = 0);

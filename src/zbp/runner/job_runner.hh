@@ -51,11 +51,10 @@ struct SimJob
     const trace::Trace *trace = nullptr; ///< non-owning; must outlive run()
 
     /**
-     * Per-job RNG seed.  0 = derive from (configName, trace identity)
-     * via deriveSeed(), so the value depends only on job identity.  The
-     * seed feeds the fault injector (when enabled) and is exported in
-     * the JSONL record for reproduction; derivation from identity keeps
-     * the parallel-equals-serial guarantee.
+     * Per-job seed: a record key only.  0 = derive from (configName,
+     * trace identity) via deriveSeed(), so the value depends only on
+     * job identity.  No model reads it; it goes into the JSONL record
+     * and the checkpoint key, nothing else.
      */
     std::uint64_t seed = 0;
 };

@@ -9,23 +9,6 @@
 namespace zbp::sim
 {
 
-namespace
-{
-
-/** Stable per-core fault seed: distinct cores must draw distinct
- * corruption streams from one configured seed (SplitMix64 finalizer —
- * the same mix the workload generators use). */
-std::uint64_t
-mixSeed(std::uint64_t seed, unsigned core)
-{
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (core + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
-
 std::string
 cmpMismatch(const CmpResult &a, const CmpResult &b)
 {
@@ -67,24 +50,10 @@ CmpModel::CmpModel(const core::MachineParams &p) : prm(p)
         ctx.l2i = l2i.get();
     }
 
-    // Shared structures get a CMP-owned injector so a shared-array
-    // corruption happens once, not once per core; the cores' private
-    // injectors draw per-core streams from mixed seeds.
-    if (prm.faults.enabled) {
-        inj = std::make_unique<fault::FaultInjector>(prm.faults);
-        if (btb2)
-            btb2->attachFaultInjector(*inj, fault::Site::kBtb2);
-        if (arb)
-            arb->attachFaultInjector(*inj);
-    }
-
     cs.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
-        core::MachineParams cp = prm;
-        if (n > 1)
-            cp.faults.seed = mixSeed(prm.faults.seed, i);
         ctx.coreId = i;
-        cs.push_back(std::make_unique<cpu::CoreModel>(cp, ctx));
+        cs.push_back(std::make_unique<cpu::CoreModel>(prm, ctx));
     }
 }
 
@@ -106,22 +75,14 @@ CmpModel::attachTracer(obs::TraceWriter *t)
         c->attachTracer(t);
     if (t == nullptr) {
         cmpLane = 0;
-        injTraced = false;
         if (arb)
             arb->setTracer(nullptr, 0);
-        if (inj)
-            inj->setTracer(nullptr, 0);
         return;
     }
     cmpLane = t->newLane(obs::TraceWriter::kPidRunner, "cmp windows");
     if (arb)
         arb->setTracer(t, t->newLane(obs::TraceWriter::kPidUarch,
                                      "shared arbiter"));
-    if (inj) {
-        inj->setTracer(t, t->newLane(obs::TraceWriter::kPidUarch,
-                                     "shared faults"));
-        injTraced = true;
-    }
 }
 
 void
@@ -137,8 +98,6 @@ CmpModel::beginRun(const std::vector<const trace::Trace *> &traces)
     maxLen = 0;
     window = 0;
     rot = 0;
-    if (inj)
-        inj->reset();
     for (std::size_t i = 0; i < cs.size(); ++i) {
         if (traces[i] == nullptr)
             throw std::invalid_argument("CmpModel::beginRun: null trace");
@@ -158,11 +117,6 @@ CmpModel::advance(std::size_t decode_target)
 
     const std::size_t win0 = window;
     const double adv_ts = tracer != nullptr ? tracer->nowUs() : 0.0;
-    // The shared injector has no cycle clock of its own (cores each run
-    // their own); stamp its instants at window granularity — the same
-    // resolution the sharing model itself has.
-    if (injTraced)
-        inj->noteCycle(static_cast<Cycle>(window));
 
     while (window < target) {
         // Windows land on absolute stepInsts boundaries (never on the
@@ -184,8 +138,6 @@ CmpModel::advance(std::size_t decode_target)
                 all_done = false;
         }
         rot = (rot + 1) % n;
-        if (injTraced)
-            inj->noteCycle(static_cast<Cycle>(window));
         if (all_done)
             break;
     }
@@ -233,7 +185,6 @@ CmpModel::finishRun()
         r.l2iCoreHits = l2i->coreHits();
         r.l2iCoreMisses = l2i->coreMisses();
     }
-    r.faultsInjectedShared = inj ? inj->injected() : 0;
     return r;
 }
 
@@ -283,8 +234,6 @@ CmpModel::state(Self &s, Io &io)
         io.part(*s.arb);
     if (s.l2i)
         io.part(*s.l2i);
-    if (s.inj)
-        io.part(*s.inj);
     for (auto &c : s.cs)
         io.part(*c);
 }

@@ -77,8 +77,8 @@ struct CmpResult
     std::vector<std::uint64_t> l2iCoreHits;
     std::vector<std::uint64_t> l2iCoreMisses;
 
-    /** Faults injected into the shared structures (the per-core
-     * injectors report theirs in core[i].faultsInjected). */
+    /** Always 0: the model has no fault injection.  Kept only because
+     * the benchmark's counter table (perfbench/counters.hh) names it. */
     std::uint64_t faultsInjectedShared = 0;
 
     /** Fraction of granted row reads that hit a busy bank. */
@@ -145,9 +145,7 @@ class CmpModel
   public:
     /** Builds p.cmp.cores cores.  When the BTB2 is enabled, the shared
      * array, its arbiter and (optionally) the shared L2I are built here
-     * and wired into every core; fault injection covers them through a
-     * CMP-owned injector so shared corruption happens once, not once
-     * per core. */
+     * and wired into every core. */
     explicit CmpModel(const core::MachineParams &p);
     ~CmpModel();
 
@@ -191,7 +189,7 @@ class CmpModel
     bool runInProgress() const { return runActive; }
 
     /** Serialize the whole CMP — window state, shared BTB2/arbiter/
-     * L2I/injector, then every core — into @p w.  Valid only between
+     * L2I, then every core — into @p w.  Valid only between
      * beginRun() and finishRun(). */
     void saveState(ckpt::Writer &w) const;
 
@@ -204,9 +202,6 @@ class CmpModel
     preload::Btb2Arbiter *arbiter() { return arb.get(); }
     btb::SetAssocBtb *sharedBtb2() { return btb2.get(); }
     cache::SharedL2I *sharedL2i() { return l2i.get(); }
-
-    /** The injector covering the shared structures, or nullptr. */
-    fault::FaultInjector *sharedFaultInjector() { return inj.get(); }
 
     /** Does nothing: kept only for the benchmark harness's calls (see
      * zbp/trace/trace_index.hh). */
@@ -235,7 +230,7 @@ class CmpModel
                    const std::string &config_name);
 
     /** Attach timeline tracing: every core's microarch lanes, plus
-     * shared-structure lanes (arbiter waits, shared-fault instants) and
+     * a shared-arbiter lane (bank waits) and
      * a runner-track lane carrying one span per advance() window batch.
      * Null detaches. */
     void attachTracer(obs::TraceWriter *t);
@@ -248,7 +243,6 @@ class CmpModel
     std::unique_ptr<btb::SetAssocBtb> btb2; ///< the shared second level
     std::unique_ptr<preload::Btb2Arbiter> arb;
     std::unique_ptr<cache::SharedL2I> l2i;  ///< null unless cmp.sharedL2i
-    std::unique_ptr<fault::FaultInjector> inj; ///< shared-structure faults
     std::vector<std::unique_ptr<cpu::CoreModel>> cs;
 
     // Run state.
@@ -262,7 +256,6 @@ class CmpModel
     // Observability (null/0 = off; zero cost on the hot path).
     obs::TraceWriter *tracer = nullptr;
     std::uint32_t cmpLane = 0;     ///< runner-track lane for window spans
-    bool injTraced = false;        ///< shared injector has a tracer lane
 };
 
 } // namespace zbp::sim

@@ -95,7 +95,17 @@ struct Instruction
     /** The operand as a branch target and as a data address: kNoAddr
      * when absent or when the instruction is of the other kind. */
     constexpr Addr target() const { return branch() ? addr() : kNoAddr; }
-    constexpr Addr dataAddr() const { return branch() ? kNoAddr : addr(); }
+    constexpr Addr
+    dataAddr() const
+    {
+        // One compare on word 1: with length and taken masked off, a
+        // non-branch's word is its operand, below kNoOperand unless
+        // absent, and any branch kind lifts it above.
+        const std::uint64_t w =
+                std::bit_cast<std::array<std::uint64_t, 2>>(*this)[1] &
+                (kKindBits | kNoOperand);
+        return w < kNoOperand ? w : kNoAddr;
+    }
 
     constexpr void
     setTarget(Addr a)
@@ -124,6 +134,9 @@ struct Instruction
     constexpr bool operator==(const Instruction &) const = default;
 
   private:
+    /** The kind field's bits in word 1. */
+    static constexpr std::uint64_t kKindBits = std::uint64_t{7} << 59;
+
     constexpr Addr
     addr() const
     {

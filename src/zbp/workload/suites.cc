@@ -49,7 +49,7 @@ buildFor(Personality p, std::uint64_t unique_target, std::uint64_t seed)
         b.maxInstsPerBlock = 6;
         break;
       case Personality::kBalanced:
-        // BuildParams defaults.
+        // The BuildParams defaults, unchanged.
         break;
       case Personality::kColdCond:
         b.callFraction = 0.12;

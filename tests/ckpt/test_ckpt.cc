@@ -112,17 +112,24 @@ TEST(CkptFormat, BadMagicAndVersionRejected)
 TEST(CkptFormat, Version1ImageRejected)
 {
     // Version 1 held a D-cache section and hash-ordered address lists;
-    // its images are refused, never reinterpreted.
-    auto bytes = sampleSnapshot();
-    ASSERT_EQ(bytes[4], kFormatVersion);
-    bytes[4] = 1;
-    try {
-        Reader r(bytes.data(), bytes.size());
-        ADD_FAILURE() << "a version-1 image must be rejected";
-    } catch (const CkptError &e) {
-        EXPECT_NE(std::string(e.what()).find("format version 1"),
-                  std::string::npos)
-                << e.what();
+    // version 2 held the fault-injection state.  Their images are
+    // refused, never reinterpreted.
+    const auto image = sampleSnapshot();
+    ASSERT_EQ(image[4], kFormatVersion);
+    for (const std::uint8_t old : {1, 2}) {
+        SCOPED_TRACE(int{old});
+        auto bytes = image;
+        bytes[4] = old;
+        try {
+            Reader r(bytes.data(), bytes.size());
+            ADD_FAILURE() << "a version-" << int{old}
+                          << " image must be rejected";
+        } catch (const CkptError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                              "format version " + std::to_string(old)),
+                      std::string::npos)
+                    << e.what();
+        }
     }
 }
 

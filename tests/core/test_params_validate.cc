@@ -110,24 +110,6 @@ TEST(ParamsValidate, RejectsOutOfRangeStallProbability)
     expectRejected(p, "cpu.dataStallProb");
 }
 
-TEST(ParamsValidate, RejectsBadFaultRate)
-{
-    MachineParams p;
-    p.faults.rate = -0.25;
-    expectRejected(p, "faults.rate");
-
-    MachineParams q;
-    q.faults.siteRate[0] = 2.0;
-    expectRejected(q, "faults.siteRate");
-}
-
-TEST(ParamsValidate, NegativeSiteRateIsInheritSentinel)
-{
-    MachineParams p;
-    p.faults.siteRate[2] = -1.0; // the default: inherit faults.rate
-    EXPECT_NO_THROW(p.validate());
-}
-
 TEST(ParamsValidate, RejectsBadCmpCoreCount)
 {
     MachineParams p;

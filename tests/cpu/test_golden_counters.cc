@@ -93,28 +93,27 @@ struct SnapshotDigest
 
 /** See snapshotImage() for what each name means. */
 const SnapshotDigest kSnapshotDigests[] = {
-    {"detailed/golden-small/no-btb2", 0x855fbc510324c0b6ull},
-    {"detailed/golden-small/btb2", 0x3a35c3012676476aull},
-    {"detailed/golden-small/large-btb1", 0xcec2b28f17d18339ull},
-    {"detailed/golden-caps/no-btb2", 0x62351a1c4ff0c741ull},
-    {"detailed/golden-caps/btb2", 0xd1d83d7c0c111df2ull},
-    {"detailed/golden-caps/large-btb1", 0xfcf2d13564b679deull},
-    {"detailed/tpf/no-btb2", 0xb6174403db799b27ull},
-    {"detailed/tpf/btb2", 0x3732a616afb97f33ull},
-    {"detailed/tpf/large-btb1", 0x2d0f4f5daeb7ec7full},
-    {"functional/golden-small/no-btb2", 0x2165f1fe14bb9a11ull},
-    {"functional/golden-small/btb2", 0xd5620908a9664ad6ull},
-    {"functional/golden-small/large-btb1", 0x3dedd60ff0550eb9ull},
-    {"functional/golden-caps/no-btb2", 0xc0952333d7af4a83ull},
-    {"functional/golden-caps/btb2", 0x904d6da17b3c07ebull},
-    {"functional/golden-caps/large-btb1", 0x9b1079af1f8a8612ull},
-    {"functional/tpf/no-btb2", 0xa6245b73c73336f3ull},
-    {"functional/tpf/btb2", 0x12f394189bd30e33ull},
-    {"functional/tpf/large-btb1", 0x5874bd32efd96ef1ull},
-    {"detailed/golden-small/btb2+faults", 0x5fc6108f94f366c1ull},
-    {"cmp4/shared-l2i/2-banks", 0x66bdf011c0807c40ull},
-    {"gang/golden-small/no-btb2+btb2", 0x566afbda25917a42ull},
-    {"interval/golden-small/btb2", 0xdb82edac7444334eull},
+    {"detailed/golden-small/no-btb2", 0x2a9c2924ae8b9ee2ull},
+    {"detailed/golden-small/btb2", 0xe6151ae5f688ce6aull},
+    {"detailed/golden-small/large-btb1", 0x63eb550714383be5ull},
+    {"detailed/golden-caps/no-btb2", 0x4e0439e75cf1588full},
+    {"detailed/golden-caps/btb2", 0x507bb3266562e224ull},
+    {"detailed/golden-caps/large-btb1", 0x1053f206846d1494ull},
+    {"detailed/tpf/no-btb2", 0xd35023e8e31aac34ull},
+    {"detailed/tpf/btb2", 0xeec01220fae49f57ull},
+    {"detailed/tpf/large-btb1", 0x508a301d4b411fd0ull},
+    {"functional/golden-small/no-btb2", 0x07194f7032821cf0ull},
+    {"functional/golden-small/btb2", 0x88ae361444871587ull},
+    {"functional/golden-small/large-btb1", 0xebd7e6dc579b8524ull},
+    {"functional/golden-caps/no-btb2", 0xa17a2417dda25249ull},
+    {"functional/golden-caps/btb2", 0x77a3b06ad5f53f57ull},
+    {"functional/golden-caps/large-btb1", 0x47b3e6175ec9ccf0ull},
+    {"functional/tpf/no-btb2", 0x00eb0919c31cbf5aull},
+    {"functional/tpf/btb2", 0xe8f9019253fc6c0eull},
+    {"functional/tpf/large-btb1", 0x3725ed54e3c80134ull},
+    {"cmp4/shared-l2i/2-banks", 0x84e9dcdb59a824f5ull},
+    {"gang/golden-small/no-btb2+btb2", 0x2fb8426ca084a2bbull},
+    {"interval/golden-small/btb2", 0xd5cba45a8a0b6490ull},
 };
 // clang-format on
 
@@ -322,14 +321,6 @@ snapshotImages()
                              coreImage(mode, configFor(g.config),
                                        goldenTrace(g.trace)));
 
-    core::MachineParams faulty = sim::configBtb2();
-    faulty.faults.enabled = true;
-    faulty.faults.rate = 1e-3;
-    faulty.faults.seed = 99;
-    out.emplace_back("detailed/golden-small/btb2+faults",
-                     coreImage("detailed", faulty,
-                               goldenTrace("golden-small")));
-
     core::MachineParams cmp = sim::configBtb2();
     cmp.cmp.cores = 4;
     cmp.cmp.btb2Banks = 2;
@@ -395,9 +386,13 @@ TEST(GoldenCounters, SnapshotDigestsMatchCheckedInValues)
         for (const ckpt::SectionDiff &d : ckpt::diffSnapshots(img, img))
             tags.insert(d.tagA);
     }
-    // Together the images exercise every component's section.
-    for (std::uint32_t t = ckpt::tag::kBtb; t <= ckpt::tag::kGang; ++t)
-        EXPECT_TRUE(tags.count(t) != 0) << ckpt::tagName(t);
+    // Together the images exercise every component's section (0x0D is
+    // a retired tag).
+    for (std::uint32_t t = ckpt::tag::kBtb; t <= ckpt::tag::kGang; ++t) {
+        if (t != 0x0D) {
+            EXPECT_TRUE(tags.count(t) != 0) << ckpt::tagName(t);
+        }
+    }
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Tests for the shared-BTB2 bank arbiter: bank mapping, the
  * single-core zero-wait invariant the N=1 CMP equivalence rests on,
  * FCFS conflict accounting, queue-full rejection with a retry hint,
- * TDM slot ownership, and the kArbiter fault hook.
+ * and TDM slot ownership.
  */
 
 #include <gtest/gtest.h>
@@ -146,53 +146,6 @@ TEST(Btb2Arbiter, ResetClearsReservationsAndCounters)
     const auto g = arb.requestRead(0, 0, 100);
     ASSERT_TRUE(g.granted);
     EXPECT_EQ(g.at, 100u);
-}
-
-TEST(Btb2Arbiter, ArbiterFaultStretchesBankBusyTime)
-{
-    fault::FaultParams fp;
-    fp.enabled = true;
-    fp.rate = 1.0; // every access fires
-    fp.seed = 5;
-    fault::FaultInjector inj(fp);
-
-    auto arb = makeArb(1, 1);
-    arb.attachFaultInjector(inj);
-
-    const auto first = arb.requestRead(0, 0, 100);
-    ASSERT_TRUE(first.granted);
-    EXPECT_EQ(first.at, 100u); // stretch from cycle 0 is still < now
-    EXPECT_GT(inj.injected(), 0u);
-    // The grant reserved slot 100 and this request's fault stretches
-    // the bank beyond it, so a widely-spaced follow-up read waits.
-    const auto second = arb.requestRead(0, 0, 102);
-    if (second.granted) {
-        EXPECT_GT(second.at, 102u);
-    }
-    EXPECT_GT(arb.conflicts() + arb.queueFullRejects(), 0u);
-}
-
-TEST(Btb2Arbiter, RateZeroEnabledInjectorChangesNothing)
-{
-    fault::FaultParams fp;
-    fp.enabled = true; // rate stays 0.0
-    fault::FaultInjector inj(fp);
-
-    auto armed = makeArb(2, 1);
-    armed.attachFaultInjector(inj);
-    auto clean = makeArb(2, 1);
-
-    for (Cycle now = 50; now < 80; ++now) {
-        const auto a = armed.requestRead(now % 2, (now % 8) * kRowBytes,
-                                         now);
-        const auto b = clean.requestRead(now % 2, (now % 8) * kRowBytes,
-                                         now);
-        EXPECT_EQ(a.granted, b.granted);
-        EXPECT_EQ(a.at, b.at);
-    }
-    EXPECT_EQ(inj.injected(), 0u);
-    EXPECT_EQ(armed.conflicts(), clean.conflicts());
-    EXPECT_EQ(armed.conflictWaitCycles(), clean.conflictWaitCycles());
 }
 
 } // namespace

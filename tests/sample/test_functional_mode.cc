@@ -12,8 +12,7 @@
  * separately: it is deterministic (same inputs, byte-identical
  * snapshots), its snapshots restore into a detailed run that completes
  * with all run invariants intact, and it refuses the timing-coupled
- * features it cannot honour (fault injection, mid-trace mixing with
- * detailed advance).
+ * feature it cannot honour (mid-trace mixing with detailed advance).
  */
 
 #include <cmath>
@@ -256,17 +255,6 @@ TEST(FunctionalMode, FunctionalWarmupApproximatesDetailedWarmup)
                 << "compulsory: functional " << fun.surpriseCompulsory
                 << " vs detailed " << det.surpriseCompulsory;
     }
-}
-
-TEST(FunctionalMode, RefusesFaultInjection)
-{
-    core::MachineParams cfg = sim::configBtb2();
-    cfg.faults.enabled = true;
-    cfg.faults.rate = 1e-3;
-    const trace::Trace t = makeTrace("fm-small");
-    cpu::CoreModel m(cfg);
-    m.beginRun(t);
-    EXPECT_THROW(m.advanceFunctional(t.size() / 2), std::logic_error);
 }
 
 } // namespace

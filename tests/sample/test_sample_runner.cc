@@ -278,19 +278,23 @@ TEST(SampleRunnerTest, ResumeSatisfiesIntervalsFromPriorResults)
 
 TEST(SampleRunnerTest, WarmupFailureReleasesWaitingIntervals)
 {
-    // advanceFunctional rejects fault injection, so a fast-mode warm-up
-    // throws at its first step, before any snapshot is published: every
-    // interval is still waiting and must fail, and run() must return
-    // with the warm-up's own error instead of hanging.
+    // An I-cache fill longer than the run loop's whole cycle budget
+    // (1000 + 300 cycles per instruction) stalls the first fetch past
+    // it, so a detailed model throws "simulation wedged" before it
+    // decodes interval 0's window.  The exact-mode warm-up is such a
+    // model: it fails before snapshot 1 is published, so every later
+    // interval is still waiting and must be released with the warm-up's
+    // error, and run() must return with that error instead of hanging.
+    // Interval 0 needs no snapshot; it runs the same window and wedges
+    // by itself.
     const trace::Trace t = makeTrace(55, 12'000);
     core::MachineParams cfg = sim::configBtb2();
-    cfg.faults.enabled = true;
+    cfg.icache.missLatency = 100'000'000;
     SampleParams p;
-    p.mode = SampleMode::kFast;
+    p.mode = SampleMode::kExact;
     p.intervalInsts = 3'000;
-    p.warmupInsts = 500;
-    p.measureInsts = 500;
     const std::size_t n = planIntervals(t.size(), p).size();
+    ASSERT_GT(n, 1u);
 
     for (const unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE(jobs);
@@ -299,10 +303,10 @@ TEST(SampleRunnerTest, WarmupFailureReleasesWaitingIntervals)
         SampleRunner sr(p, runner::RunPolicy{.workers = jobs,
                                              .sinkPath = sink});
         try {
-            sr.run("faulty", cfg, t);
+            sr.run("wedged", cfg, t);
             ADD_FAILURE() << "a failed warm-up must fail the run";
-        } catch (const std::logic_error &e) {
-            EXPECT_NE(std::string(e.what()).find("fault injection"),
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("simulation wedged"),
                       std::string::npos)
                     << e.what();
         }
@@ -311,7 +315,10 @@ TEST(SampleRunnerTest, WarmupFailureReleasesWaitingIntervals)
         for (const json::Value &r : records) {
             EXPECT_EQ(r["ok"].boolean(), false);
             ASSERT_NE(r["error"].str(), nullptr);
-            EXPECT_NE(r["error"].str()->find("warm-up failed"),
+            ASSERT_NE(r["config"].str(), nullptr);
+            const bool waited = *r["config"].str() != "wedged#iv0";
+            EXPECT_NE(r["error"].str()->find(waited ? "warm-up failed"
+                                                    : "simulation wedged"),
                       std::string::npos)
                     << *r["error"].str();
         }

@@ -7,9 +7,7 @@
  *    against checked-in values);
  *  - chunked advance() with any monotone target sequence reproduces
  *    run() exactly, per core and at the arbiter;
- *  - two cores on one bank actually contend (nonzero sharing stats);
- *  - an enabled rate-0 fault configuration is bit-identical to a
- *    disabled one, and injected CMP runs keep architectural counts.
+ *  - two cores on one bank actually contend (nonzero sharing stats).
  */
 
 #include <gtest/gtest.h>
@@ -127,55 +125,6 @@ TEST(CmpModel, SharedL2iBackstopsTheCoreL1is)
     // Identical footprints: the second core's lines are mostly already
     // in the shared array, so hits must show up.
     EXPECT_GT(r.l2iHits, 0u);
-}
-
-TEST(CmpModel, FaultRateZeroEnabledBitIdenticalToDisabled)
-{
-    const auto ta = suiteTrace("tpf");
-    const auto tb = suiteTrace("cb84");
-
-    core::MachineParams clean = configBtb2();
-    clean.cmp.cores = 2;
-    clean.cmp.btb2Banks = 2;
-    CmpModel cm(clean);
-    const auto cleanR = cm.run({&ta, &tb});
-
-    core::MachineParams armed = clean;
-    armed.faults.enabled = true; // rate 0.0, no targeted faults
-    CmpModel am(armed);
-    const auto armedR = am.run({&ta, &tb});
-
-    EXPECT_EQ(cmpMismatch(armedR, cleanR), "");
-    for (std::size_t i = 0; i < cleanR.core.size(); ++i)
-        EXPECT_EQ(armedR.core[i].statsText, cleanR.core[i].statsText);
-    EXPECT_EQ(armedR.faultsInjectedShared, 0u);
-}
-
-TEST(CmpModel, InjectedCmpRunDegradesGracefully)
-{
-    const auto t = suiteTrace("tpf");
-    core::MachineParams cfg = configBtb2();
-    cfg.cmp.cores = 2;
-    cfg.cmp.btb2Banks = 2;
-    cfg.faults.enabled = true;
-    cfg.faults.rate = 1e-3;
-    cfg.faults.seed = 99;
-    CmpModel cmp(cfg);
-    const auto r = cmp.run({&t, &t});
-
-    // Shared structures (BTB2 array + arbiter queue state) took hits
-    // through the CMP-owned injector, and the per-core injectors drew
-    // distinct streams from the mixed seeds.
-    EXPECT_GT(r.faultsInjectedShared, 0u);
-    EXPECT_GT(r.core[0].faultsInjected + r.core[1].faultsInjected, 0u);
-    EXPECT_NE(r.core[0].faultsInjected, r.core[1].faultsInjected);
-    for (const auto &c : r.core) {
-        EXPECT_EQ(c.instructions, t.size());
-        EXPECT_EQ(c.correct + c.mispredictDir + c.mispredictTarget +
-                          c.surpriseCompulsory + c.surpriseLatency +
-                          c.surpriseCapacity + c.surpriseBenign,
-                  c.branches);
-    }
 }
 
 TEST(CmpModel, RejectsTraceCountMismatch)

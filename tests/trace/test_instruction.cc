@@ -86,22 +86,38 @@ TEST(Instruction, RecordIsCompact)
 
 TEST(Instruction, OneOperandReadByKind)
 {
-    Instruction plain;
-    plain.setDataAddr(0x8000);
-    EXPECT_EQ(plain.dataAddr(), 0x8000u);
-    EXPECT_EQ(plain.target(), kNoAddr);
-
-    Instruction br;
-    br.kind = InstKind::kUncondBranch;
-    br.taken = true;
-    br.setTarget(0x9000);
-    EXPECT_EQ(br.target(), 0x9000u);
-    EXPECT_EQ(br.dataAddr(), kNoAddr);
-
-    br.setTarget(kNoAddr);
-    EXPECT_EQ(br.target(), kNoAddr);
-    plain.setDataAddr(kNoAddr);
-    EXPECT_EQ(plain.dataAddr(), kNoAddr);
+    // Every kind, with an operand and without, under every length and
+    // direction (they share the operand's word): a non-branch reads it
+    // only as a data address, a branch only as a target.
+    const InstKind kinds[] = {InstKind::kNonBranch, InstKind::kCondBranch,
+                              InstKind::kUncondBranch, InstKind::kCall,
+                              InstKind::kReturn, InstKind::kIndirect};
+    const Addr largest = Instruction::kNoOperand - 1;
+    for (const InstKind k : kinds) {
+        for (const Addr op : {Addr{0}, Addr{0x8000}, largest, kNoAddr}) {
+            for (const std::uint8_t len : {2, 4, 6}) {
+                for (const bool taken : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "kind " << static_cast<int>(k) << " op "
+                                 << op << " len " << int{len} << " taken "
+                                 << taken);
+                    Instruction i;
+                    i.kind = k;
+                    i.length = len;
+                    i.taken = taken;
+                    if (isBranch(k)) {
+                        i.setTarget(op);
+                        EXPECT_EQ(i.target(), op);
+                        EXPECT_EQ(i.dataAddr(), kNoAddr);
+                    } else {
+                        i.setDataAddr(op);
+                        EXPECT_EQ(i.dataAddr(), op);
+                        EXPECT_EQ(i.target(), kNoAddr);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Instruction, OperandOfTheWrongKindDies)
