@@ -21,10 +21,11 @@ main()
                       std::to_string(p.icache.ways) + "-way, " +
                       std::to_string(p.icache.lineBytes) + "B lines)"});
     t.addRow({"L1 data cache", "96KB (6-way)",
-              "background stall model (dataStallProb=" +
-                      stats::TextTable::num(p.cpu.dataStallProb, 2) +
-                      ", " + std::to_string(p.cpu.dataStallCycles) +
-                      " cycles)"});
+              std::to_string(p.dcache.sizeBytes / 1024) + "KB (" +
+                      std::to_string(p.dcache.ways) + "-way, " +
+                      std::to_string(p.dcache.lineBytes) + "B lines, " +
+                      std::to_string(p.dcache.missLatency) +
+                      "-cycle miss)"});
     t.addRow({"L2 caches and beyond", "1MB I / 1MB D, 48MB L3, 384MB L4",
               "infinite (fixed " +
                       std::to_string(p.icache.missLatency) +
@@ -55,6 +56,11 @@ main()
     t.addRow({"sector order table", "512 x 2-way (2MB reach)",
               std::to_string(p.sot.entries) + " x " +
                       std::to_string(p.sot.ways) + "-way"});
+    t.addNote("L1 data cache: instructions with an operand address use "
+              "it; only those without one take the background stall "
+              "(dataStallProb=" +
+              stats::TextTable::num(p.cpu.dataStallProb, 2) + ", " +
+              std::to_string(p.cpu.dataStallCycles) + " cycles)");
     t.addNote("Table 5 items without performance impact on this study "
               "(TLBs, issue queues, register files) are not modelled");
     t.print();

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
 #include "zbp/sim/machine_config.hh"
 #include "zbp/sim/simulator.hh"
@@ -130,7 +131,13 @@ cmdSim(const char *path, int cfg, const char *cfg_file)
             return 1;
         }
     }
-    const auto r = sim::runOne(p, t);
+    cpu::SimResult r;
+    try {
+        r = sim::runOne(p, t);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    }
     std::printf("config %s on '%s': CPI %.3f over %llu insts\n", name,
                 t.name().c_str(), r.cpi,
                 static_cast<unsigned long long>(r.instructions));

@@ -9,7 +9,8 @@
 # Usage:
 #   scripts/smoke.sh               # full: configure, build, ctest, legs
 #   scripts/smoke.sh --bench-only  # runner+resume, corrupted-trace,
-#                                  # trace-cache and bench-binary legs
+#                                  # bad-config, trace-cache and
+#                                  # bench-binary legs
 #                                  # (the runner_smoke ctest target, so
 #                                  # ctest does not recurse into itself)
 #   scripts/smoke.sh --obs-only    # one sweep with ZBP_OBS_* set, then
@@ -247,6 +248,20 @@ run_bench_legs() {
         exit 1
     fi
     echo "smoke: corrupted-trace OK (rejected with a descriptive error)"
+
+    # Bad-config leg: a machine config that validate() rejects (here a
+    # D-cache of 3 sets) must fail with an error and exit 1, not abort.
+    echo "== bad-config smoke: trace_tool sim with a 3-set D-cache =="
+    "$tool" gen cb84 "$tracefile" 0.01 >/dev/null
+    printf 'dcache.sizeBytes = 4608\n' >"$tmp_dir/bad.cfg"
+    local rc=0
+    reject_msg="$("$tool" sim "$tracefile" 2 "$tmp_dir/bad.cfg" 2>&1)" ||
+        rc=$?
+    if [[ $rc -ne 1 ]] || ! grep -q "error:.*dcache" <<<"$reject_msg"; then
+        echo "smoke: bad machine config not rejected (exit $rc)" >&2
+        exit 1
+    fi
+    echo "smoke: bad-config OK (rejected with a descriptive error)"
 
     # Trace-cache leg: two consecutive fig2 runs against the same cache
     # directory — the first primes it, the second must satisfy every

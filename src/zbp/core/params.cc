@@ -12,6 +12,8 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace zbp::core
 {
@@ -25,61 +27,45 @@ reject(const std::string &what)
     throw std::invalid_argument("bad machine configuration: " + what);
 }
 
-void
-checkBtb(const char *name, const btb::BtbConfig &c)
+/** Enforces each field's FieldRule as fields() visits it. */
+struct RuleCheck
 {
-    const std::string n(name);
-    if (c.rows == 0 || !isPowerOf2(c.rows))
-        reject(n + ".rows must be a non-zero power of two, got " +
-               std::to_string(c.rows));
-    if (c.ways == 0)
-        reject(n + ".ways must be at least 1");
-    if (c.ways > btb::kMaxBtbWays)
-        reject(n + ".ways " + std::to_string(c.ways) + " exceeds the " +
-               "supported maximum of " + std::to_string(btb::kMaxBtbWays));
-    if (c.rowBytes == 0 || !isPowerOf2(c.rowBytes))
-        reject(n + ".rowBytes must be a non-zero power of two, got " +
-               std::to_string(c.rowBytes));
-    if (c.tagBits < 1 || c.tagBits > 58)
-        reject(n + ".tagBits must be in [1, 58], got " +
-               std::to_string(c.tagBits));
-}
+    bool sharedL2i;
 
-void
-checkPow2(const char *name, std::uint32_t v)
-{
-    if (v == 0 || !isPowerOf2(v))
-        reject(std::string(name) + " must be a non-zero power of two, "
-               "got " + std::to_string(v));
-}
+    template <class T>
+    void
+    operator()(std::string_view key, const T &v, FieldRule r = {}) const
+    {
+        if (r.kind == FieldRule::kAny ||
+            (!sharedL2i && key.starts_with("cmp.l2i.")))
+            return;
+        const auto fail = [key](const std::string &what) {
+            reject(std::string(key) + " must be " + what);
+        };
+        if constexpr (std::is_same_v<T, double>) {
+            if (!(v >= 0.0 && v <= 1.0))
+                fail("a probability in [0, 1], got " + std::to_string(v));
+        } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+            if (r.kind == FieldRule::kNonZero && v == 0)
+                fail("non-zero");
+            if (r.kind == FieldRule::kPow2 && !isPowerOf2(v))
+                fail("a non-zero power of two, got " + std::to_string(v));
+            if (r.kind == FieldRule::kRange && (v < r.lo || v > r.hi))
+                fail("in [" + std::to_string(r.lo) + ", " +
+                     std::to_string(r.hi) + "], got " + std::to_string(v));
+        }
+    }
+};
 
+/** The set count (sizeBytes / (lineBytes x ways)) must be a power of
+ * two: cache::ICache indexes its sets with a mask. */
 void
-checkNonZero(const char *name, std::uint64_t v)
+checkCacheSets(const std::string &n, const cache::ICacheParams &c)
 {
-    if (v == 0)
-        reject(std::string(name) + " must be non-zero");
-}
-
-void
-checkCache(const char *name, const cache::ICacheParams &c)
-{
-    const std::string n(name);
-    if (c.lineBytes == 0 || !isPowerOf2(c.lineBytes))
-        reject(n + ".lineBytes must be a non-zero power of two, got " +
-               std::to_string(c.lineBytes));
-    if (c.ways == 0)
-        reject(n + ".ways must be at least 1");
-    if (c.sizeBytes == 0 || c.sizeBytes % (c.lineBytes * c.ways) != 0)
-        reject(n + ".sizeBytes must be a non-zero multiple of " +
-               "lineBytes x ways, got " + std::to_string(c.sizeBytes));
-}
-
-void
-checkProb(const char *name, double p)
-{
-    if (!(p >= 0.0 && p <= 1.0))
-        reject(std::string(name) + " must be a probability in [0, 1], "
-               "got " + std::to_string(p));
+    const std::uint64_t way_bytes = std::uint64_t{c.lineBytes} * c.ways;
+    if (c.sizeBytes % way_bytes != 0 || !isPowerOf2(c.sizeBytes / way_bytes))
+        reject(n + ".sizeBytes must be lineBytes x ways x a power of two "
+               "(the set count), got " + std::to_string(c.sizeBytes));
 }
 
 } // namespace
@@ -87,31 +73,14 @@ checkProb(const char *name, double p)
 void
 MachineParams::validate() const
 {
-    checkBtb("btb1", btb1);
-    checkBtb("btbp", btbp);
-    checkBtb("btb2", btb2);
+    RuleCheck check{cmp.sharedL2i};
+    fields(*this, check);
+
     if (btb2Enabled && btb2.rowBytes != 32 && btb2.rowBytes != 64 &&
         btb2.rowBytes != 128) {
         reject("btb2.rowBytes must be 32, 64 or 128 when the BTB2 "
                "engine is enabled, got " + std::to_string(btb2.rowBytes));
     }
-
-    checkPow2("phtEntries", phtEntries);
-    checkPow2("ctbEntries", ctbEntries);
-    checkPow2("surpriseBhtEntries", surpriseBhtEntries);
-
-    checkNonZero("search.missSearchLimit", search.missSearchLimit);
-    checkNonZero("search.maxNotTakenPerRow", search.maxNotTakenPerRow);
-    checkNonZero("search.maxQueuedPredictions",
-                 search.maxQueuedPredictions);
-    checkNonZero("search.seqBurst", search.seqBurst);
-
-    checkNonZero("engine.numTrackers", engine.numTrackers);
-    checkNonZero("engine.partialSectors", engine.partialSectors);
-    checkNonZero("engine.pipeDepth", engine.pipeDepth);
-    checkNonZero("engine.rowReadInterval", engine.rowReadInterval);
-    checkNonZero("engine.maxChainedBlocks", engine.maxChainedBlocks);
-
     if (sot.ways == 0 || sot.entries == 0 || sot.entries % sot.ways != 0)
         reject("sot.entries must be a non-zero multiple of sot.ways, "
                "got " + std::to_string(sot.entries) + " entries x " +
@@ -119,27 +88,14 @@ MachineParams::validate() const
     if (!isPowerOf2(sot.entries / sot.ways))
         reject("sot sets (entries / ways) must be a power of two, got " +
                std::to_string(sot.entries / sot.ways));
-
-    checkCache("icache", icache);
-    checkCache("dcache", dcache);
-
-    checkNonZero("cpu.decodeWidth", cpu.decodeWidth);
-    checkNonZero("cpu.fetchBytesPerCycle", cpu.fetchBytesPerCycle);
-    checkNonZero("cpu.fetchBufferInsts", cpu.fetchBufferInsts);
-    checkProb("cpu.dataStallProb", cpu.dataStallProb);
-
-    if (cmp.cores < 1 || cmp.cores > 64)
-        reject("cmp.cores must be in [1, 64], got " +
-               std::to_string(cmp.cores));
-    checkPow2("cmp.btb2Banks", cmp.btb2Banks);
+    checkCacheSets("icache", icache);
+    checkCacheSets("dcache", dcache);
+    if (cmp.sharedL2i)
+        checkCacheSets("cmp.l2i", cmp.l2i);
     if (cmp.btb2Banks > btb2.rows)
         reject("cmp.btb2Banks " + std::to_string(cmp.btb2Banks) +
                " exceeds btb2.rows " + std::to_string(btb2.rows) +
                " (cannot bank finer than one row per bank)");
-    checkNonZero("cmp.arbQueueDepth", cmp.arbQueueDepth);
-    checkNonZero("cmp.stepInsts", cmp.stepInsts);
-    if (cmp.sharedL2i)
-        checkCache("cmp.l2i", cmp.l2i);
 }
 
 } // namespace zbp::core

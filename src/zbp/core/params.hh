@@ -102,6 +102,17 @@ struct CmpParams
                             /*missRecordTtl=*/2000};
 };
 
+/** The constraint MachineParams::fields() attaches to one field, which
+ * validate() enforces.  kAny fields take every value their type can
+ * hold; cross-field rules stay in validate() itself. */
+struct FieldRule
+{
+    enum Kind : std::uint8_t { kAny, kNonZero, kPow2, kRange, kProb };
+    Kind kind = kAny;
+    std::uint32_t lo = 0; ///< kRange: the inclusive bounds
+    std::uint32_t hi = 0;
+};
+
 /** Everything needed to build one simulated machine. */
 struct MachineParams
 {
@@ -142,7 +153,108 @@ struct MachineParams
      * may call it earlier for friendlier reporting).
      */
     void validate() const;
+
+    /**
+     * The one field list: calls v(key, field) or v(key, field, rule)
+     * once per settable field, keyed by its dotted config name.  The
+     * config parser, the key list and validate() all walk it (the
+     * state(Self &, Io &) pattern of ckpt/ckpt.hh); BtbConfig's derived
+     * shift/mask members are not fields.
+     */
+    template <class Self, class V> static void fields(Self &s, V &v);
 };
+
+template <class Self, class V>
+void
+MachineParams::fields(Self &s, V &v)
+{
+    constexpr FieldRule nonZero{FieldRule::kNonZero};
+    constexpr FieldRule pow2{FieldRule::kPow2};
+    constexpr FieldRule prob{FieldRule::kProb};
+    constexpr FieldRule btbWays{FieldRule::kRange, 1, btb::kMaxBtbWays};
+    constexpr FieldRule tagBits{FieldRule::kRange, 1, 58};
+
+    v("btb1.rows", s.btb1.rows, pow2);
+    v("btb1.ways", s.btb1.ways, btbWays);
+    v("btb1.rowBytes", s.btb1.rowBytes, pow2);
+    v("btb1.tagBits", s.btb1.tagBits, tagBits);
+    v("btbp.rows", s.btbp.rows, pow2);
+    v("btbp.ways", s.btbp.ways, btbWays);
+    v("btbp.rowBytes", s.btbp.rowBytes, pow2);
+    v("btbp.tagBits", s.btbp.tagBits, tagBits);
+    v("btb2.rows", s.btb2.rows, pow2);
+    v("btb2.ways", s.btb2.ways, btbWays);
+    v("btb2.rowBytes", s.btb2.rowBytes, pow2);
+    v("btb2.tagBits", s.btb2.tagBits, tagBits);
+    v("btb2Enabled", s.btb2Enabled);
+    v("phtEntries", s.phtEntries, pow2);
+    v("ctbEntries", s.ctbEntries, pow2);
+    v("surpriseBhtEntries", s.surpriseBhtEntries, pow2);
+
+    v("search.missSearchLimit", s.search.missSearchLimit, nonZero);
+    v("search.maxNotTakenPerRow", s.search.maxNotTakenPerRow, nonZero);
+    v("search.fitEntries", s.search.fitEntries);
+    v("search.maxQueuedPredictions", s.search.maxQueuedPredictions, nonZero);
+    v("search.seqBurst", s.search.seqBurst, nonZero);
+
+    v("engine.numTrackers", s.engine.numTrackers, nonZero);
+    v("engine.partialSectors", s.engine.partialSectors, nonZero);
+    v("engine.startDelay", s.engine.startDelay);
+    v("engine.pipeDepth", s.engine.pipeDepth, nonZero);
+    v("engine.icacheFilter", s.engine.icacheFilter);
+    v("engine.semiExclusive", s.engine.semiExclusive);
+    v("engine.rowReadInterval", s.engine.rowReadInterval, nonZero);
+    v("engine.multiBlockTransfer", s.engine.multiBlockTransfer);
+    v("engine.maxChainedBlocks", s.engine.maxChainedBlocks, nonZero);
+
+    v("sot.entries", s.sot.entries);
+    v("sot.ways", s.sot.ways);
+    v("sot.enabled", s.sot.enabled);
+
+    v("icache.sizeBytes", s.icache.sizeBytes);
+    v("icache.ways", s.icache.ways, nonZero);
+    v("icache.lineBytes", s.icache.lineBytes, pow2);
+    v("icache.missLatency", s.icache.missLatency);
+    v("icache.missRecordTtl", s.icache.missRecordTtl);
+    v("dcache.sizeBytes", s.dcache.sizeBytes);
+    v("dcache.ways", s.dcache.ways, nonZero);
+    v("dcache.lineBytes", s.dcache.lineBytes, pow2);
+    v("dcache.missLatency", s.dcache.missLatency);
+    v("dcache.missRecordTtl", s.dcache.missRecordTtl);
+    v("dcacheEnabled", s.dcacheEnabled);
+
+    v("cpu.decodeWidth", s.cpu.decodeWidth, nonZero);
+    v("cpu.fetchBytesPerCycle", s.cpu.fetchBytesPerCycle, nonZero);
+    v("cpu.fetchToDecode", s.cpu.fetchToDecode);
+    v("cpu.decodeToResolve", s.cpu.decodeToResolve);
+    v("cpu.restartPenalty", s.cpu.restartPenalty);
+    v("cpu.fetchBufferInsts", s.cpu.fetchBufferInsts, nonZero);
+    v("cpu.installLatencyWindow", s.cpu.installLatencyWindow);
+    v("cpu.dataStallProb", s.cpu.dataStallProb, prob);
+    v("cpu.dataStallCycles", s.cpu.dataStallCycles);
+    v("cpu.dcacheMissExtra", s.cpu.dcacheMissExtra);
+
+    v("decodeTimeMissReports", s.decodeTimeMissReports);
+    v("collectStatsText", s.collectStatsText);
+
+    v("cmp.cores", s.cmp.cores, FieldRule{FieldRule::kRange, 1, 64});
+    v("cmp.btb2Banks", s.cmp.btb2Banks, pow2);
+    v("cmp.arbQueueDepth", s.cmp.arbQueueDepth, nonZero);
+    v("cmp.arbPolicy", s.cmp.arbPolicy);
+    v("cmp.stepInsts", s.cmp.stepInsts, nonZero);
+    v("cmp.sharedL2i", s.cmp.sharedL2i);
+    // validate() checks these rules only when sharedL2i is set.
+    v("cmp.l2i.sizeBytes", s.cmp.l2i.sizeBytes);
+    v("cmp.l2i.ways", s.cmp.l2i.ways, nonZero);
+    v("cmp.l2i.lineBytes", s.cmp.l2i.lineBytes, pow2);
+    v("cmp.l2i.missLatency", s.cmp.l2i.missLatency);
+    v("cmp.l2i.missRecordTtl", s.cmp.l2i.missRecordTtl);
+}
+
+// A field added to MachineParams (or to one of its parts) needs its row
+// in fields() above; then update this size.
+static_assert(sizeof(MachineParams) == 392,
+              "MachineParams changed: give the new field a fields() row");
 
 } // namespace zbp::core
 

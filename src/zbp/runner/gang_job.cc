@@ -71,6 +71,7 @@ GangJob::build(std::size_t i)
 {
     const core::MachineParams &cfg = cfgs[i].cfg;
     try {
+        cfg.validate(); // before its D-cache geometry builds a map
         // D-cache outcome maps are keyed by geometry: one per distinct
         // (size, ways, line) in the gang.
         const std::vector<std::uint8_t> *dmiss = nullptr;

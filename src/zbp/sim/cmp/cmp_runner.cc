@@ -137,6 +137,7 @@ CmpChipJob::begin(const std::atomic<bool> *cancel)
 {
     model.reset();
     dmaps.clear();
+    spec.cfg.validate(); // before its D-cache geometry builds a map
     // The job's cores share one machine configuration, so one D-cache
     // outcome map per distinct trace suffices: a homogeneous mix maps
     // its one trace once, not once per core.

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
-#include <map>
 #include <sstream>
 
 namespace zbp::sim
@@ -12,14 +10,8 @@ namespace zbp::sim
 namespace
 {
 
-/** A typed setter for one configuration key. */
-struct Key
-{
-    std::function<bool(core::MachineParams &, const std::string &)> set;
-};
-
 bool
-parseU32(const std::string &v, std::uint32_t &out)
+parse(const std::string &v, std::uint32_t &out)
 {
     try {
         std::size_t pos = 0;
@@ -34,7 +26,7 @@ parseU32(const std::string &v, std::uint32_t &out)
 }
 
 bool
-parseDouble(const std::string &v, double &out)
+parse(const std::string &v, double &out)
 {
     try {
         std::size_t pos = 0;
@@ -46,7 +38,7 @@ parseDouble(const std::string &v, double &out)
 }
 
 bool
-parseBool(const std::string &v, bool &out)
+parse(const std::string &v, bool &out)
 {
     if (v == "true" || v == "1" || v == "yes" || v == "on") {
         out = true;
@@ -59,175 +51,34 @@ parseBool(const std::string &v, bool &out)
     return false;
 }
 
-template <typename T>
-Key
-u32Key(T core::MachineParams::*section, std::uint32_t T::*field)
+bool
+parse(const std::string &v, preload::ArbPolicy &out)
 {
-    return Key{[section, field](core::MachineParams &p,
-                                const std::string &v) {
-        return parseU32(v, p.*section.*field);
-    }};
+    if (v != "fcfs" && v != "tdm")
+        return false;
+    out = v == "tdm" ? preload::ArbPolicy::kTdm : preload::ArbPolicy::kFcfs;
+    return true;
 }
 
-/** setter helper for unsigned fields. */
-template <typename T>
-Key
-unsKey(T core::MachineParams::*section, unsigned T::*field)
+/** Parses one "key = value" directive into the field fields() names
+ * @p key, with the parser its type selects. */
+struct Setter
 {
-    return Key{[section, field](core::MachineParams &p,
-                                const std::string &v) {
-        std::uint32_t tmp;
-        if (!parseU32(v, tmp))
-            return false;
-        p.*section.*field = tmp;
-        return true;
-    }};
-}
+    const std::string &key;
+    const std::string &value;
+    bool found = false;
+    bool ok = false;
 
-template <typename T>
-Key
-boolSubKey(T core::MachineParams::*section, bool T::*field)
-{
-    return Key{[section, field](core::MachineParams &p,
-                                const std::string &v) {
-        return parseBool(v, p.*section.*field);
-    }};
-}
-
-const std::map<std::string, Key> &
-keyTable()
-{
-    using MP = core::MachineParams;
-    static const std::map<std::string, Key> table = {
-        // BTB geometries.
-        {"btb1.rows", u32Key(&MP::btb1, &btb::BtbConfig::rows)},
-        {"btb1.ways", u32Key(&MP::btb1, &btb::BtbConfig::ways)},
-        {"btb1.rowBytes", u32Key(&MP::btb1, &btb::BtbConfig::rowBytes)},
-        {"btb1.tagBits", unsKey(&MP::btb1, &btb::BtbConfig::tagBits)},
-        {"btbp.rows", u32Key(&MP::btbp, &btb::BtbConfig::rows)},
-        {"btbp.ways", u32Key(&MP::btbp, &btb::BtbConfig::ways)},
-        {"btbp.rowBytes", u32Key(&MP::btbp, &btb::BtbConfig::rowBytes)},
-        {"btbp.tagBits", unsKey(&MP::btbp, &btb::BtbConfig::tagBits)},
-        {"btb2.rows", u32Key(&MP::btb2, &btb::BtbConfig::rows)},
-        {"btb2.ways", u32Key(&MP::btb2, &btb::BtbConfig::ways)},
-        {"btb2.rowBytes", u32Key(&MP::btb2, &btb::BtbConfig::rowBytes)},
-        {"btb2.tagBits", unsKey(&MP::btb2, &btb::BtbConfig::tagBits)},
-        {"btb2Enabled",
-         Key{[](MP &p, const std::string &v) {
-             return parseBool(v, p.btb2Enabled);
-         }}},
-        {"dcacheEnabled",
-         Key{[](MP &p, const std::string &v) {
-             return parseBool(v, p.dcacheEnabled);
-         }}},
-        {"decodeTimeMissReports",
-         Key{[](MP &p, const std::string &v) {
-             return parseBool(v, p.decodeTimeMissReports);
-         }}},
-        {"collectStatsText",
-         Key{[](MP &p, const std::string &v) {
-             return parseBool(v, p.collectStatsText);
-         }}},
-        {"phtEntries",
-         Key{[](MP &p, const std::string &v) {
-             return parseU32(v, p.phtEntries);
-         }}},
-        {"ctbEntries",
-         Key{[](MP &p, const std::string &v) {
-             return parseU32(v, p.ctbEntries);
-         }}},
-        {"surpriseBhtEntries",
-         Key{[](MP &p, const std::string &v) {
-             return parseU32(v, p.surpriseBhtEntries);
-         }}},
-
-        // Search pipeline.
-        {"search.missSearchLimit",
-         unsKey(&MP::search, &core::SearchParams::missSearchLimit)},
-        {"search.maxNotTakenPerRow",
-         unsKey(&MP::search, &core::SearchParams::maxNotTakenPerRow)},
-        {"search.fitEntries",
-         unsKey(&MP::search, &core::SearchParams::fitEntries)},
-        {"search.maxQueuedPredictions",
-         unsKey(&MP::search, &core::SearchParams::maxQueuedPredictions)},
-        {"search.seqBurst",
-         unsKey(&MP::search, &core::SearchParams::seqBurst)},
-
-        // BTB2 engine.
-        {"engine.numTrackers",
-         unsKey(&MP::engine, &preload::Btb2EngineParams::numTrackers)},
-        {"engine.partialSectors",
-         unsKey(&MP::engine, &preload::Btb2EngineParams::partialSectors)},
-        {"engine.startDelay",
-         unsKey(&MP::engine, &preload::Btb2EngineParams::startDelay)},
-        {"engine.pipeDepth",
-         unsKey(&MP::engine, &preload::Btb2EngineParams::pipeDepth)},
-        {"engine.rowReadInterval",
-         unsKey(&MP::engine,
-                &preload::Btb2EngineParams::rowReadInterval)},
-        {"engine.maxChainedBlocks",
-         unsKey(&MP::engine,
-                &preload::Btb2EngineParams::maxChainedBlocks)},
-        {"engine.icacheFilter",
-         boolSubKey(&MP::engine,
-                    &preload::Btb2EngineParams::icacheFilter)},
-        {"engine.semiExclusive",
-         boolSubKey(&MP::engine,
-                    &preload::Btb2EngineParams::semiExclusive)},
-        {"engine.multiBlockTransfer",
-         boolSubKey(&MP::engine,
-                    &preload::Btb2EngineParams::multiBlockTransfer)},
-
-        // Sector order table.
-        {"sot.entries", u32Key(&MP::sot, &preload::SotParams::entries)},
-        {"sot.ways", u32Key(&MP::sot, &preload::SotParams::ways)},
-        {"sot.enabled",
-         boolSubKey(&MP::sot, &preload::SotParams::enabled)},
-
-        // Caches.
-        {"icache.sizeBytes",
-         u32Key(&MP::icache, &cache::ICacheParams::sizeBytes)},
-        {"icache.ways", u32Key(&MP::icache, &cache::ICacheParams::ways)},
-        {"icache.lineBytes",
-         u32Key(&MP::icache, &cache::ICacheParams::lineBytes)},
-        {"icache.missLatency",
-         u32Key(&MP::icache, &cache::ICacheParams::missLatency)},
-        {"icache.missRecordTtl",
-         u32Key(&MP::icache, &cache::ICacheParams::missRecordTtl)},
-        {"dcache.sizeBytes",
-         u32Key(&MP::dcache, &cache::ICacheParams::sizeBytes)},
-        {"dcache.ways", u32Key(&MP::dcache, &cache::ICacheParams::ways)},
-        {"dcache.lineBytes",
-         u32Key(&MP::dcache, &cache::ICacheParams::lineBytes)},
-        {"dcache.missLatency",
-         u32Key(&MP::dcache, &cache::ICacheParams::missLatency)},
-
-        // Core timing.
-        {"cpu.decodeWidth",
-         unsKey(&MP::cpu, &core::CpuParams::decodeWidth)},
-        {"cpu.fetchBytesPerCycle",
-         unsKey(&MP::cpu, &core::CpuParams::fetchBytesPerCycle)},
-        {"cpu.fetchToDecode",
-         unsKey(&MP::cpu, &core::CpuParams::fetchToDecode)},
-        {"cpu.decodeToResolve",
-         unsKey(&MP::cpu, &core::CpuParams::decodeToResolve)},
-        {"cpu.restartPenalty",
-         unsKey(&MP::cpu, &core::CpuParams::restartPenalty)},
-        {"cpu.fetchBufferInsts",
-         unsKey(&MP::cpu, &core::CpuParams::fetchBufferInsts)},
-        {"cpu.installLatencyWindow",
-         unsKey(&MP::cpu, &core::CpuParams::installLatencyWindow)},
-        {"cpu.dcacheMissExtra",
-         unsKey(&MP::cpu, &core::CpuParams::dcacheMissExtra)},
-        {"cpu.dataStallProb",
-         Key{[](MP &p, const std::string &v) {
-             return parseDouble(v, p.cpu.dataStallProb);
-         }}},
-        {"cpu.dataStallCycles",
-         unsKey(&MP::cpu, &core::CpuParams::dataStallCycles)},
-    };
-    return table;
-}
+    template <class T>
+    void
+    operator()(const char *k, T &field, core::FieldRule = {})
+    {
+        if (!found && key == k) {
+            found = true;
+            ok = parse(value, field);
+        }
+    }
+};
 
 std::string
 trim(const std::string &s)
@@ -261,10 +112,11 @@ applyConfigText(const std::string &text, core::MachineParams &params)
             return {false, "expected 'key = value': " + line, lineno};
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
-        const auto it = keyTable().find(key);
-        if (it == keyTable().end())
+        Setter set{key, value};
+        core::MachineParams::fields(params, set);
+        if (!set.found)
             return {false, "unknown key '" + key + "'", lineno};
-        if (!it->second.set(params, value))
+        if (!set.ok)
             return {false,
                     "bad value '" + value + "' for key '" + key + "'",
                     lineno};
@@ -287,10 +139,12 @@ std::string
 configKeyList()
 {
     std::string out;
-    for (const auto &[key, _] : keyTable()) {
+    auto add = [&out](const char *key, const auto &, core::FieldRule = {}) {
         out += key;
         out += '\n';
-    }
+    };
+    core::MachineParams p;
+    core::MachineParams::fields(p, add);
     return out;
 }
 

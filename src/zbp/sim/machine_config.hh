@@ -2,7 +2,9 @@
  * @file
  * Plain-text machine configuration: "section.key = value" lines parsed
  * into a MachineParams, so experiments can be scripted without
- * recompiling.  '#' starts a comment; unknown keys are errors (typos in
+ * recompiling.  The keys are core::MachineParams::fields()' names, so
+ * every settable field has one (cmp.* too, which only sim::CmpModel
+ * reads).  '#' starts a comment; unknown keys are errors (typos in
  * sweep scripts must not silently run the default machine).
  *
  * Example:
@@ -43,7 +45,8 @@ ParseResult applyConfigText(const std::string &text,
 ParseResult applyConfigFile(const std::string &path,
                             core::MachineParams &params);
 
-/** All recognized keys, one per line (for --help style output). */
+/** All recognized keys, one per line in fields() order (for --help
+ * style output). */
 std::string configKeyList();
 
 } // namespace zbp::sim

@@ -1,8 +1,8 @@
 /**
  * @file
  * Lightweight named-statistics registry used by every simulation
- * component: scalar counters, ratios (formulas evaluated at dump time),
- * and histograms, grouped per component and dumpable as text.
+ * component: scalar counters and ratios (formulas evaluated at dump
+ * time), grouped per component and dumpable as text.
  */
 
 #ifndef ZBP_STATS_STATS_HH
@@ -35,57 +35,6 @@ class Counter
 
   private:
     std::uint64_t val = 0;
-};
-
-/** Fixed-bucket histogram with underflow/overflow buckets. */
-class Histogram
-{
-  public:
-    /** Buckets of width @p bucket_width covering [0, buckets*width). */
-    Histogram(unsigned num_buckets, std::uint64_t bucket_width)
-        : counts(num_buckets + 1, 0), width(bucket_width)
-    {
-        ZBP_ASSERT(num_buckets >= 1 && bucket_width >= 1,
-                   "bad histogram shape");
-    }
-
-    void
-    sample(std::uint64_t v)
-    {
-        const std::size_t b = v / width;
-        if (b >= counts.size() - 1)
-            ++counts.back();
-        else
-            ++counts[b];
-        sum += v;
-        ++n;
-    }
-
-    std::uint64_t samples() const { return n; }
-    double mean() const
-    {
-        return n == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(n);
-    }
-    std::uint64_t bucket(std::size_t i) const { return counts.at(i); }
-    std::size_t numBuckets() const { return counts.size() - 1; }
-    std::uint64_t overflow() const { return counts.back(); }
-    std::uint64_t bucketWidth() const { return width; }
-
-    void
-    reset()
-    {
-        for (auto &c : counts)
-            c = 0;
-        sum = 0;
-        n = 0;
-    }
-
-  private:
-    std::vector<std::uint64_t> counts;
-    std::uint64_t width;
-    std::uint64_t sum = 0;
-    std::uint64_t n = 0;
 };
 
 /**

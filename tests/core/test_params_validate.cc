@@ -98,9 +98,23 @@ TEST(ParamsValidate, RejectsSotEntriesNotMultipleOfWays)
 
 TEST(ParamsValidate, RejectsBadCacheSize)
 {
-    MachineParams p;
-    p.icache.sizeBytes = p.icache.lineBytes * p.icache.ways + 1;
-    expectRejected(p, "icache.sizeBytes");
+    // For each cache: a size that is no multiple of lineBytes x ways,
+    // and one of exactly 3 sets (cache::ICache masks its set index, so
+    // the set count must be a power of two).
+    const char *keys[] = {"icache.sizeBytes", "dcache.sizeBytes",
+                          "cmp.l2i.sizeBytes"};
+    for (int i = 0; i < 3; ++i) {
+        for (const bool three_sets : {false, true}) {
+            MachineParams p;
+            p.cmp.sharedL2i = true;
+            cache::ICacheParams *caches[] = {&p.icache, &p.dcache,
+                                             &p.cmp.l2i};
+            cache::ICacheParams &c = *caches[i];
+            c.sizeBytes = three_sets ? c.lineBytes * c.ways * 3
+                                     : c.lineBytes * c.ways + 1;
+            expectRejected(p, keys[i]);
+        }
+    }
 }
 
 TEST(ParamsValidate, RejectsOutOfRangeStallProbability)

@@ -157,17 +157,26 @@ TEST(CmpRunner, ResumeSatisfiesJobAndRestoresSharingStats)
 TEST(CmpRunner, FailingJobIsRecordedNotFatal)
 {
     const auto traces = smallTraces();
-    auto good = twoCoreJob("good", traces);
-    auto bad = twoCoreJob("bad", traces);
-    bad.cfg.btb1.rows = 3; // not a power of two: ctor rejects
+    // A BTB1 of 3 rows, and a D-cache of 3 sets, which validate() must
+    // reject before the job builds a D-cache map from its geometry.
+    for (const bool bad_dcache : {false, true}) {
+        auto good = twoCoreJob("good", traces);
+        auto bad = twoCoreJob("bad", traces);
+        auto &d = bad.cfg.dcache;
+        if (bad_dcache)
+            d.sizeBytes = d.lineBytes * d.ways * 3;
+        else
+            bad.cfg.btb1.rows = 3;
 
-    CmpRunner cr(runner::RunPolicy{.workers = 1});
-    const auto res = cr.run({bad, good});
-    ASSERT_EQ(res.size(), 2u);
-    EXPECT_FALSE(res[0].ok);
-    EXPECT_NE(res[0].error.find("power of two"), std::string::npos)
-            << res[0].error;
-    EXPECT_TRUE(res[1].ok) << res[1].error;
+        CmpRunner cr(runner::RunPolicy{.workers = 1});
+        const auto res = cr.run({bad, good});
+        ASSERT_EQ(res.size(), 2u);
+        EXPECT_FALSE(res[0].ok);
+        EXPECT_NE(res[0].error.find(bad_dcache ? "dcache" : "power of two"),
+                  std::string::npos)
+                << res[0].error;
+        EXPECT_TRUE(res[1].ok) << res[1].error;
+    }
 }
 
 } // namespace

@@ -126,6 +126,29 @@ TEST(GangRunner, FailingMemberDoesNotSinkTheGang)
     EXPECT_TRUE(job.results()[2].ok);
 }
 
+TEST(GangRunner, ThreeSetDcacheFailsOnlyItsMember)
+{
+    // cache::ICache masks its set index and aborts on a set count that
+    // is not a power of two, so validate() must reject this member
+    // before the gang builds a D-cache map from its geometry.
+    std::vector<GangConfig> gang = {{"three-sets", configBtb2()},
+                                    {"btb2", configBtb2()}};
+    auto &d = gang[0].cfg.dcache;
+    d.sizeBytes = d.lineBytes * d.ways * 3;
+
+    const auto traces = smallTraces();
+    const auto got = runGangs(runner::RunPolicy{.workers = 1}, gang, traces);
+    for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+        EXPECT_FALSE(got[0][ti].ok);
+        EXPECT_NE(got[0][ti].error.find("dcache"), std::string::npos)
+                << got[0][ti].error;
+        ASSERT_TRUE(got[1][ti].ok) << got[1][ti].error;
+        EXPECT_EQ(cpu::counterMismatch(got[1][ti].result,
+                                       runOne(gang[1].cfg, *traces[ti])),
+                  "");
+    }
+}
+
 TEST(GangRunner, RejectsDuplicateMemberNames)
 {
     // Two members named alike would share one record identity, so a

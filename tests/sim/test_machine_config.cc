@@ -3,6 +3,12 @@
  * Tests for the key=value machine configuration parser.
  */
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "zbp/sim/machine_config.hh"
@@ -57,6 +63,16 @@ TEST(MachineConfig, SetsDoubles)
     core::MachineParams p;
     ASSERT_TRUE(applyConfigText("cpu.dataStallProb = 0.125\n", p).ok);
     EXPECT_DOUBLE_EQ(p.cpu.dataStallProb, 0.125);
+}
+
+TEST(MachineConfig, SetsArbPolicyByName)
+{
+    core::MachineParams p;
+    ASSERT_TRUE(applyConfigText("cmp.arbPolicy = tdm\n", p).ok);
+    EXPECT_EQ(p.cmp.arbPolicy, preload::ArbPolicy::kTdm);
+    ASSERT_TRUE(applyConfigText("cmp.arbPolicy = fcfs\n", p).ok);
+    EXPECT_EQ(p.cmp.arbPolicy, preload::ArbPolicy::kFcfs);
+    EXPECT_FALSE(applyConfigText("cmp.arbPolicy = 1\n", p).ok);
 }
 
 TEST(MachineConfig, CommentsAndBlanksIgnored)
@@ -135,6 +151,61 @@ TEST(MachineConfig, KeyListCoversSections)
           "sot.enabled", "icache.missLatency", "dcache.sizeBytes",
           "cpu.decodeWidth", "search.missSearchLimit"}) {
         EXPECT_NE(keys.find(k), std::string::npos) << k;
+    }
+}
+
+/** Every field's value as raw bits, in fields() order. */
+std::vector<std::uint64_t>
+fieldBits(const core::MachineParams &p)
+{
+    std::vector<std::uint64_t> out;
+    auto read = [&out](const char *, const auto &f, core::FieldRule = {}) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(f)>,
+                                     double>)
+            out.push_back(std::bit_cast<std::uint64_t>(f));
+        else
+            out.push_back(static_cast<std::uint64_t>(f));
+    };
+    core::MachineParams::fields(p, read);
+    return out;
+}
+
+TEST(MachineConfig, EveryFieldHasAKeyThatSetsOnlyThatField)
+{
+    // "<key> = <a value other than the default>" for every visited field.
+    const core::MachineParams defaults;
+    std::vector<std::string> names, lines;
+    auto tweak = [&](const char *key, const auto &f, core::FieldRule = {}) {
+        using T = std::remove_cvref_t<decltype(f)>;
+        std::string v;
+        if constexpr (std::is_same_v<T, bool>)
+            v = f ? "false" : "true";
+        else if constexpr (std::is_same_v<T, double>)
+            v = f == 0.5 ? "0.25" : "0.5";
+        else if constexpr (std::is_same_v<T, preload::ArbPolicy>)
+            v = f == preload::ArbPolicy::kTdm ? "fcfs" : "tdm";
+        else
+            v = std::to_string(f + 1);
+        names.push_back(key);
+        lines.push_back(std::string(key) + " = " + v);
+    };
+    core::MachineParams::fields(defaults, tweak);
+
+    ASSERT_EQ(names.size(), 67u);
+    std::string list;
+    for (const auto &n : names)
+        list += n + '\n';
+    EXPECT_EQ(configKeyList(), list);
+
+    const auto base = fieldBits(defaults);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        core::MachineParams p;
+        const auto r = applyConfigText(lines[i], p);
+        ASSERT_TRUE(r.ok) << lines[i] << ": " << r.error;
+        const auto now = fieldBits(p);
+        for (std::size_t j = 0; j < now.size(); ++j)
+            EXPECT_EQ(now[j] != base[j], i == j)
+                    << "'" << lines[i] << "' and field " << names[j];
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for counters, histograms and stat groups.
+ * Tests for counters and stat groups.
  */
 
 #include <gtest/gtest.h>
@@ -21,34 +21,6 @@ TEST(Counter, IncrementAndAdd)
     EXPECT_EQ(c.value(), 42u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(4, 10); // buckets [0,10) [10,20) [20,30) [30,40) + ovf
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(35);
-    h.sample(40);  // overflow
-    h.sample(999); // overflow
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.samples(), 6u);
-}
-
-TEST(Histogram, Mean)
-{
-    Histogram h(4, 10);
-    h.sample(10);
-    h.sample(20);
-    EXPECT_DOUBLE_EQ(h.mean(), 15.0);
-    h.reset();
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_EQ(h.samples(), 0u);
 }
 
 TEST(Group, RegisterAndRead)
@@ -157,23 +129,6 @@ TEST(Group, EmptyRunDumpIsCleanForEveryScalar)
     EXPECT_NE(out.find("cache.hitRate"), std::string::npos);
     EXPECT_EQ(out.find("nan"), std::string::npos);
     EXPECT_DOUBLE_EQ(g.value("hitRate"), 0.0);
-}
-
-TEST(Histogram, UnderflowStaysInFirstBucket)
-{
-    Histogram h(4, 10);
-    h.sample(0); // smallest representable sample
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(Histogram, OverflowBoundaryIsExact)
-{
-    Histogram h(2, 10); // [0,10) [10,20) + overflow
-    h.sample(19);
-    h.sample(20); // first value past the covered range
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
 }
 
 TEST(Group, ValueLooksUpDerivedAndCounterAlike)
